@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 
 from .cohomology import (bundle_cohomology, dual_cohomology, end_cohomology,
                          hom_presentations, line_h, omega_table, section_space)
-from .field import DEFAULT_PRIME, ExtensionField, FieldElement, PrimeField
-from .linalg import MatrixFp
-from .poly import LinearForm, basis, mult_matrix
+from .field import DEFAULT_PRIME, ExtensionField, PrimeField
+from .poly import basis
 from .presentation import (UlrichPresentation, direct_sum, generic_rank_check,
                            load, local_freeness_sample, random_presentation,
                            save, shape)
@@ -22,12 +21,11 @@ from .ulrich import (UlrichCertificate, certify, euler_pairing, hilbert_check,
                      veronese_facts)
 
 __all__ = [
-    "DEFAULT_PRIME", "ExtensionField", "FieldElement", "LinearForm",
-    "MatrixFp", "PrimeField", "UlrichCertificate", "UlrichPresentation",
-    "basis", "bundle_cohomology", "certify", "direct_sum", "dual_cohomology",
-    "end_cohomology", "euler_pairing", "generic_rank_check", "hilbert_check",
-    "hom_presentations", "invariants", "line_bundle_solutions", "line_h",
-    "load", "local_freeness_sample", "mult_matrix", "omega_table",
-    "random_presentation", "save", "search", "section_space",
+    "DEFAULT_PRIME", "ExtensionField", "PrimeField", "UlrichCertificate",
+    "UlrichPresentation", "basis", "bundle_cohomology", "certify",
+    "direct_sum", "dual_cohomology", "end_cohomology", "euler_pairing",
+    "generic_rank_check", "hilbert_check", "hom_presentations", "invariants",
+    "line_bundle_solutions", "line_h", "load", "local_freeness_sample",
+    "omega_table", "random_presentation", "save", "search", "section_space",
     "semistable_bound_check", "shape", "sweep", "veronese_facts", "__version__",
 ]

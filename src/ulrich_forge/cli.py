@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--seed", type=int, default=0)
     cert.add_argument("--window-pad", type=int, default=3,
                       help="full level checks h1(E(td)) = 0 for t in "
-                           "[-alpha-PAD, 3] (default 3)")
+                           "[-alpha-PAD, 3]; PAD >= 0 (default 3)")
     cert.add_argument("--out", metavar="DIR", default=None,
                       help="directory for the certificate (default: next to input)")
 

@@ -17,17 +17,19 @@ with transposed block layout so that H^2 spaces are never materialized.
 Higher operations (dual bundle, endomorphisms, cotangent twists, Hom
 spaces) come from the dual resolution and the Euler sequence, acting on
 pivot-complement quotient models of the section spaces.
+
+Map ranks and section spaces are memoized on the presentation object, so
+they live exactly as long as the presentation does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .linalg import rank_dense, rref
-from .poly import LinearForm, dim_forms, shift_tables
+from .linalg import matmul_mod, rank_dense, rref
+from .poly import dim_forms, shift_tables
 from .presentation import UlrichPresentation
 
 
@@ -76,9 +78,11 @@ def build_map_matrix(pres: UlrichPresentation, n: int, transpose: bool = False) 
     return out
 
 
-@lru_cache(maxsize=2048)
-def _map_rank(pres: UlrichPresentation, n: int, transpose: bool) -> int:
-    return rank_dense(build_map_matrix(pres, n, transpose), pres.p)
+def _mult_rank(pres: UlrichPresentation, n: int, transpose: bool) -> int:
+    """Rank of build_map_matrix(pres, n, transpose), memoized on pres."""
+    return pres._memoized(
+        ("rank", n, transpose),
+        lambda: rank_dense(build_map_matrix(pres, n, transpose), pres.p))
 
 
 def bundle_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, int, int]:
@@ -88,8 +92,8 @@ def bundle_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, int, int]:
     check; otherwise the numbers describe the cokernel module.
     """
     d = pres.d
-    sigma_rank = _map_rank(pres, d - 2 + m, False)
-    mu_rank = _map_rank(pres, -m - d - 2, True)
+    sigma_rank = _mult_rank(pres, d - 2 + m, False)
+    mu_rank = _mult_rank(pres, -m - d - 2, True)
     h0 = pres.b * line_h(0, d - 1 + m) - sigma_rank
     h1 = pres.a * line_h(2, d - 2 + m) - mu_rank
     h2 = pres.b * line_h(2, d - 1 + m) - mu_rank
@@ -98,7 +102,7 @@ def bundle_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, int, int]:
 
 def h1_twist(pres: UlrichPresentation, m: int) -> int:
     """h^1(E(m)) alone; skips the sigma rank that only h^0 needs."""
-    mu_rank = _map_rank(pres, -m - pres.d - 2, True)
+    mu_rank = _mult_rank(pres, -m - pres.d - 2, True)
     return pres.a * line_h(2, pres.d - 2 + m) - mu_rank
 
 
@@ -121,7 +125,6 @@ class SectionSpace:
     any vector modulo the image in those coordinates.
     """
 
-    presentation_hash: str
     m: int
     ambient_dim: int
     pivots: tuple[int, ...]
@@ -134,17 +137,22 @@ class SectionSpace:
         return int(self.complement.size)
 
     def project_columns(self, mat: np.ndarray) -> np.ndarray:
-        """Images of ambient column vectors in the quotient model."""
+        """Images of ambient column vectors (entries in [0, p)) in the
+        quotient model."""
         if mat.shape[0] != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         out = mat[self.complement, :].astype(np.int64)
         if self.pivots:
-            out = out - self.reducer.T @ mat[list(self.pivots), :]
+            out = out - matmul_mod(self.reducer.T, mat[list(self.pivots), :], self.p)
         return out % self.p
 
 
-@lru_cache(maxsize=256)
 def section_space(pres: UlrichPresentation, m: int) -> SectionSpace:
+    """The quotient model of H^0(E(m)), memoized on pres."""
+    return pres._memoized(("sections", m), lambda: _build_section_space(pres, m))
+
+
+def _build_section_space(pres: UlrichPresentation, m: int) -> SectionSpace:
     sigma = build_map_matrix(pres, pres.d - 2 + m, False)
     ambient = sigma.shape[0]
     reduced, pivots = rref(sigma.T, pres.p)
@@ -152,7 +160,6 @@ def section_space(pres: UlrichPresentation, m: int) -> SectionSpace:
     in_pivots[pivots] = True
     complement = np.flatnonzero(~in_pivots)
     return SectionSpace(
-        presentation_hash=pres.content_hash,
         m=m,
         ambient_dim=ambient,
         pivots=tuple(pivots),
@@ -162,9 +169,10 @@ def section_space(pres: UlrichPresentation, m: int) -> SectionSpace:
     )
 
 
-def form_action(pres: UlrichPresentation, m: int, f: LinearForm) -> np.ndarray:
-    """Matrix of multiplication by the linear form f as a map
-    H^0(E(m)) -> H^0(E(m+1)) between the quotient models."""
+def form_action(pres: UlrichPresentation, m: int, f: np.ndarray) -> np.ndarray:
+    """Matrix of multiplication by the linear form with coefficient triple
+    f = (c0, c1, c2) as a map H^0(E(m)) -> H^0(E(m+1)) between the
+    quotient models."""
     src = section_space(pres, m)
     dst = section_space(pres, m + 1)
     n = pres.d - 1 + m                      # degree of ambient forms at twist m
@@ -177,7 +185,7 @@ def form_action(pres: UlrichPresentation, m: int, f: LinearForm) -> np.ndarray:
         sh = shift_tables(n)
         ar = np.arange(src.dim)
         for v in range(3):
-            c = f.coeffs[v]
+            c = int(f[v])
             if c:
                 lifted[comp * rows_per + sh[v][mon], ar] = c
     return dst.project_columns(lifted)
@@ -196,8 +204,8 @@ def dual_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, int, int]:
     rank of a Serre-dual multiplication matrix, here in direct layout.
     """
     d = pres.d
-    tau_rank = _map_rank(pres, 1 - d + m, True)
-    dual_h2_rank = _map_rank(pres, d - m - 5, False)
+    tau_rank = _mult_rank(pres, 1 - d + m, True)
+    dual_h2_rank = _mult_rank(pres, d - m - 5, False)
     h0 = pres.b * line_h(0, 1 - d + m) - tau_rank
     h1 = pres.a * line_h(0, 2 - d + m) - tau_rank
     h2 = pres.b * line_h(2, 1 - d + m) - dual_h2_rank
@@ -212,7 +220,7 @@ def _end_map(pres: UlrichPresentation) -> tuple[np.ndarray, int, int]:
     phi = np.zeros((pres.a * h_dst, pres.b * h_src), dtype=np.int64)
     for i in range(pres.b):
         for j in range(pres.a):
-            block = form_action(pres, 1 - pres.d, pres.entries[i][j])
+            block = form_action(pres, 1 - pres.d, pres.coeff_array[i, j])
             phi[j * h_dst : (j + 1) * h_dst, i * h_src : (i + 1) * h_src] = block
     return phi, h_src, h_dst
 
@@ -235,12 +243,7 @@ def end_cohomology(pres: UlrichPresentation) -> tuple[int, int, int]:
 def euler_section_map(pres: UlrichPresentation) -> np.ndarray:
     """The Euler-sequence map H^0(E(1-d))^3 -> H^0(E(2-d)),
     (s1, s2, s3) |-> x*s1 + y*s2 + z*s3, in the quotient models."""
-    field = pres.field
-    cols = []
-    for v in range(3):
-        coeffs = [0, 0, 0]
-        coeffs[v] = 1
-        cols.append(form_action(pres, 1 - pres.d, LinearForm(field, tuple(coeffs))))
+    cols = [form_action(pres, 1 - pres.d, unit) for unit in np.eye(3, dtype=np.int64)]
     return np.concatenate(cols, axis=1)
 
 

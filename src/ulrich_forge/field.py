@@ -1,9 +1,11 @@
-"""Prime-field arithmetic and the small extension tower used for point sampling.
+"""Prime-field moduli and the small extension tower used for point sampling.
 
 Every coefficient in this package lives in a fixed odd prime field F_p
-(default p = 32003).  The modulus travels with each container type and
-mixing moduli is a constructor-time error: silent cross-modulus
-arithmetic is the classic computer-algebra bug.
+(default p = 32003).  F_p elements are plain integers in [0, p) (numpy
+int64 arrays in bulk); ``PrimeField`` only validates and carries the
+modulus, and operations that combine two presentations reject mixed
+moduli.  ``ExtensionField`` gives F_{p^k}, k <= 4, for the local-freeness
+sampler, with elements as coefficient tuples.
 """
 
 from __future__ import annotations
@@ -31,25 +33,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def inverse_mod(v: int, p: int) -> int:
-    """Inverse of v modulo p via extended Euclid; v must be nonzero mod p."""
+    """Inverse of v modulo the prime p; v must be nonzero mod p."""
     v %= p
     if v == 0:
         raise ZeroDivisionError("cannot invert 0 in F_p")
-    g, x, _ = egcd(v, p)
-    if g != 1:
-        raise ZeroDivisionError(f"{v} is not invertible modulo {p}")
-    return x % p
+    return pow(v, -1, p)
 
 
 @lru_cache(maxsize=None)
@@ -72,93 +61,8 @@ class PrimeField:
     def __post_init__(self):
         _checked_prime(self.p)
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value % self.p)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def inverse_int(self, value: int) -> int:
-        return inverse_mod(value, self.p)
-
-    def random_int(self, rng: np.random.Generator) -> int:
-        """Uniform residue in [0, p), deterministic given the generator state."""
-        return int(rng.integers(0, self.p))
-
-    def random_element(self, rng: np.random.Generator) -> "FieldElement":
-        return FieldElement(self, self.random_int(rng))
-
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-def require_same_field(a: PrimeField, b: PrimeField) -> PrimeField:
-    if a.p != b.p:
-        raise ValueError(f"mixed moduli: F_{a.p} vs F_{b.p}")
-    return a
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue in [0, p).  Immutable; arithmetic stays reduced mod p."""
-
-    field: PrimeField
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.p:
-            object.__setattr__(self, "value", self.value % self.field.p)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            require_same_field(self.field, other.field)
-            return other
-        if isinstance(other, (int, np.integer)):
-            return FieldElement(self.field, int(other) % self.field.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, (self.value + o.value) % self.field.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, (self.value - o.value) % self.field.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, (self.value * o.value) % self.field.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.field, (-self.value) % self.field.p)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, inverse_mod(self.value, self.field.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +176,6 @@ class ExtensionField:
     def one(self) -> tuple[int, ...]:
         return (1,) + (0,) * (self.degree - 1)
 
-    def from_int(self, v: int) -> tuple[int, ...]:
-        return (v % self.p,) + (0,) * (self.degree - 1)
-
     def is_zero(self, a: tuple[int, ...]) -> bool:
         return not any(a)
 
@@ -283,9 +184,6 @@ class ExtensionField:
 
     def sub(self, a, b) -> tuple[int, ...]:
         return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def scale(self, c: int, a) -> tuple[int, ...]:
-        return tuple(c * x % self.p for x in a)
 
     def mul(self, a, b) -> tuple[int, ...]:
         r = _poly_mulmod(list(a), list(b), self.modulus, self.p)

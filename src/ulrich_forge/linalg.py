@@ -1,7 +1,8 @@
-"""Exact rank, kernel and linear-system solving over F_p.
+"""Exact rank, row reduction and modular products over F_p.
 
 This is the computational workhorse: every cohomology dimension in the
-package reduces to the rank of an explicit matrix over F_p.
+package reduces to the rank of an explicit matrix over F_p.  Matrices are
+plain numpy arrays; the modulus is passed alongside.
 
 The dense elimination is blocked.  A panel of columns is eliminated with
 immediate reduction; the accumulated multipliers are then applied to the
@@ -10,19 +11,15 @@ exact because block * (p-1)^2 < 2^53, and entries are re-reduced mod p
 after every update.  For moduli too large for that bound a plain row-op
 elimination (immediate reduction, still exact) takes over.
 
-A Markowitz-style sparse elimination with a dense fallback is available
-for matrices that start out very sparse (the multiplication-map blocks
-have at most 3 nonzeros per column).
+``matmul_mod`` is the one integer matrix product mod p: it splits the
+inner dimension so that no int64 partial sum overflows for any p < 2^31.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .field import PrimeField, inverse_mod
+from .field import inverse_mod
 
 # Unreduced magnitudes are capped at 2^52, not 2^53: the quotient estimate
 # q = floor(x * (1/p)) is then off by at most one and q*p is still exactly
@@ -255,218 +252,20 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[: len(pivots)], pivots
 
 
-def kernel_basis(a: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the right null space of a over F_p.
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, exact for int64 operands with entries in [0, p).
 
-    Size is cols - rank(a); each returned v satisfies a @ v == 0 mod p.
+    One product term is at most (p-1)^2, so the inner dimension is cut into
+    chunks whose partial sums, plus the running residue, stay below 2^63.
+    For p = 32003 that is a single chunk.
     """
     a = np.asarray(a, dtype=np.int64)
-    n = a.shape[1]
-    red, pivots = rref(a, p)
-    free = [j for j in range(n) if j not in set(pivots)]
-    basis = []
-    for f in free:
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for i, pj in enumerate(pivots):
-            v[pj] = (-int(red[i, f])) % p
-        basis.append(v)
-    return basis
-
-
-@dataclass(frozen=True)
-class AffineSolution:
-    """A particular solution together with the solution-space dimension."""
-
-    x: np.ndarray
-    null_dim: int
-
-
-def solve_affine(a: np.ndarray, b: np.ndarray, p: int) -> Optional[AffineSolution]:
-    """Solve a @ x = b over F_p; None marks an inconsistent system."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64).reshape(-1)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} rows vs {b.shape[0]} rhs entries")
-    m, n = a.shape
-    aug = np.concatenate([a % p, (b % p)[:, None]], axis=1)
-    red, pivots = rref(aug, p)
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, pj in enumerate(pivots):
-        x[pj] = int(red[i, n])
-    return AffineSolution(x=x, null_dim=n - len(pivots))
-
-
-# ---------------------------------------------------------------------------
-# Sparse (Markowitz-style) elimination
-# ---------------------------------------------------------------------------
-
-
-def rank_sparse(a: np.ndarray, p: int, fallback_density: float = 0.2) -> int:
-    """Rank via structural elimination with Markowitz-style pivoting.
-
-    Pivots are chosen in the sparsest column (ties by index), then the
-    sparsest row within it.  When fill-in pushes the active submatrix past
-    ``fallback_density`` the remainder is densified and handed to
-    :func:`rank_dense`.
-    """
-    a = np.asarray(a, dtype=np.int64) % p
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return 0
-    rows: list[dict[int, int]] = [dict() for _ in range(m)]
-    col_rows: dict[int, set[int]] = {}
-    ii, jj = np.nonzero(a)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        rows[i][j] = int(a[i, j])
-        col_rows.setdefault(j, set()).add(i)
-    nnz = int(ii.size)
-    active_rows = {i for i in range(m) if rows[i]}
-    rank = 0
-
-    while col_rows:
-        n_active_r = len(active_rows)
-        n_active_c = len(col_rows)
-        if min(n_active_r, n_active_c) > 32 and nnz > fallback_density * n_active_r * n_active_c:
-            return rank + _densify_rank(rows, active_rows, col_rows, p)
-        j = min(col_rows, key=lambda c: (len(col_rows[c]), c))
-        i = min(col_rows[j], key=lambda r: (len(rows[r]), r))
-        piv = rows[i]
-        pinv = inverse_mod(piv[j], p)
-        others = [r for r in col_rows[j] if r != i]
-        for r in others:
-            f = rows[r][j] * pinv % p
-            row = rows[r]
-            for jc, v in piv.items():
-                nv = (row.get(jc, 0) - f * v) % p
-                if nv:
-                    if jc not in row:
-                        col_rows.setdefault(jc, set()).add(r)
-                        nnz += 1
-                    row[jc] = nv
-                else:
-                    if jc in row:
-                        del row[jc]
-                        col_rows[jc].discard(r)
-                        if not col_rows[jc]:
-                            del col_rows[jc]
-                        nnz -= 1
-            if not row:
-                active_rows.discard(r)
-        # retire the pivot row and column
-        for jc in piv:
-            s = col_rows.get(jc)
-            if s is not None:
-                s.discard(i)
-                if not s:
-                    del col_rows[jc]
-        nnz -= len(piv)
-        rows[i] = dict()
-        active_rows.discard(i)
-        rank += 1
-    return rank
-
-
-def _densify_rank(rows, active_rows, col_rows, p: int) -> int:
-    ridx = sorted(active_rows)
-    cidx = sorted(col_rows)
-    cmap = {j: k for k, j in enumerate(cidx)}
-    sub = np.zeros((len(ridx), len(cidx)), dtype=np.int64)
-    for k, i in enumerate(ridx):
-        for j, v in rows[i].items():
-            sub[k, cmap[j]] = v
-    return rank_dense(sub, p)
-
-
-# ---------------------------------------------------------------------------
-# Matrix container
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatrixFp:
-    """A matrix over one prime field with a storage-origin tag.
-
-    Entries are kept reduced in an int64 array; ``storage`` records whether
-    the matrix was assembled from sparse data, which steers the default
-    rank algorithm.
-    """
-
-    field: PrimeField
-    data: np.ndarray
-    storage: str = "dense"
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.int64)
-        if d.ndim != 2:
-            raise ValueError("matrix data must be 2-dimensional")
-        if d.size and (d.min() < 0 or d.max() >= self.field.p):
-            d = d % self.field.p
-        object.__setattr__(self, "data", d)
-        if self.storage not in ("dense", "sparse"):
-            raise ValueError(f"unknown storage tag {self.storage!r}")
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def density(self) -> float:
-        if self.data.size == 0:
-            return 0.0
-        return float(np.count_nonzero(self.data)) / self.data.size
-
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int, storage: str = "dense") -> "MatrixFp":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64), storage)
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "MatrixFp":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def from_triplets(cls, field: PrimeField, rows: int, cols: int,
-                      triplets) -> "MatrixFp":
-        a = np.zeros((rows, cols), dtype=np.int64)
-        for i, j, v in triplets:
-            a[i, j] = (a[i, j] + v) % field.p
-        return cls(field, a, storage="sparse")
-
-    @classmethod
-    def random(cls, field: PrimeField, rows: int, cols: int, rng: np.random.Generator) -> "MatrixFp":
-        return cls(field, rng.integers(0, field.p, size=(rows, cols), dtype=np.int64))
-
-    def rank(self, method: str = "auto") -> int:
-        if method == "auto":
-            use_sparse = (
-                self.storage == "sparse"
-                and min(self.rows, self.cols) >= 256
-                and self.density < 0.02
-            )
-            method = "sparse" if use_sparse else "dense"
-        if method == "dense":
-            return rank_dense(self.data, self.field.p)
-        if method == "sparse":
-            return rank_sparse(self.data, self.field.p)
-        raise ValueError(f"unknown rank method {method!r}")
-
-    def kernel_basis(self) -> list[np.ndarray]:
-        return kernel_basis(self.data, self.field.p)
-
-    def solve_affine(self, b: np.ndarray) -> Optional[AffineSolution]:
-        return solve_affine(self.data, b, self.field.p)
-
-    def transpose(self) -> "MatrixFp":
-        return MatrixFp(self.field, self.data.T.copy(), self.storage)
-
-    def __matmul__(self, other: "MatrixFp") -> "MatrixFp":
-        if self.field.p != other.field.p:
-            raise ValueError("mixed moduli in matrix product")
-        prod = (self.data @ other.data) % self.field.p
-        return MatrixFp(self.field, prod)
+    b = np.asarray(b, dtype=np.int64)
+    chunk = (2**63 - p) // (p - 1) ** 2
+    k = a.shape[-1]
+    if k <= chunk:
+        return (a @ b) % p
+    out = (a[..., :chunk] @ b[:chunk]) % p
+    for s in range(chunk, k, chunk):
+        out = (out + a[..., s : s + chunk] @ b[s : s + chunk]) % p
+    return out

@@ -1,24 +1,20 @@
-"""Monomial bases of graded pieces of F_p[x, y, z] and multiplication maps.
+"""Monomial bases of graded pieces of F_p[x, y, z] and their shift tables.
 
 This is the bridge from sheaf maps to linear algebra: every cohomology
 computation in the package reduces to ranks of matrices assembled from
 multiplication-by-linear-form blocks between the graded pieces enumerated
-here.  The monomial order is graded-lex with x > y > z, fixed globally so
-that certificates are reproducible.
+here.  A linear form is its coefficient triple (c0, c1, c2) for
+c0*x + c1*y + c2*z, and ``shift_tables`` says where multiplication by each
+variable sends each monomial.  The monomial order is graded-lex with
+x > y > z, fixed globally so that certificates are reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
-
-from .field import ExtensionField, FieldElement, PrimeField, require_same_field
-from .linalg import MatrixFp
-
-VARIABLE_NAMES = ("x", "y", "z")
 
 
 def dim_forms(n: int) -> int:
@@ -57,89 +53,3 @@ def shift_tables(n: int) -> np.ndarray:
         out[1, j] = idx[(e0, e1 + 1, e2)]
         out[2, j] = idx[(e0, e1, e2 + 1)]
     return out
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """c0*x + c1*y + c2*z with coefficients in one prime field."""
-
-    field: PrimeField
-    coeffs: tuple[int, int, int]
-
-    def __post_init__(self):
-        if len(self.coeffs) != 3:
-            raise ValueError("a linear form has exactly 3 coefficients")
-        p = self.field.p
-        if not all(0 <= c < p for c in self.coeffs):
-            object.__setattr__(self, "coeffs", tuple(int(c) % p for c in self.coeffs))
-
-    @classmethod
-    def random(cls, field: PrimeField, rng: np.random.Generator) -> "LinearForm":
-        return cls(field, tuple(int(v) for v in rng.integers(0, field.p, size=3)))
-
-    @classmethod
-    def zero(cls, field: PrimeField) -> "LinearForm":
-        return cls(field, (0, 0, 0))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0, 0, 0)
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        require_same_field(self.field, other.field)
-        p = self.field.p
-        return LinearForm(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c: int) -> "LinearForm":
-        p = self.field.p
-        return LinearForm(self.field, tuple(c * v % p for v in self.coeffs))
-
-    def evaluate(self, point) -> FieldElement:
-        """Value at a point of P^2(F_p); the zero triple is not a point."""
-        vals = [v.value if isinstance(v, FieldElement) else int(v) for v in point]
-        if all(v % self.field.p == 0 for v in vals):
-            raise ValueError("(0, 0, 0) is not a point of the projective plane")
-        p = self.field.p
-        return FieldElement(self.field, sum(c * v for c, v in zip(self.coeffs, vals)) % p)
-
-    def evaluate_ext(self, ext: ExtensionField, point) -> tuple[int, ...]:
-        """Value at a point with coordinates in F_{p^k}."""
-        if all(ext.is_zero(q) for q in point):
-            raise ValueError("(0, 0, 0) is not a point of the projective plane")
-        acc = ext.zero()
-        for c, q in zip(self.coeffs, point):
-            if c:
-                acc = ext.add(acc, ext.scale(c, q))
-        return acc
-
-    def __str__(self):
-        terms = [f"{c}*{v}" for c, v in zip(self.coeffs, VARIABLE_NAMES) if c]
-        return " + ".join(terms) if terms else "0"
-
-
-def mult_matrix(f: LinearForm, n: int) -> MatrixFp:
-    """Matrix of multiplication by f from degree-n forms to degree-(n+1)
-    forms, in the fixed graded-lex bases.  At most 3 nonzeros per column."""
-    rows = dim_forms(n + 1)
-    cols = dim_forms(n)
-    a = np.zeros((rows, cols), dtype=np.int64)
-    if cols:
-        sh = shift_tables(n)
-        col_idx = np.arange(cols)
-        for v in range(3):
-            if f.coeffs[v]:
-                a[sh[v], col_idx] += f.coeffs[v]
-    return MatrixFp(f.field, a, storage="sparse")
-
-
-def evaluate_monomials(terms: dict[tuple[int, int, int], int],
-                       point, field: PrimeField) -> FieldElement:
-    """Value of a monomial combination {exponent triple: coefficient} at a
-    point of P^2(F_p)."""
-    vals = [v.value if isinstance(v, FieldElement) else int(v) % field.p for v in point]
-    if all(v == 0 for v in vals):
-        raise ValueError("(0, 0, 0) is not a point of the projective plane")
-    acc = 0
-    for (e0, e1, e2), c in terms.items():
-        acc += c * pow(vals[0], e0, field.p) * pow(vals[1], e1, field.p) * pow(vals[2], e2, field.p)
-    return FieldElement(field, acc % field.p)

@@ -4,7 +4,9 @@ A presentation is a b x a matrix M of linear forms giving the sheaf map
 O(d-2)^a -> O(d-1)^b on the projective plane; the candidate bundle is its
 cokernel.  The sizes are forced: a = r(d-1)/2 and b = r(d+1)/2 for a rank-r
 candidate on the degree-d Veronese surface, which also forces r even
-whenever d is even.
+whenever d is even.  M is stored once, as a read-only (b, a, 3) int64 array
+of x, y, z coefficients; the presentation's identity is the hash of its
+canonical bytes.
 
 The module provides seeded random generation, the generic-rank (injectivity)
 witness check, a sampling falsifier for local freeness over small extension
@@ -15,15 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .field import DEFAULT_PRIME, ExtensionField, PrimeField, ext_matrix_rank
-from .linalg import rank_dense
-from .poly import LinearForm
+from .linalg import matmul_mod, rank_dense
 
 PRESENTATION_FORMAT = "ulrich-presentation/1"
 
@@ -64,25 +65,44 @@ def shape(d: int, r: int) -> Shape:
     return Shape(a=r * (d - 1) // 2, b=r * (d + 1) // 2, alpha=(r + 3) // 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UlrichPresentation:
-    """A b x a matrix of linear forms presenting E = coker(O(d-2)^a -> O(d-1)^b)."""
+    """A b x a matrix of linear forms presenting E = coker(O(d-2)^a -> O(d-1)^b).
+
+    ``coeff_array[i, j]`` holds the x, y, z coefficients of entry (i, j),
+    reduced mod p and read-only.  Equality and hashing go through
+    ``content_hash``.  Ranks and section spaces computed for this object are
+    memoized on it and freed with it.
+    """
 
     field: PrimeField
     d: int
     r: int
-    entries: tuple[tuple[LinearForm, ...], ...]
+    coeff_array: np.ndarray
+    _memo: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         s = shape(self.d, self.r)
-        if len(self.entries) != s.b:
-            raise ValueError(f"expected {s.b} rows of entries, got {len(self.entries)}")
-        for row in self.entries:
-            if len(row) != s.a:
-                raise ValueError(f"expected {s.a} entries per row, got {len(row)}")
-            for e in row:
-                if e.field.p != self.field.p:
-                    raise ValueError("mixed moduli inside a presentation")
+        arr = np.array(self.coeff_array, dtype=np.int64) % self.field.p
+        if arr.shape != (s.b, s.a, 3):
+            raise ValueError(f"expected a ({s.b}, {s.a}, 3) coefficient array, "
+                             f"got shape {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "coeff_array", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, UlrichPresentation):
+            return NotImplemented
+        return self.content_hash == other.content_hash
+
+    def __hash__(self):
+        return hash(self.content_hash)
+
+    def _memoized(self, key: tuple, compute: Callable[[], object]):
+        """compute(), evaluated once per key for this presentation."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def p(self) -> int:
@@ -101,15 +121,6 @@ class UlrichPresentation:
         return (self.r + 3) // 2
 
     @cached_property
-    def coeff_array(self) -> np.ndarray:
-        """Coefficients as a (b, a, 3) int64 array."""
-        arr = np.array(
-            [[e.coeffs for e in row] for row in self.entries], dtype=np.int64
-        ).reshape(self.b, self.a, 3)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
     def canonical_bytes(self) -> bytes:
         return canonical_json_bytes(self.to_json_dict())
 
@@ -125,13 +136,13 @@ class UlrichPresentation:
             "r": self.r,
             "a": self.a,
             "b": self.b,
-            "entries": [[list(e.coeffs) for e in row] for row in self.entries],
+            "entries": self.coeff_array.tolist(),
         }
 
     def evaluate_at(self, point) -> np.ndarray:
         """The scalar b x a matrix M(point) over F_p."""
         vals = np.array([int(v) % self.p for v in point], dtype=np.int64)
-        return (self.coeff_array @ vals) % self.p
+        return matmul_mod(self.coeff_array, vals, self.p)
 
     def __repr__(self):
         return (f"UlrichPresentation(p={self.p}, d={self.d}, r={self.r}, "
@@ -148,13 +159,8 @@ def random_presentation(d: int, r: int, rng: np.random.Generator,
                         p: int = DEFAULT_PRIME) -> UlrichPresentation:
     """Presentation with i.i.d. uniform coefficients, deterministic under rng."""
     s = shape(d, r)
-    field = PrimeField(p)
     coeffs = rng.integers(0, p, size=(s.b, s.a, 3), dtype=np.int64)
-    entries = tuple(
-        tuple(LinearForm(field, tuple(int(c) for c in coeffs[i, j])) for j in range(s.a))
-        for i in range(s.b)
-    )
-    return UlrichPresentation(field=field, d=d, r=r, entries=entries)
+    return UlrichPresentation(PrimeField(p), d, r, coeffs)
 
 
 def direct_sum(p1: UlrichPresentation, p2: UlrichPresentation) -> UlrichPresentation:
@@ -163,11 +169,10 @@ def direct_sum(p1: UlrichPresentation, p2: UlrichPresentation) -> UlrichPresenta
         raise ValueError("mixed moduli in direct sum")
     if p1.d != p2.d:
         raise ValueError("direct sum needs equal polarization degrees")
-    field = p1.field
-    zero = LinearForm.zero(field)
-    top = tuple(row + (zero,) * p2.a for row in p1.entries)
-    bot = tuple((zero,) * p1.a + row for row in p2.entries)
-    return UlrichPresentation(field=field, d=p1.d, r=p1.r + p2.r, entries=top + bot)
+    coeffs = np.zeros((p1.b + p2.b, p1.a + p2.a, 3), dtype=np.int64)
+    coeffs[: p1.b, : p1.a] = p1.coeff_array
+    coeffs[p1.b :, p1.a :] = p2.coeff_array
+    return UlrichPresentation(p1.field, p1.d, p1.r + p2.r, coeffs)
 
 
 def linear_span_dimension(pres: UlrichPresentation) -> int:
@@ -259,7 +264,8 @@ def local_freeness_sample(pres: UlrichPresentation, k_max: int = 2,
         for i in range(trials_per_k):
             point = [ext.random(rng) for _ in range(3)]
             point[CHART_ROTATION[i % 3]] = ext.one()
-            mat = [[e.evaluate_ext(ext, point) for e in row] for row in pres.entries]
+            values = matmul_mod(pres.coeff_array, np.array(point, dtype=np.int64), pres.p)
+            mat = [[tuple(cell) for cell in row] for row in values.tolist()]
             if ext_matrix_rank(ext, mat) < pres.a:
                 return LocalFreenessResult("falsified", k_max, trials_per_k,
                                            degree=k, point=tuple(point))
@@ -316,11 +322,9 @@ def from_json_dict(doc) -> UlrichPresentation:
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != s.b:
         raise PresentationFormatError(f"entries must be a list of {s.b} rows")
-    rows = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != s.a:
             raise PresentationFormatError(f"row {i} must hold {s.a} linear forms")
-        forms = []
         for j, coeffs in enumerate(row):
             if (not isinstance(coeffs, list) or len(coeffs) != 3
                     or not all(isinstance(c, int) for c in coeffs)):
@@ -329,6 +333,4 @@ def from_json_dict(doc) -> UlrichPresentation:
             if not all(0 <= c < p for c in coeffs):
                 raise PresentationFormatError(
                     f"entry ({i}, {j}) has coefficients outside [0, {p})")
-            forms.append(LinearForm(field, tuple(coeffs)))
-        rows.append(tuple(forms))
-    return UlrichPresentation(field=field, d=d, r=r, entries=tuple(rows))
+    return UlrichPresentation(field, d, r, np.array(entries, dtype=np.int64))

@@ -29,7 +29,7 @@ SEARCH_FORMAT = "ulrich-search/1"
 @dataclass(frozen=True)
 class TrialOutcome:
     index: int
-    presentation_hash: str
+    presentation: UlrichPresentation
     certificate: UlrichCertificate
 
     @property
@@ -109,14 +109,7 @@ def _run_trial(d: int, r: int, p: int, master_seed: int,
     cert = certify(pres, level="basic", master_seed=master_seed,
                    seed_path=(*namespace, index),
                    lf_k_max=lf_k_max, lf_trials=lf_trials)
-    return TrialOutcome(index=index, presentation_hash=pres.content_hash,
-                        certificate=cert)
-
-
-def _regenerate(d: int, r: int, p: int, master_seed: int,
-                namespace: tuple[int, ...], index: int) -> UlrichPresentation:
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, *namespace, index]))
-    return random_presentation(d, r, rng, p=p)
+    return TrialOutcome(index=index, presentation=pres, certificate=cert)
 
 
 def presentation_filename(d: int, r: int, p: int, master_seed: int) -> str:
@@ -177,7 +170,7 @@ def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
     filename = None
     if first_success is not None:
         winner = outcomes[first_success]
-        presentation = _regenerate(d, r, p, master_seed, namespace, first_success)
+        presentation = winner.presentation
         certificate = winner.certificate
         if out_dir is not None:
             out_dir = Path(out_dir)

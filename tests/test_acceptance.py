@@ -192,11 +192,13 @@ def test_criterion_8_determinism(rank3_desk_sweep, tmp_path):
     files_equal = True
     for d in (3, 5, 7, 9, 11, 13):
         name = presentation_filename(d, 3, 32003, 0)
-        files_equal = files_equal and (
-            (out1 / name).read_bytes() == (out2 / name).read_bytes())
+        cert_name = name[: -len(".json")] + ".cert.json"
+        for n in (name, cert_name):
+            files_equal = files_equal and (
+                (out1 / n).read_bytes() == (out2 / n).read_bytes())
     report(8, reports_equal and files_equal,
-           "repeat of criterion 1 gives byte-identical report and "
-           "presentation files")
+           "repeat of criterion 1 gives byte-identical report, "
+           "presentation and certificate files")
 
 
 def test_criterion_9_performance_gate():

@@ -7,7 +7,6 @@ import pytest
 
 from ulrich_forge.cli import main
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
-from ulrich_forge.poly import LinearForm
 from ulrich_forge.presentation import UlrichPresentation, save
 
 from conftest import seeded_presentation
@@ -76,11 +75,9 @@ def test_certify_missing_file_exit_3(capsys, tmp_path):
 
 
 def test_certify_zero_column_exit_1(capsys, tmp_path):
-    F = PrimeField(DEFAULT_PRIME)
-    zero = LinearForm.zero(F)
-    base = seeded_presentation(3, 2)
-    rows = tuple((zero, row[1]) for row in base.entries)
-    degenerate = UlrichPresentation(field=F, d=3, r=2, entries=rows)
+    coeffs = seeded_presentation(3, 2).coeff_array.copy()
+    coeffs[:, 0] = 0
+    degenerate = UlrichPresentation(PrimeField(DEFAULT_PRIME), 3, 2, coeffs)
     path = tmp_path / "degenerate.json"
     save(degenerate, path)
     code, out, _ = run(capsys, "certify", "--in", str(path))
@@ -101,6 +98,18 @@ def test_certify_full_level(capsys, tmp_path):
     assert doc["config"]["acm_window_pad"] == 4
     # the widened window produced the extra twist check
     assert any(c["check"] == "acm_h1_t-6" for c in doc["full_checks"])
+
+
+def test_certify_negative_window_pad_exit_2(capsys, tmp_path):
+    # a negative pad would shrink the checked window yet still claim full_ok
+    pres = seeded_presentation(3, 2)
+    path = tmp_path / "d3r2.json"
+    save(pres, path)
+    code, _, err = run(capsys, "certify", "--in", str(path), "--level", "full",
+                       "--window-pad", "-10")
+    assert code == 2
+    assert "acm_window_pad" in err
+    assert not (tmp_path / "d3r2.cert.json").exists()
 
 
 def test_search_cli(capsys, tmp_path):

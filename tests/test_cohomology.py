@@ -179,6 +179,20 @@ def test_end_h0_at_least_identity():
         assert h2 == 0
 
 
+def test_largest_prime_products_exact():
+    # at p = 2^31 - 1 a sum of three (p-1)^2 terms passes 2^63, so int64
+    # products must be split to stay exact
+    p = 2**31 - 1
+    pres = random_presentation(5, 2, np.random.default_rng(7), p=p)
+    coeffs = pres.coeff_array.tolist()
+    for point in [(p - 1, p - 2, p - 3), (1, p - 1, 12345)]:
+        want = [[sum(c * v for c, v in zip(entry, point)) % p for entry in row]
+                for row in coeffs]
+        assert pres.evaluate_at(point).tolist() == want
+    # h0(End) >= 1 always (the identity); simple with h1 = 1 + r^2(d^2-5)/4
+    assert end_cohomology(pres) == (1, 21, 0)
+
+
 # --- omega table ------------------------------------------------------------
 
 def test_omega_table_d7r3(pres_d7r3):
@@ -211,9 +225,8 @@ def test_hom_independent_presentations_zero(pres_d3r2):
 
 
 def test_hom_row_permutation_nonzero(pres_d3r2):
-    permuted = UlrichPresentation(
-        field=pres_d3r2.field, d=3, r=2,
-        entries=tuple(pres_d3r2.entries[i] for i in (1, 0, 3, 2)))
+    permuted = UlrichPresentation(pres_d3r2.field, 3, 2,
+                                  pres_d3r2.coeff_array[[1, 0, 3, 2]])
     assert hom_presentations(pres_d3r2, permuted) >= 1
 
 

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ulrich_forge.field import (DEFAULT_PRIME, ExtensionField, FieldElement,
-                                PrimeField, ext_matrix_rank, inverse_mod,
-                                is_prime)
+from ulrich_forge.field import (DEFAULT_PRIME, ExtensionField, PrimeField,
+                                ext_matrix_rank, inverse_mod, is_prime)
+from ulrich_forge.presentation import direct_sum, random_presentation
+from ulrich_forge.cohomology import hom_presentations
 
 F = PrimeField(DEFAULT_PRIME)
+# F_p embedded in F_{p^2} as the constant tuples (c, 0)
+E2 = ExtensionField(F, 2)
 
 
 def test_is_prime_basics():
@@ -27,9 +30,10 @@ def test_field_rejects_bad_moduli():
 
 
 def test_inverse_identity_cases():
-    assert F.inverse_int(1) == 1
+    assert inverse_mod(1, DEFAULT_PRIME) == 1
     # (-1)^2 = 1, so p-1 is its own inverse
-    assert F.inverse_int(DEFAULT_PRIME - 1) == DEFAULT_PRIME - 1
+    assert inverse_mod(DEFAULT_PRIME - 1, DEFAULT_PRIME) == DEFAULT_PRIME - 1
+    assert inverse_mod(-1, DEFAULT_PRIME) == DEFAULT_PRIME - 1
 
 
 def test_inverse_small_field_brute_force():
@@ -41,32 +45,38 @@ def test_inverse_small_field_brute_force():
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        F.zero().inverse()
+        E2.inverse(E2.zero())
     with pytest.raises(ZeroDivisionError):
         inverse_mod(0, 7)
+    with pytest.raises(ZeroDivisionError):
+        inverse_mod(14, 7)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=DEFAULT_PRIME - 1))
 def test_inverse_involution(x):
-    e = F.element(x)
-    assert e.inverse().inverse() == e
-    assert e * e.inverse() == F.one()
+    inv = inverse_mod(x, DEFAULT_PRIME)
+    assert inverse_mod(inv, DEFAULT_PRIME) == x
+    assert x * inv % DEFAULT_PRIME == 1
 
 
 def test_element_arithmetic():
-    a, b = F.element(32000), F.element(7)
-    assert (a + b).value == 4
-    assert (a - b).value == 31993
-    assert (-F.element(1)).value == DEFAULT_PRIME - 1
-    assert (a / a) == F.one()
-    assert bool(F.zero()) is False and bool(b) is True
+    # F_p arithmetic on the constants of F_{p^2}
+    a, b = (32000, 0), (7, 0)
+    assert E2.add(a, b) == (4, 0)
+    assert E2.sub(a, b) == (31993, 0)
+    assert E2.sub(E2.zero(), E2.one()) == (DEFAULT_PRIME - 1, 0)
+    assert E2.mul(a, E2.inverse(a)) == E2.one()
+    assert E2.is_zero(E2.zero()) and not E2.is_zero(b)
 
 
 def test_mixed_moduli_rejected():
-    other = PrimeField(7)
-    with pytest.raises(ValueError):
-        F.element(1) + other.element(1)
+    p1 = random_presentation(2, 2, np.random.default_rng(0))
+    p7 = random_presentation(2, 2, np.random.default_rng(0), p=7)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        direct_sum(p1, p7)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        hom_presentations(p1, p7)
 
 
 def test_field_axioms_randomized():
@@ -77,20 +87,18 @@ def test_field_axioms_randomized():
     assert (((a + b) + c) % p == (a + (b + c)) % p).all()
     assert ((a * b % p) * c % p == a * (b * c % p) % p).all()
     assert ((a * ((b + c) % p)) % p == (a * b + a * c) % p).all()
-    # the same laws through the element class on a subsample
+    # the same laws through F_{p^2} arithmetic on a subsample
     for i in range(0, 10_000, 97):
-        x, y, z = F.element(int(a[i])), F.element(int(b[i])), F.element(int(c[i]))
-        assert (x + y) + z == x + (y + z)
-        assert x * (y + z) == x * y + x * z
+        x, y, z = ((int(v[i]), int(v[(i + 1) % v.size])) for v in (a, b, c))
+        assert E2.add(E2.add(x, y), z) == E2.add(x, E2.add(y, z))
+        assert E2.mul(x, E2.add(y, z)) == E2.add(E2.mul(x, y), E2.mul(x, z))
 
 
 def test_random_element_range_and_determinism():
-    r1 = [F.random_int(np.random.default_rng(123)) for _ in range(10)]
-    r2 = [F.random_int(np.random.default_rng(123)) for _ in range(10)]
+    r1 = [E2.random(np.random.default_rng(123)) for _ in range(10)]
+    r2 = [E2.random(np.random.default_rng(123)) for _ in range(10)]
     assert r1 == r2
-    assert all(0 <= v < DEFAULT_PRIME for v in r1)
-    two = np.random.default_rng(0)
-    assert 0 <= F.random_element(two).value < DEFAULT_PRIME
+    assert all(len(v) == 2 and all(0 <= c < DEFAULT_PRIME for c in v) for v in r1)
 
 
 def test_random_element_uniform_mean():

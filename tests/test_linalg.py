@@ -1,16 +1,29 @@
-"""Exact rank, kernel, and solving over F_p, cross-checked against an
-independent division-free elimination oracle."""
+"""Exact rank, row reduction and modular products over F_p, cross-checked
+against an independent division-free elimination oracle."""
 
 import numpy as np
 import pytest
 
+from ulrich_forge.cohomology import build_map_matrix, section_space
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
-from ulrich_forge.linalg import (MatrixFp, kernel_basis, rank_dense,
-                                 rank_sparse, rref, solve_affine)
-from ulrich_forge.poly import LinearForm, mult_matrix
+from ulrich_forge.linalg import matmul_mod, rank_dense, rref
+from ulrich_forge.poly import dim_forms
+from ulrich_forge.presentation import UlrichPresentation
 
 P = DEFAULT_PRIME
 F = PrimeField(P)
+
+
+def null_vectors(red: np.ndarray, pivots: list[int], n: int, p: int) -> list[np.ndarray]:
+    """One null vector per free column, read off a reduced row-echelon form."""
+    out = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = np.zeros(n, dtype=np.int64)
+        v[f] = 1
+        for i, pj in enumerate(pivots):
+            v[pj] = (-int(red[i, f])) % p
+        out.append(v)
+    return out
 
 
 def division_free_rank(a: np.ndarray, p: int) -> int:
@@ -59,9 +72,7 @@ def test_rank_randomized_against_oracle(seed):
         a = (rng.integers(0, P, size=(m, k)) @ rng.integers(0, P, size=(k, n))) % P
     if seed % 4 == 0:
         a[:, int(rng.integers(0, n))] = 0
-    expect = division_free_rank(a, P)
-    assert rank_dense(a, P) == expect
-    assert rank_sparse(a, P) == expect
+    assert rank_dense(a, P) == division_free_rank(a, P)
 
 
 def test_rank_crosses_block_boundaries():
@@ -86,59 +97,72 @@ def test_rank_equals_transpose_rank():
         assert rank_dense(a, P) == rank_dense(a.T.copy(), P)
 
 
-@pytest.mark.parametrize("n", [200, 600, 2000])
-def test_sparse_and_dense_paths_agree(n):
+@pytest.mark.parametrize("n", [200, 600])
+def test_rank_sparse_profile_against_oracle(n):
     # 3 nonzeros per column, the multiplication-map block profile
     rng = np.random.default_rng(n)
     a = np.zeros((n, n), dtype=np.int64)
     for j in range(n):
         rows = rng.choice(n, size=3, replace=False)
         a[rows, j] = rng.integers(1, P, size=3)
-    assert rank_sparse(a, P) == rank_dense(a, P)
+    assert rank_dense(a, P) == division_free_rank(a, P)
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(np.eye(4, dtype=np.int64), P) == []
+    red, pivots = rref(np.eye(4, dtype=np.int64), P)
+    assert pivots == [0, 1, 2, 3]
+    assert null_vectors(red, pivots, 4, P) == []
 
 
 def test_kernel_zero_matrix_full():
-    vecs = kernel_basis(np.zeros((3, 3), dtype=np.int64), P)
-    assert len(vecs) == 3
-    stacked = np.stack(vecs)
-    assert rank_dense(stacked, P) == 3
+    red, pivots = rref(np.zeros((3, 3), dtype=np.int64), P)
+    assert pivots == [] and red.shape == (0, 3)
+    vecs = null_vectors(red, pivots, 3, P)
+    assert rank_dense(np.stack(vecs), P) == 3
 
 
 def test_kernel_of_injective_multiplication():
-    x = LinearForm(F, (1, 0, 0))
-    assert mult_matrix(x, 2).kernel_basis() == []
+    # multiplication by x from degree 2 to degree 3 is injective: the x block
+    # of the Euler column (x, y, z) has full column rank
+    euler = UlrichPresentation(F, 2, 2, np.eye(3, dtype=np.int64)[:, None, :])
+    block = build_map_matrix(euler, 2)[: dim_forms(3)]
+    assert rank_dense(block, P) == dim_forms(2)
 
 
 def test_kernel_vectors_annihilate():
+    # rref is row-equivalent to its input: the null vectors it exposes
+    # annihilate the original matrix, and there are cols - rank of them
     rng = np.random.default_rng(5)
     for _ in range(10):
         m, n = rng.integers(2, 40, size=2)
         k = int(rng.integers(1, min(m, n) + 1))
         a = (rng.integers(0, P, size=(m, k)) @ rng.integers(0, P, size=(k, n))) % P
-        vecs = kernel_basis(a, P)
+        red, pivots = rref(a, P)
+        vecs = null_vectors(red, pivots, n, P)
         assert len(vecs) == n - rank_dense(a, P)
         for v in vecs:
             assert not ((a @ v) % P).any()
 
 
 def test_solve_identity():
+    # rref of the augmented system [I | b] reads off x = b
     b = np.array([3, 1, 4], dtype=np.int64)
-    sol = solve_affine(np.eye(3, dtype=np.int64), b, P)
-    assert (sol.x == b).all() and sol.null_dim == 0
+    red, pivots = rref(np.concatenate([np.eye(3, dtype=np.int64), b[:, None]], axis=1), P)
+    assert pivots == [0, 1, 2]
+    assert (red[:, 3] == b).all()
 
 
 def test_solve_inconsistent():
-    assert solve_affine(np.zeros((2, 2), dtype=np.int64),
-                        np.array([1, 0]), P) is None
+    # 0 = 1 shows up as a pivot in the right-hand-side column
+    aug = np.array([[0, 0, 1], [0, 0, 0]], dtype=np.int64)
+    assert rref(aug, P)[1] == [2]
 
 
 def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_affine(np.zeros((2, 3), dtype=np.int64), np.array([1, 2, 3]), P)
+    pres = UlrichPresentation(F, 2, 2, np.eye(3, dtype=np.int64)[:, None, :])
+    space = section_space(pres, 0)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        space.project_columns(np.zeros((space.ambient_dim + 1, 2), dtype=np.int64))
 
 
 def test_solve_random_consistent_exact_residual():
@@ -146,10 +170,12 @@ def test_solve_random_consistent_exact_residual():
     a = rng.integers(0, P, size=(20, 30))
     x0 = rng.integers(0, P, size=30)
     b = (a @ x0) % P
-    sol = solve_affine(a, b, P)
-    assert sol is not None
-    assert not ((a @ sol.x - b) % P).any()
-    assert sol.null_dim == 30 - rank_dense(a, P)
+    red, pivots = rref(np.concatenate([a, b[:, None]], axis=1), P)
+    assert 30 not in pivots
+    x = np.zeros(30, dtype=np.int64)
+    x[pivots] = red[:, 30]
+    assert not ((a @ x - b) % P).any()
+    assert 30 - len(pivots) == 30 - rank_dense(a, P)
 
 
 def test_rref_reduces_pivot_columns():
@@ -162,24 +188,21 @@ def test_rref_reduces_pivot_columns():
 
 
 def test_matrix_container_validation():
-    m = MatrixFp(F, np.arange(6).reshape(2, 3))
-    assert m.rows == 2 and m.cols == 3 and m.storage == "dense"
+    # rank_dense takes any integer 2-d array and reduces it mod p first
     with pytest.raises(ValueError):
-        MatrixFp(F, np.arange(6).reshape(2, 3), storage="banded")
-    with pytest.raises(ValueError):
-        MatrixFp(F, np.arange(6))  # not 2-d
-    reduced = MatrixFp(F, np.array([[-1, P + 3]]))
-    assert reduced.data.tolist() == [[P - 1, 3]]
+        rank_dense(np.arange(6), P)  # not 2-d
+    assert rank_dense(np.array([[-P, 2 * P], [P, 0]]), P) == 0
+    assert rank_dense(np.array([[-1, P + 3]]), P) == 1
 
 
-def test_matrix_container_ops():
-    tri = MatrixFp.from_triplets(F, 3, 3, [(0, 0, 1), (1, 1, 1), (0, 0, P - 1)])
-    assert tri.storage == "sparse"
-    assert tri.data[0, 0] == 0  # 1 + (p-1) wraps
-    assert tri.rank() == 1
-    ident = MatrixFp.identity(F, 4)
-    assert (ident @ ident).data.tolist() == np.eye(4, dtype=int).tolist()
-    with pytest.raises(ValueError):
-        ident @ MatrixFp.identity(PrimeField(7), 4)
-    assert MatrixFp.zeros(F, 2, 5).density == 0.0
-    assert ident.transpose().rank(method="sparse") == 4
+def test_matmul_mod_exact_for_largest_prime():
+    # at p = 2^31 - 1 one product term is about 2^62, so a plain int64
+    # matmul of inner length 3 wraps; compare against Python integers
+    p = 2**31 - 1
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 3, 7):
+        a = rng.integers(p - 1000, p, size=(4, k), dtype=np.int64)
+        b = rng.integers(p - 1000, p, size=(k, 5), dtype=np.int64)
+        want = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(k)) % p
+                 for j in range(5)] for i in range(4)]
+        assert matmul_mod(a, b, p).tolist() == want

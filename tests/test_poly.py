@@ -1,17 +1,27 @@
-"""Monomial bases and multiplication-by-form matrices."""
+"""Monomial bases, shift tables, and the multiplication-by-form blocks of
+the map matrices."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ulrich_forge.cohomology import build_map_matrix
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
-from ulrich_forge.poly import (LinearForm, basis, dim_forms, evaluate_monomials,
-                               mult_matrix)
+from ulrich_forge.linalg import rank_dense
+from ulrich_forge.poly import basis, dim_forms, shift_tables
+from ulrich_forge.presentation import UlrichPresentation
 
 F = PrimeField(DEFAULT_PRIME)
-X = LinearForm(F, (1, 0, 0))
-Y = LinearForm(F, (0, 1, 0))
-Z = LinearForm(F, (0, 0, 1))
+X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+def mult_block(f, n: int, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """Multiplication by the linear form f from degree n to degree n+1: the
+    (0, 0) block of the map matrix of a 3x1 presentation with top entry f."""
+    coeffs = np.zeros((3, 1, 3), dtype=np.int64)
+    coeffs[0, 0] = f
+    pres = UlrichPresentation(PrimeField(p), 2, 2, coeffs)
+    return build_map_matrix(pres, n)[: dim_forms(n + 1)]
 
 
 def test_basis_degree_zero_and_one():
@@ -43,21 +53,21 @@ def test_basis_order_is_graded_lex():
 
 
 def test_mult_matrix_by_x_degree_zero():
-    m = mult_matrix(X, 0)
-    assert m.data.shape == (3, 1)
-    assert m.data[:, 0].tolist() == [1, 0, 0]
+    m = mult_block(X, 0)
+    assert m.shape == (3, 1)
+    assert m[:, 0].tolist() == [1, 0, 0]
+    assert shift_tables(0).tolist() == [[0], [1], [2]]
 
 
 def test_mult_matrix_zero_form():
-    m = mult_matrix(LinearForm.zero(F), 3)
-    assert not m.data.any()
+    assert not mult_block((0, 0, 0), 3).any()
 
 
 def test_mult_matrix_x_plus_y_hand_expansion():
     # (x+y)*y = xy + y^2: the y column hits the xy and y^2 rows of degree 2
-    m = mult_matrix(X + Y, 1)
-    assert m.data.shape == (6, 3)
-    col_y = m.data[:, 1]
+    m = mult_block((1, 1, 0), 1)
+    assert m.shape == (6, 3)
+    col_y = m[:, 1]
     rows = {basis(2).index((1, 1, 0)), basis(2).index((0, 2, 0))}
     assert {i for i, v in enumerate(col_y) if v} == rows
     assert all(col_y[i] == 1 for i in rows)
@@ -67,18 +77,18 @@ def test_mult_matrix_x_plus_y_hand_expansion():
 def test_mult_matrix_injective_for_nonzero_forms(n):
     rng = np.random.default_rng(n)
     for _ in range(5):
-        f = LinearForm.random(F, rng)
-        if f.is_zero:
+        f = rng.integers(0, DEFAULT_PRIME, size=3)
+        if not f.any():
             continue
-        assert mult_matrix(f, n).rank() == dim_forms(n)
+        assert rank_dense(mult_block(f, n), DEFAULT_PRIME) == dim_forms(n)
 
 
 def test_mult_matrix_linearity():
     rng = np.random.default_rng(3)
     for n in (0, 2, 5):
-        f, g = LinearForm.random(F, rng), LinearForm.random(F, rng)
-        lhs = mult_matrix(f + g, n).data
-        rhs = (mult_matrix(f, n).data + mult_matrix(g, n).data) % DEFAULT_PRIME
+        f, g = rng.integers(0, DEFAULT_PRIME, size=(2, 3))
+        lhs = mult_block((f + g) % DEFAULT_PRIME, n)
+        rhs = (mult_block(f, n) + mult_block(g, n)) % DEFAULT_PRIME
         assert (lhs == rhs).all()
 
 
@@ -86,24 +96,17 @@ def test_mult_matrix_composition_commutes():
     # multiplication by f then g equals g then f
     rng = np.random.default_rng(4)
     for n in (0, 1, 3):
-        f, g = LinearForm.random(F, rng), LinearForm.random(F, rng)
-        fg = (mult_matrix(g, n + 1).data @ mult_matrix(f, n).data) % DEFAULT_PRIME
-        gf = (mult_matrix(f, n + 1).data @ mult_matrix(g, n).data) % DEFAULT_PRIME
+        f, g = rng.integers(0, DEFAULT_PRIME, size=(2, 3))
+        fg = (mult_block(g, n + 1) @ mult_block(f, n)) % DEFAULT_PRIME
+        gf = (mult_block(f, n + 1) @ mult_block(g, n)) % DEFAULT_PRIME
         assert (fg == gf).all()
 
 
 def test_evaluate_simple_points():
-    assert X.evaluate((1, 0, 0)).value == 1
-    f7 = PrimeField(7)
-    f = LinearForm(f7, (1, 1, 1))
-    assert f.evaluate((1, 1, 1)).value == 3
-
-
-def test_evaluate_rejects_origin():
-    with pytest.raises(ValueError):
-        X.evaluate((0, 0, 0))
-    with pytest.raises(ValueError):
-        evaluate_monomials({(1, 0, 0): 1}, (0, 0, 0), F)
+    euler = UlrichPresentation(F, 2, 2, np.eye(3, dtype=np.int64)[:, None, :])
+    assert euler.evaluate_at((1, 0, 0)).tolist() == [[1], [0], [0]]
+    ones = UlrichPresentation(PrimeField(7), 2, 2, np.ones((3, 1, 3), dtype=np.int64))
+    assert ones.evaluate_at((1, 1, 1)).tolist() == [[3], [3], [3]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,22 +114,8 @@ def test_evaluate_rejects_origin():
        st.integers(min_value=0, max_value=DEFAULT_PRIME - 1),
        st.integers(min_value=0, max_value=DEFAULT_PRIME - 1))
 def test_evaluate_homogeneous_degree_one(lam, u, v):
-    f = LinearForm(F, (3, 5, 7))
+    pres = UlrichPresentation(F, 2, 2, np.array([[[3, 5, 7]], [[1, 0, 0]], [[0, 2, 9]]]))
     point = (u, v, 1)
     scaled = tuple(lam * c % DEFAULT_PRIME for c in point)
-    assert f.evaluate(scaled).value == lam * f.evaluate(point).value % DEFAULT_PRIME
-
-
-def test_evaluate_monomials_homogeneity():
-    # a degree-3 combination scales by lambda^3
-    terms = {(3, 0, 0): 2, (1, 1, 1): 5, (0, 2, 1): 1}
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        pt = tuple(int(v) for v in rng.integers(0, DEFAULT_PRIME, size=3))
-        if pt == (0, 0, 0):
-            continue
-        lam = int(rng.integers(1, DEFAULT_PRIME))
-        scaled = tuple(lam * c % DEFAULT_PRIME for c in pt)
-        lhs = evaluate_monomials(terms, scaled, F).value
-        rhs = pow(lam, 3, DEFAULT_PRIME) * evaluate_monomials(terms, pt, F).value % DEFAULT_PRIME
-        assert lhs == rhs
+    want = lam * pres.evaluate_at(point) % DEFAULT_PRIME
+    assert (pres.evaluate_at(scaled) == want).all()

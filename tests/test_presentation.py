@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
-from ulrich_forge.poly import LinearForm
+from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import (ParityError, PresentationFormatError,
                                        UlrichPresentation, direct_sum,
                                        generic_rank_check, linear_span_dimension,
@@ -19,11 +19,7 @@ F = PrimeField(DEFAULT_PRIME)
 
 def euler_presentation() -> UlrichPresentation:
     """The 3x1 column (x, y, z), presenting the tangent bundle (d=2, r=2)."""
-    return UlrichPresentation(
-        field=F, d=2, r=2,
-        entries=((LinearForm(F, (1, 0, 0)),),
-                 (LinearForm(F, (0, 1, 0)),),
-                 (LinearForm(F, (0, 0, 1)),)))
+    return UlrichPresentation(F, 2, 2, np.eye(3, dtype=np.int64)[:, None, :])
 
 
 def test_shape_known_values():
@@ -87,20 +83,19 @@ def test_random_presentation_coefficients_uniform():
 
 def test_presentation_validation():
     with pytest.raises(ValueError):
-        UlrichPresentation(field=F, d=3, r=2, entries=((LinearForm(F, (1, 0, 0)),),))
-    other = PrimeField(7)
+        UlrichPresentation(F, 3, 2, np.zeros((1, 1, 3), dtype=np.int64))
     with pytest.raises(ValueError):
-        UlrichPresentation(
-            field=F, d=2, r=2,
-            entries=((LinearForm(other, (1, 0, 0)),),
-                     (LinearForm(F, (0, 1, 0)),),
-                     (LinearForm(F, (0, 0, 1)),)))
+        UlrichPresentation(F, 2, 2, np.zeros((3, 1, 2), dtype=np.int64))
+    # coefficients are stored reduced mod p and read-only
+    pres = UlrichPresentation(PrimeField(7), 2, 2, np.full((3, 1, 3), -1))
+    assert (pres.coeff_array == 6).all()
+    with pytest.raises(ValueError):
+        pres.coeff_array[0, 0, 0] = 1
 
 
 def test_generic_rank_duplicated_column_undetermined():
-    base = random_presentation(3, 2, np.random.default_rng(4))
-    rows = tuple((row[0], row[0]) for row in base.entries)
-    degenerate = UlrichPresentation(field=F, d=3, r=2, entries=rows)
+    base = random_presentation(3, 2, np.random.default_rng(4)).coeff_array
+    degenerate = UlrichPresentation(F, 3, 2, base[:, [0, 0]])
     res = generic_rank_check(degenerate, trials=6, rng=np.random.default_rng(0))
     assert res.status == "undetermined" and not res.passed
 
@@ -114,7 +109,6 @@ def test_generic_rank_euler_column():
     pres = euler_presentation()
     assert np.count_nonzero(pres.evaluate_at(res.witness)) >= 1
     # and at the explicit point (1, 0, 0) the column (x, y, z) has rank 1 = a
-    from ulrich_forge.linalg import rank_dense
     assert rank_dense(pres.evaluate_at((1, 0, 0)), pres.p) == 1 == pres.a
 
 
@@ -125,18 +119,16 @@ def test_generic_rank_random_presentation():
 
 
 def test_generic_rank_witness_kernel_empty():
-    # injective verdict means the evaluated matrix has no kernel
+    # injective verdict means the evaluated matrix has full column rank
     pres = random_presentation(5, 2, np.random.default_rng(11))
     res = generic_rank_check(pres, trials=3, rng=np.random.default_rng(0))
-    from ulrich_forge.linalg import kernel_basis
-    assert kernel_basis(pres.evaluate_at(res.witness), pres.p) == []
+    assert rank_dense(pres.evaluate_at(res.witness), pres.p) == pres.a
 
 
 def test_local_freeness_zero_column_falsified():
-    zero = LinearForm.zero(F)
-    base = random_presentation(3, 2, np.random.default_rng(4))
-    rows = tuple((zero, row[1]) for row in base.entries)
-    degenerate = UlrichPresentation(field=F, d=3, r=2, entries=rows)
+    coeffs = random_presentation(3, 2, np.random.default_rng(4)).coeff_array.copy()
+    coeffs[:, 0] = 0
+    degenerate = UlrichPresentation(F, 3, 2, coeffs)
     res = local_freeness_sample(degenerate, k_max=1, trials_per_k=5,
                                 rng=np.random.default_rng(0))
     assert res.falsified and res.degree == 1
@@ -172,11 +164,7 @@ def test_direct_sum_shapes_and_blocks():
 
 def test_linear_span_dimension():
     assert linear_span_dimension(euler_presentation()) == 3
-    collapsed = UlrichPresentation(
-        field=F, d=2, r=2,
-        entries=((LinearForm(F, (1, 0, 0)),),
-                 (LinearForm(F, (2, 0, 0)),),
-                 (LinearForm(F, (5, 0, 0)),)))
+    collapsed = UlrichPresentation(F, 2, 2, np.array([[[1, 0, 0]], [[2, 0, 0]], [[5, 0, 0]]]))
     assert linear_span_dimension(collapsed) == 1
 
 

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from ulrich_forge.presentation import ParityError, linear_span_dimension, load
-from ulrich_forge.search import _regenerate, search, sweep
+from ulrich_forge.presentation import (ParityError, linear_span_dimension, load,
+                                       random_presentation)
+from ulrich_forge.search import search, sweep
 from ulrich_forge.ulrich import certify
 
 
@@ -66,10 +67,12 @@ def test_search_worker_count_does_not_change_report():
 
 
 def test_search_trial_outcomes_are_index_pure():
-    # the winning presentation equals the one regenerated from its index alone
+    # the winning presentation equals the one redrawn from its index alone
     res = search(3, 3, trials=5, master_seed=9)
-    again = _regenerate(3, 3, 32003, 9, (), res.report.success_trial)
+    seq = np.random.SeedSequence([9, res.report.success_trial])
+    again = random_presentation(3, 3, np.random.default_rng(seq), p=32003)
     assert again.content_hash == res.report.presentation_hash
+    assert res.presentation == again
 
 
 def test_saved_success_recertifies_from_disk(tmp_path):

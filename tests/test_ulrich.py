@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
-from ulrich_forge.poly import LinearForm
 from ulrich_forge.presentation import ParityError, UlrichPresentation, random_presentation
 from ulrich_forge.ulrich import (UlrichCertificate, certify, euler_pairing,
                                  hilbert_check, invariants,
@@ -156,10 +155,9 @@ def test_certify_basic_d7r3(pres_d7r3):
 
 
 def test_certify_zero_column_fails_generic_rank():
-    zero = LinearForm.zero(F)
-    base = seeded_presentation(3, 2)
-    rows = tuple((zero, row[1]) for row in base.entries)
-    degenerate = UlrichPresentation(field=F, d=3, r=2, entries=rows)
+    coeffs = seeded_presentation(3, 2).coeff_array.copy()
+    coeffs[:, 0] = 0
+    degenerate = UlrichPresentation(F, 3, 2, coeffs)
     cert = certify(degenerate, level="basic", master_seed=0)
     assert not cert.valid and not cert.passed
     assert cert.generic_rank.status == "undetermined"
@@ -182,10 +180,9 @@ def test_certify_full_records_failures():
     # an invalid "presentation": entries of a valid one, rank bumped is not
     # possible, so instead corrupt by zeroing one row (kills injectivity
     # generically but keeps the shape); full check failures must be recorded
-    base = seeded_presentation(3, 3)
-    zero = LinearForm.zero(F)
-    rows = (tuple(zero for _ in base.entries[0]),) + base.entries[1:]
-    broken = UlrichPresentation(field=F, d=3, r=3, entries=rows)
+    coeffs = seeded_presentation(3, 3).coeff_array.copy()
+    coeffs[0] = 0
+    broken = UlrichPresentation(F, 3, 3, coeffs)
     cert = certify(broken, level="full", master_seed=0)
     assert cert.full_ok is False or not cert.valid
     assert isinstance(cert.discrepancies(), list)
