@@ -14,6 +14,26 @@ sigma_m is the section-level block matrix of M; mu_m is the Serre-dual
 model of the induced map H^2(A(m)) -> H^2(B(m)), realized as multiplication
 with transposed block layout so that H^2 spaces are never materialized.
 
+Map ranks never need the full matrix that build_map_matrix assembles.
+A pivot point lam with rank M(lam) = a is looked for among a fixed list of
+points of P^2(F_p), coordinate points first, and memoized on the
+presentation.  The substitution (x, y, z) -> G(x, y, z) with G invertible
+and lam as its third column is a graded automorphism of F_p[x, y, z], so it
+changes no rank, and it makes M(lam) the z-coefficient of M.  Then:
+
+- direct layout (sigma maps, dual h^2 maps): M has full rank at lam, so it
+  is injective on forms and the rank is a*dim(n), with no elimination;
+- transposed layout (mu and tau maps), N = M^T: scalar row and column
+  operations bring the z-coefficient of N to [I | 0].  The first a*dim(n)
+  source columns then have the distinct leading terms z*u*e_i, and modulo
+  them the target becomes F_p[x, y]_{n+1}^a with z acting as
+  T = -(x*X0 + y*Y0).  The other r*dim(n) columns reduce to the monomial
+  shifts x^al y^be W_g of W_0 = x*X1 + y*Y1, W_{g+1} = T W_g, and the rank
+  is a*dim(n) plus the rank of that a(n+2) x r*dim(n) residue.
+
+Without a pivot point (small p, or M not generically injective) the rank
+is that of the full matrix.
+
 Higher operations (dual bundle, endomorphisms, cotangent twists, Hom
 spaces) come from the dual resolution and the Euler sequence, acting on
 pivot-complement quotient models of the section spaces.
@@ -78,11 +98,77 @@ def build_map_matrix(pres: UlrichPresentation, n: int, transpose: bool = False) 
     return out
 
 
+# Pivot-point candidates, in the order tried: the coordinate points, then
+# points of the chart z = 1.  The list is fixed, so no rank depends on a
+# random stream.
+_PIVOT_POINTS = ((0, 0, 1), (1, 0, 0), (0, 1, 0)) + tuple(
+    (i, j, 1) for i in range(1, 4) for j in range(1, 4))
+
+
 def _mult_rank(pres: UlrichPresentation, n: int, transpose: bool) -> int:
     """Rank of build_map_matrix(pres, n, transpose), memoized on pres."""
-    return pres._memoized(
-        ("rank", n, transpose),
-        lambda: rank_dense(build_map_matrix(pres, n, transpose), pres.p))
+    return pres._memoized(("rank", n, transpose),
+                          lambda: _slice_rank(pres, n, transpose))
+
+
+def _slice_rank(pres: UlrichPresentation, n: int, transpose: bool) -> int:
+    if n < 0 or pres.a == 0:
+        return 0
+    pencil = pres._memoized(("pivot",), lambda: _pivot_pencil(pres))
+    if pencil is None:
+        return rank_dense(build_map_matrix(pres, n, transpose), pres.p)
+    injective_rank = pres.a * dim_forms(n)
+    if not transpose:
+        return injective_rank
+    return injective_rank + rank_dense(_residue(pencil, n, pres.p), pres.p)
+
+
+def _pivot_pencil(pres: UlrichPresentation):
+    """N = M^T as [x*X0 + y*Y0 + z*I | x*X1 + y*Y1] after a coordinate
+    change and scalar row and column operations; returns (X0, X1, Y0, Y1),
+    or None when no point of _PIVOT_POINTS has rank M(point) = a."""
+    p, b = pres.p, pres.b
+    for point in _PIVOT_POINTS:
+        lam = np.array(point, dtype=np.int64) % p
+        if rank_dense(pres.evaluate_at(lam), p) == pres.a:
+            break
+    else:
+        return None
+    k = int(np.flatnonzero(lam)[0])
+    g = np.eye(3, dtype=np.int64)[:, [v for v in range(3) if v != k]]
+    coeffs = matmul_mod(pres.coeff_array, np.column_stack([g, lam]), p)
+    # The z block of N is now M(lam)^T, of full row rank, so every pivot of
+    # [z | x | y] lies in the z block and the reduction applies P to all three.
+    reduced, pivots = rref(coeffs.transpose(1, 2, 0)[:, [2, 0, 1]].reshape(pres.a, 3 * b), p)
+    free = np.setdiff1d(np.arange(b), pivots)
+    blocks = []
+    for v in (1, 2):
+        part = reduced[:, v * b : (v + 1) * b]
+        head = part[:, pivots]
+        blocks += [head, (part[:, free] - matmul_mod(head, reduced[:, free], p)) % p]
+    return tuple(blocks)
+
+
+def _residue(pencil, n: int, p: int) -> np.ndarray:
+    """Images in k[x,y]_{n+1}^a, where z acts as T = -(x*X0 + y*Y0), of the
+    last r*dim(n) source columns: the shifts x^al y^be W_g (al + be = n - g)
+    of W_0 = x*X1 + y*Y1, W_{g+1} = T W_g.  Rows are (component, power of y)."""
+    x0, x1, y0, y1 = pencil
+    a, r = x1.shape
+    t = np.concatenate([x0, y0])
+    w = np.stack([x1, y1], axis=1)          # (a, y-power, r)
+    out = np.zeros((a, n + 2, r * dim_forms(n)), dtype=np.int64)
+    col = 0
+    for g in range(n + 1):
+        for be in range(n - g + 1):
+            out[:, be : be + g + 2, col : col + r] = w
+            col += r
+        xy = matmul_mod(t, w.reshape(a, -1), p).reshape(2, a, g + 2, r)
+        w = np.zeros((a, g + 3, r), dtype=np.int64)
+        w[:, : g + 2] -= xy[0]
+        w[:, 1:] -= xy[1]
+        w %= p
+    return out.reshape(a * (n + 2), -1)
 
 
 def bundle_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, int, int]:

@@ -304,9 +304,9 @@ def from_json_dict(doc) -> UlrichPresentation:
     for key in ("p", "d", "r", "a", "b", "entries"):
         if key not in doc:
             raise PresentationFormatError(f"missing field {key!r}")
+    if not all(_is_int(doc[key]) for key in ("p", "d", "r", "a", "b")):
+        raise PresentationFormatError("p, d, r, a, b must be integers")
     p, d, r = doc["p"], doc["d"], doc["r"]
-    if not all(isinstance(v, int) for v in (p, d, r)):
-        raise PresentationFormatError("p, d, r must be integers")
     try:
         field = PrimeField(p)
     except ValueError as exc:
@@ -327,10 +327,17 @@ def from_json_dict(doc) -> UlrichPresentation:
             raise PresentationFormatError(f"row {i} must hold {s.a} linear forms")
         for j, coeffs in enumerate(row):
             if (not isinstance(coeffs, list) or len(coeffs) != 3
-                    or not all(isinstance(c, int) for c in coeffs)):
+                    or not all(_is_int(c) for c in coeffs)):
                 raise PresentationFormatError(
                     f"entry ({i}, {j}) must be a list of 3 integers")
             if not all(0 <= c < p for c in coeffs):
                 raise PresentationFormatError(
                     f"entry ({i}, {j}) has coefficients outside [0, {p})")
-    return UlrichPresentation(field, d, r, np.array(entries, dtype=np.int64))
+    # reshape keeps the (b, a, 3) shape when a = 0 (d = 1)
+    return UlrichPresentation(field, d, r,
+                              np.array(entries, dtype=np.int64).reshape(s.b, s.a, 3))
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true/false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)

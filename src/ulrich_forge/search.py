@@ -237,6 +237,8 @@ def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0
           record_timings: bool = False) -> SweepReport:
     """Run one search per degree; partial results are marked when the time
     budget runs out before the list is exhausted."""
+    if not d_list:
+        raise ValueError("the degree list is empty")
     for d in d_list:
         shape(d, r)  # fail fast on any invalid pair
     config = {

@@ -138,6 +138,24 @@ def test_sweep_cli_json(capsys, tmp_path):
     assert json.loads(report.read_text())["results"] == doc["results"]
 
 
+def test_sweep_cli_empty_degree_list_exit_2(capsys):
+    code, out, err = run(capsys, "sweep", "--r", "3", "--d", ",", "--seed", "0")
+    assert code == 2
+    assert "empty" in err and out == ""
+
+
+def test_search_d1_output_certifies(capsys, tmp_path):
+    # d = 1 gives a = 0: a b x 0 matrix, the trivial bundle O^r on P^2
+    code, _, _ = run(capsys, "search", "--d", "1", "--r", "2", "--seed", "0",
+                     "--out", str(tmp_path))
+    assert code == 0
+    path = tmp_path / "ulrich_d1_r2_p32003_seed0.json"
+    assert json.loads(path.read_text())["entries"] == [[], []]
+    code, out, _ = run(capsys, "certify", "--in", str(path))
+    assert code == 0
+    assert "VALID" in out
+
+
 def test_sweep_cli_parity_exit_2(capsys):
     code, _, err = run(capsys, "sweep", "--r", "3", "--d", "3,4", "--seed", "0")
     assert code == 2

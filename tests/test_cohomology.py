@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ulrich_forge.cohomology import (bundle_cohomology, chi_line, dual_cohomology,
-                                     end_cohomology, euler_characteristic,
-                                     h1_twist, hom_presentations, line_h,
-                                     omega_table, section_space)
+from ulrich_forge import cohomology
+from ulrich_forge.cohomology import (_mult_rank, build_map_matrix, bundle_cohomology,
+                                     chi_line, dual_cohomology, end_cohomology,
+                                     euler_characteristic, h1_twist,
+                                     hom_presentations, line_h, omega_table,
+                                     section_space)
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
+from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import UlrichPresentation, direct_sum, random_presentation
 
 from conftest import seeded_presentation
@@ -87,6 +91,70 @@ def test_h1_nonzero_off_polarization_multiples(pres_d7r3):
     vals = [h1_twist(pres_d7r3, m) for m in range(-21, 4)]
     assert any(v != 0 for v in vals)
     assert all(h1_twist(pres_d7r3, 7 * t) == 0 for t in range(-3, 1))
+
+
+# --- the z-slice rank kernel against the dense oracle ------------------------
+
+def _variant(pres: UlrichPresentation, kind: str, rng) -> UlrichPresentation:
+    """pres rebuilt with a degenerate structure the kernel must survive."""
+    c = np.array(pres.coeff_array)
+    if kind == "direct_sum":
+        other = random_presentation(pres.d, 1 if pres.d % 2 else 2, rng, p=pres.p)
+        return direct_sum(pres, other)
+    if kind == "non_surjective":
+        c[:, :1, 2] = 0         # column 0 of M vanishes at (0, 0, 1)
+    elif kind == "zero_z":
+        c[:, :, 2] = 0
+    elif kind == "equal_xy":
+        c[:, :, 1] = c[:, :, 0]
+    elif kind == "sparse":
+        c *= rng.integers(0, 2, size=c.shape)
+    elif kind == "zero_column":
+        c[:, :1] = 0            # rank M(point) < a everywhere: no pivot point
+    return UlrichPresentation(pres.field, pres.d, pres.r, c)
+
+
+@st.composite
+def _rank_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7, 32003, 2**31 - 1]))
+    d = draw(st.integers(min_value=1, max_value=5))
+    r = draw(st.integers(min_value=1, max_value=3))
+    r += r * (d - 1) % 2
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "direct_sum", "non_surjective", "zero_z",
+                                 "equal_xy", "sparse", "zero_column"]))
+    pres = _variant(random_presentation(d, r, rng, p=p), kind, rng)
+    n = draw(st.integers(min_value=-1, max_value=3 * d))
+    return pres, n, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_cases())
+def test_mult_rank_matches_dense_oracle(case):
+    pres, n, transpose = case
+    want = rank_dense(build_map_matrix(pres, n, transpose), pres.p)
+    assert _mult_rank(pres, n, transpose) == want
+
+
+def test_mult_rank_mid_size_transposed():
+    pres = seeded_presentation(5, 3)
+    assert _mult_rank(pres, 20, True) == rank_dense(build_map_matrix(pres, 20, True), pres.p)
+
+
+def test_mult_rank_builds_matrix_only_without_pivot(monkeypatch):
+    built = []
+    dense = cohomology.build_map_matrix
+    monkeypatch.setattr(cohomology, "build_map_matrix",
+                        lambda *args: built.append(args) or dense(*args))
+    pres = seeded_presentation(3, 3)
+    degenerate = _variant(pres, "zero_column", None)
+    for n in range(-1, 10):
+        for transpose in (False, True):
+            for q in (pres, degenerate):
+                want = rank_dense(dense(q, n, transpose), q.p)
+                assert _mult_rank(q, n, transpose) == want
+    # only the degenerate presentation, for every n >= 0 in both layouts
+    assert [args[0] for args in built] == [degenerate] * 20
 
 
 # --- section spaces ---------------------------------------------------------

@@ -184,6 +184,33 @@ def test_save_load_roundtrip(tmp_path):
         assert path.read_bytes() == path2.read_bytes()
 
 
+def test_save_load_roundtrip_d1(tmp_path):
+    # a = 0: the entries are b empty rows, yet the array keeps shape (b, 0, 3)
+    pres = random_presentation(1, 2, np.random.default_rng(0))
+    path = tmp_path / "d1.json"
+    save(pres, path)
+    loaded = load(path)
+    assert loaded == pres
+    assert loaded.coeff_array.shape == (2, 0, 3)
+
+
+@pytest.mark.parametrize("d, r, key", [
+    (3, 2, "entries"), (3, 2, "p"), (1, 1, "d"), (3, 1, "r"), (3, 1, "a"), (1, 1, "b"),
+])
+def test_load_rejects_json_booleans(tmp_path, d, r, key):
+    # JSON true/false load as Python bool, a subclass of int; the d, r, a
+    # and b cases use documents where that field is 1, so true would pass
+    doc = random_presentation(d, r, np.random.default_rng(0)).to_json_dict()
+    if key == "entries":
+        doc["entries"][0][0] = [True, False, 0]
+    else:
+        doc[key] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PresentationFormatError, match="integers"):
+        load(path)
+
+
 def test_load_rejects_inconsistent_shape(tmp_path):
     pres = random_presentation(3, 2, np.random.default_rng(0))
     doc = pres.to_json_dict()

@@ -100,9 +100,9 @@ def test_sweep_rank2_low_degrees():
 
 
 def test_sweep_empty_list():
-    rep = sweep([], 3, trials_per_d=5, master_seed=0)
-    assert rep.results == [] and not rep.partial
-    assert rep.all_succeeded
+    # zero searches must not report success
+    with pytest.raises(ValueError, match="empty"):
+        sweep([], 3, trials_per_d=5, master_seed=0)
 
 
 def test_sweep_time_budget_marks_partial():
