@@ -9,7 +9,9 @@ immediate reduction; the accumulated multipliers are then applied to the
 trailing submatrix with one float64 GEMM per block.  The float path is
 exact because block * (p-1)^2 < 2^53, and entries are re-reduced mod p
 after every update.  For moduli too large for that bound a plain row-op
-elimination (immediate reduction, still exact) takes over.
+elimination (immediate reduction, still exact) takes over; it also takes
+matrices of at most 4096 cells, where the blocked setup costs more than it
+saves.
 
 ``matmul_mod`` is the one integer matrix product mod p: it splits the
 inner dimension so that no int64 partial sum overflows for any p < 2^31.
@@ -27,6 +29,9 @@ from .field import inverse_mod
 _FLOAT_EXACT = 2**52
 _DEFAULT_BLOCK = 256
 _PANEL_LEAF = 16
+# Below this many cells the row-op loop beats the blocked path's setup
+# (square break-even lies between 128x128 and 160x160 at p = 32003).
+_ROWOPS_MAX_CELLS = 4096
 
 
 def _reduce_inplace(a: np.ndarray, p: float) -> None:
@@ -54,7 +59,7 @@ def rank_dense(a: np.ndarray, p: int, block: int = _DEFAULT_BLOCK) -> int:
     if m == 0 or n == 0:
         return 0
     max_block = _FLOAT_EXACT // (8 * (p - 1) ** 2)
-    if max_block < 8:
+    if max_block < 8 or m * n <= _ROWOPS_MAX_CELLS:
         w = np.array(a, dtype=np.int64) % p
         return _rank_rowops(w, p)
     block = int(max(8, min(block, max_block)))
@@ -206,7 +211,8 @@ def _unit_lower_inverse(l: np.ndarray, p: int) -> np.ndarray:
 
 
 def _rank_rowops(a: np.ndarray, p: int) -> int:
-    """Unblocked elimination with immediate reduction (any p < 2^31)."""
+    """Unblocked elimination with immediate reduction (any p < 2^31); the
+    path for large p and for tiny matrices."""
     m, n = a.shape
     r = 0
     for j in range(n):

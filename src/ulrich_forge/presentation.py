@@ -11,6 +11,8 @@ canonical bytes.
 The module provides seeded random generation, the generic-rank (injectivity)
 witness check, a sampling falsifier for local freeness over small extension
 fields, a direct-sum constructor, and a canonical byte-stable JSON format.
+The certifier calls the falsifier only for presentations with
+h^1(E(-2d)) != 0; a zero there already proves local freeness.
 """
 
 from __future__ import annotations
@@ -247,7 +249,9 @@ def local_freeness_sample(pres: UlrichPresentation, k_max: int = 2,
     Samples points of P^2 over F_{p^k}, k = 1..k_max, looking for a point
     where M drops below full column rank.  The cokernel is locally free on
     the complement of such points, so a hit falsifies local freeness; no
-    hit certifies nothing, and every certificate says so.
+    hit certifies nothing, and every certificate says so.  ``certify``
+    calls it only when h^1(E(-2d)) != 0: a zero there means M has full rank
+    at every point over the algebraic closure, so no hit is possible.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

@@ -46,8 +46,6 @@ class TrialOutcome:
         for t, h1 in cert.vanishings:
             if h1 != 0:
                 return f"h1_t{t}"
-        if cert.local_freeness.falsified:
-            return "local_freeness"
         return "unknown"
 
 

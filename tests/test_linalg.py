@@ -6,7 +6,7 @@ import pytest
 
 from ulrich_forge.cohomology import build_map_matrix, section_space
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
-from ulrich_forge.linalg import matmul_mod, rank_dense, rref
+from ulrich_forge.linalg import _ROWOPS_MAX_CELLS, matmul_mod, rank_dense, rref
 from ulrich_forge.poly import dim_forms
 from ulrich_forge.presentation import UlrichPresentation
 
@@ -62,6 +62,15 @@ def test_rank_against_independent_oracle():
     assert rank_dense(a, P) == division_free_rank(a, P)
 
 
+# shapes on both sides of the row-op cutoff (4096 cells and fewer take the
+# row-op loop, 4097 and more the blocked path)
+CUTOFF_SHAPES = [(64, 64), (17, 241), (241, 17), (1, 4096), (4097, 1), (40, 100)]
+
+
+def low_rank(rng, m: int, n: int, k: int, p: int) -> np.ndarray:
+    return (rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n))) % p
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_rank_randomized_against_oracle(seed):
     rng = np.random.default_rng(seed)
@@ -69,10 +78,14 @@ def test_rank_randomized_against_oracle(seed):
     a = rng.integers(0, P, size=(m, n))
     if seed % 3 == 0:
         k = int(rng.integers(1, min(m, n) + 1))
-        a = (rng.integers(0, P, size=(m, k)) @ rng.integers(0, P, size=(k, n))) % P
+        a = low_rank(rng, m, n, k, P)
     if seed % 4 == 0:
         a[:, int(rng.integers(0, n))] = 0
     assert rank_dense(a, P) == division_free_rank(a, P)
+    # one rank-deficient case at p = 7 next to the row-op cutoff
+    m, n = CUTOFF_SHAPES[seed % len(CUTOFF_SHAPES)]
+    b = low_rank(rng, m, n, max(1, min(m, n) - 1 - seed % 3), 7)
+    assert rank_dense(b, 7) == division_free_rank(b, 7)
 
 
 def test_rank_crosses_block_boundaries():
@@ -87,6 +100,11 @@ def test_rank_small_prime():
     for _ in range(10):
         a = rng.integers(0, 7, size=(40, 40))
         assert rank_dense(a, 7) == division_free_rank(a, 7)
+    cells = {m * n for m, n in CUTOFF_SHAPES}
+    assert {_ROWOPS_MAX_CELLS, _ROWOPS_MAX_CELLS + 1} <= cells
+    for m, n in CUTOFF_SHAPES:
+        for a in (rng.integers(0, 7, size=(m, n)), low_rank(rng, m, n, min(m, n) // 2 + 1, 7)):
+            assert rank_dense(a, 7) == division_free_rank(a, 7)
 
 
 def test_rank_equals_transpose_rank():

@@ -4,9 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ulrich_forge import ulrich
+from ulrich_forge.cohomology import h1_twist
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
-from ulrich_forge.presentation import ParityError, UlrichPresentation, random_presentation
+from ulrich_forge.linalg import rank_dense
+from ulrich_forge.presentation import (ParityError, UlrichPresentation,
+                                       direct_sum, local_freeness_sample,
+                                       random_presentation)
 from ulrich_forge.ulrich import (UlrichCertificate, certify, euler_pairing,
                                  hilbert_check, invariants,
                                  line_bundle_solutions, semistable_bound_check,
@@ -203,3 +209,101 @@ def test_certificate_serialization_roundtrip(pres_d3r2):
 def test_certify_rejects_unknown_level(pres_d3r2):
     with pytest.raises(ValueError):
         certify(pres_d3r2, level="extreme")
+
+
+def test_certify_rejects_lf_k_max_outside_sampler_range():
+    pres = seeded_presentation(3, 2, seed=5)
+    for k_max in (0, 5):
+        with pytest.raises(ValueError, match="lf_k_max"):
+            certify(pres, lf_k_max=k_max)
+    assert pres._memo == {}     # rejected before any rank work
+    for k_max in range(1, 5):
+        cert = certify(pres, lf_k_max=k_max)
+        assert cert.valid and cert.local_freeness.k_max == k_max
+
+
+# --- local freeness: the h^1(E(-2d)) = 0 proof against the sampler ----------
+
+def _drop_rank_at(pres: UlrichPresentation, point, rng) -> UlrichPresentation:
+    """Change column 0 so that M(point) v = 0 for a random v with v_0 = 1.
+
+    point must have a coordinate equal to 1; that coordinate's coefficient
+    of column 0 absorbs the correction, so M keeps its other columns."""
+    p, c = pres.p, np.array(pres.coeff_array)
+    k = list(point).index(1)
+    v = rng.integers(0, p, size=pres.a)
+    v[0] = 1
+    m_at = pres.evaluate_at(point)
+    want = -(m_at[:, 1:] @ v[1:]) % p
+    others = sum(c[:, 0, l] * point[l] for l in range(3) if l != k)
+    c[:, 0, k] = (want - others) % p
+    dropped = UlrichPresentation(pres.field, pres.d, pres.r, c)
+    assert not (dropped.evaluate_at(point) @ v % p).any()
+    return dropped
+
+
+@st.composite
+def _lf_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7, 32003]))
+    d = draw(st.integers(min_value=1, max_value=5))
+    r = draw(st.integers(min_value=1, max_value=3))
+    r += r * (d - 1) % 2
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pres = random_presentation(d, r, rng, p=p)
+    kind = draw(st.sampled_from(["random", "zero_column", "direct_sum", "point_drop"]))
+    if kind == "direct_sum":
+        pres = direct_sum(pres, random_presentation(d, 1 if d % 2 else 2, rng, p=p))
+    elif pres.a and kind == "zero_column":
+        c = np.array(pres.coeff_array)
+        c[:, :1] = 0
+        pres = UlrichPresentation(pres.field, d, pres.r, c)
+    elif pres.a and kind == "point_drop":
+        point = [int(x) for x in rng.integers(0, p, size=3)]
+        point[draw(st.integers(min_value=0, max_value=2))] = 1
+        pres = _drop_rank_at(pres, point, rng)
+    return (pres, draw(st.integers(min_value=0, max_value=3)),
+            draw(st.integers(min_value=1, max_value=2)),
+            draw(st.integers(min_value=1, max_value=20)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lf_cases())
+def test_skipped_sampler_verdict_matches_sampler(case):
+    pres, seed, k_max, trials = case
+    cert = certify(pres, master_seed=seed, seed_path=(7,), lf_k_max=k_max,
+                   lf_trials=trials)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7, 202]))
+    sampled = local_freeness_sample(pres, k_max=k_max, trials_per_k=trials, rng=rng)
+    assert cert.local_freeness == sampled
+    if h1_twist(pres, -2 * pres.d) == 0:
+        assert not sampled.falsified
+
+
+def test_single_point_rank_drop_fails_at_vanishing_t2(pres_d7r3):
+    point = (5, 11, 1)
+    pres = _drop_rank_at(pres_d7r3, point, np.random.default_rng(3))
+    assert rank_dense(pres.evaluate_at(point), pres.p) < pres.a
+    cert = certify(pres, master_seed=0)
+    assert cert.generic_rank.passed
+    assert not cert.valid and not cert.passed
+    assert cert.vanishings[0][0] == 2 and cert.vanishings[0][1] > 0
+    assert cert.discrepancies()[0]["check"] == "vanishing_t2"
+
+
+def test_sampler_runs_only_without_the_vanishing(monkeypatch, pres_d7r3):
+    calls = []
+    sample = ulrich.local_freeness_sample
+    monkeypatch.setattr(ulrich, "local_freeness_sample",
+                        lambda *args, **kw: calls.append(args[0]) or sample(*args, **kw))
+    cert = certify(pres_d7r3, master_seed=0)
+    assert cert.passed and calls == []
+    assert cert.to_json_dict()["local_freeness"] == {
+        "verdict": "no degeneracy found (incomplete)", "k_max": 2, "trials_per_k": 20}
+
+    coeffs = seeded_presentation(3, 2).coeff_array.copy()
+    coeffs[:, 0] = 0
+    degenerate = UlrichPresentation(F, 3, 2, coeffs)
+    cert = certify(degenerate, master_seed=0)
+    assert calls == [degenerate]
+    assert cert.local_freeness.falsified
+    assert cert.to_json_dict()["local_freeness"]["verdict"].startswith("falsified at point")
