@@ -9,10 +9,9 @@ of x, y, z coefficients; the presentation's identity is the hash of its
 canonical bytes.
 
 The module provides seeded random generation, the generic-rank (injectivity)
-witness check, a sampling falsifier for local freeness over small extension
-fields, a direct-sum constructor, and a canonical byte-stable JSON format.
-The certifier calls the falsifier only for presentations with
-h^1(E(-2d)) != 0; a zero there already proves local freeness.
+witness check, a direct-sum constructor, and a canonical byte-stable JSON
+format.  Local freeness needs no check of its own here: the certifier's
+h^1(E(-2d)) = 0 already proves it.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .field import DEFAULT_PRIME, ExtensionField, PrimeField, ext_matrix_rank
+from .field import DEFAULT_PRIME, PrimeField
 from .linalg import matmul_mod, rank_dense
 
 PRESENTATION_FORMAT = "ulrich-presentation/1"
@@ -184,7 +183,7 @@ def linear_span_dimension(pres: UlrichPresentation) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Generic rank (injectivity) and local freeness sampling
+# Generic rank (injectivity)
 # ---------------------------------------------------------------------------
 
 
@@ -221,59 +220,6 @@ def generic_rank_check(pres: UlrichPresentation, trials: int = 3,
         if rank_dense(pres.evaluate_at(point), pres.p) == pres.a:
             return GenericRankResult(status="injective", trials=i + 1, witness=point)
     return GenericRankResult(status="undetermined", trials=trials)
-
-
-@dataclass(frozen=True)
-class LocalFreenessResult:
-    verdict: str                   # "no-degeneracy-found" | "falsified"
-    k_max: int
-    trials_per_k: int
-    degree: Optional[int] = None   # extension degree of the falsifying point
-    point: Optional[tuple] = None
-
-    @property
-    def falsified(self) -> bool:
-        return self.verdict == "falsified"
-
-    def describe(self) -> str:
-        if self.falsified:
-            return f"falsified at point {self.point} over F_(p^{self.degree})"
-        return "no degeneracy found (incomplete)"
-
-
-def local_freeness_sample(pres: UlrichPresentation, k_max: int = 2,
-                          trials_per_k: int = 20,
-                          rng: Optional[np.random.Generator] = None) -> LocalFreenessResult:
-    """Best-effort falsifier for local freeness of the cokernel.
-
-    Samples points of P^2 over F_{p^k}, k = 1..k_max, looking for a point
-    where M drops below full column rank.  The cokernel is locally free on
-    the complement of such points, so a hit falsifies local freeness; no
-    hit certifies nothing, and every certificate says so.  ``certify``
-    calls it only when h^1(E(-2d)) != 0: a zero there means M has full rank
-    at every point over the algebraic closure, so no hit is possible.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    rng = np.random.default_rng(0) if rng is None else rng
-    for k in range(1, k_max + 1):
-        if k == 1:
-            for i in range(trials_per_k):
-                point = _chart_point_fp(pres.p, CHART_ROTATION[i % 3], rng)
-                if rank_dense(pres.evaluate_at(point), pres.p) < pres.a:
-                    return LocalFreenessResult("falsified", k_max, trials_per_k,
-                                               degree=1, point=point)
-            continue
-        ext = ExtensionField(pres.field, k)
-        for i in range(trials_per_k):
-            point = [ext.random(rng) for _ in range(3)]
-            point[CHART_ROTATION[i % 3]] = ext.one()
-            values = matmul_mod(pres.coeff_array, np.array(point, dtype=np.int64), pres.p)
-            mat = [[tuple(cell) for cell in row] for row in values.tolist()]
-            if ext_matrix_rank(ext, mat) < pres.a:
-                return LocalFreenessResult("falsified", k_max, trials_per_k,
-                                           degree=k, point=tuple(point))
-    return LocalFreenessResult("no-degeneracy-found", k_max, trials_per_k)
 
 
 # ---------------------------------------------------------------------------

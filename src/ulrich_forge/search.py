@@ -20,7 +20,7 @@ import numpy as np
 from .field import DEFAULT_PRIME
 from .presentation import (UlrichPresentation, canonical_json_bytes,
                            random_presentation, save, shape)
-from .ulrich import UlrichCertificate, certify
+from .ulrich import LEGACY_LF_CONFIG, UlrichCertificate, certify
 
 SWEEP_FORMAT = "ulrich-sweep/1"
 SEARCH_FORMAT = "ulrich-search/1"
@@ -100,13 +100,11 @@ class SearchResult:
 
 
 def _run_trial(d: int, r: int, p: int, master_seed: int,
-               namespace: tuple[int, ...], index: int,
-               lf_k_max: int, lf_trials: int) -> TrialOutcome:
+               namespace: tuple[int, ...], index: int) -> TrialOutcome:
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, *namespace, index]))
     pres = random_presentation(d, r, rng, p=p)
     cert = certify(pres, level="basic", master_seed=master_seed,
-                   seed_path=(*namespace, index),
-                   lf_k_max=lf_k_max, lf_trials=lf_trials)
+                   seed_path=(*namespace, index))
     return TrialOutcome(index=index, presentation=pres, certificate=cert)
 
 
@@ -117,7 +115,6 @@ def presentation_filename(d: int, r: int, p: int, master_seed: int) -> str:
 def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
            p: int = DEFAULT_PRIME, workers: int = 1,
            out_dir: Optional[Path] = None, namespace: tuple[int, ...] = (),
-           lf_k_max: int = 2, lf_trials: int = 20,
            record_timings: bool = False) -> SearchResult:
     """Try seeded random presentations until one certifies (basic level).
 
@@ -129,13 +126,15 @@ def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
     shape(d, r)  # validate before any work
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     t_start = time.perf_counter()
 
     outcomes: dict[int, TrialOutcome] = {}
     first_success: Optional[int] = None
     if workers <= 1:
         for i in range(trials):
-            out = _run_trial(d, r, p, master_seed, namespace, i, lf_k_max, lf_trials)
+            out = _run_trial(d, r, p, master_seed, namespace, i)
             outcomes[i] = out
             if out.succeeded:
                 first_success = i
@@ -145,7 +144,7 @@ def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
             for batch_start in range(0, trials, workers):
                 batch = range(batch_start, min(trials, batch_start + workers))
                 futures = {i: pool.submit(_run_trial, d, r, p, master_seed,
-                                          namespace, i, lf_k_max, lf_trials)
+                                          namespace, i)
                            for i in batch}
                 for i in batch:
                     outcomes[i] = futures[i].result()
@@ -231,19 +230,19 @@ class SweepReport:
 def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0,
           p: int = DEFAULT_PRIME, workers: int = 1,
           out_dir: Optional[Path] = None, time_budget_s: Optional[float] = None,
-          lf_k_max: int = 2, lf_trials: int = 20,
           record_timings: bool = False) -> SweepReport:
     """Run one search per degree; partial results are marked when the time
     budget runs out before the list is exhausted."""
     if not d_list:
         raise ValueError("the degree list is empty")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     for d in d_list:
         shape(d, r)  # fail fast on any invalid pair
     config = {
         "workers": workers,
         "time_budget_s": time_budget_s,
-        "lf_k_max": lf_k_max,
-        "lf_trials": lf_trials,
+        **LEGACY_LF_CONFIG,
         "record_timings": record_timings,
     }
     t0 = time.perf_counter()
@@ -255,7 +254,6 @@ def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0
             break
         res = search(d, r, trials=trials_per_d, master_seed=master_seed, p=p,
                      workers=workers, out_dir=out_dir, namespace=(d,),
-                     lf_k_max=lf_k_max, lf_trials=lf_trials,
                      record_timings=record_timings)
         results.append(res.report)
     return SweepReport(p=p, r=r, master_seed=master_seed,

@@ -9,12 +9,15 @@ E(-t d) for t = 2..alpha have vanishing first cohomology presents an
 Ulrich bundle, and the optional full profile re-verifies every dimension
 formula the theory predicts for it.
 
-The local-freeness sampler runs only when h^1(E(-2d)) != 0: that vanishing,
-checked in every certificate, already proves M has full rank at every point
-over the algebraic closure, so the sampler could find nothing there.
-``CAVEAT_LOCAL_FREENESS``, the "no degeneracy found (incomplete)" verdict and
-the ``ulrich-certificate/1`` tag keep their old wording on purpose: the
-benchmark pins the bytes of seed-0 certificates.
+Local freeness is read off the first vanishing, h^1(E(-2d)) = 0, which
+every certificate checks: it makes M have rank a at every point over the
+algebraic closure, so the cokernel is locally free.  The certificate's
+``local_freeness`` block records that verdict.  Its legacy fields (the
+"no degeneracy found (incomplete)" wording, ``k_max``/``trials_per_k`` and
+the ``lf_k_max``/``lf_trials`` config keys, all from a point sampler that no
+longer exists), ``CAVEAT_LOCAL_FREENESS`` and the ``ulrich-certificate/1``
+tag keep their bytes on purpose: the benchmark pins the digests of seed-0
+certificates and sweep reports.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ import numpy as np
 from .cohomology import (bundle_cohomology, chi_line, dual_cohomology,
                          end_cohomology, h1_twist, omega_table)
 from .field import DEFAULT_PRIME
-from .presentation import (GenericRankResult, LocalFreenessResult, ParityError,
-                           UlrichPresentation, canonical_json_bytes,
-                           generic_rank_check, local_freeness_sample, shape)
+from .presentation import (GenericRankResult, ParityError, UlrichPresentation,
+                           canonical_json_bytes, generic_rank_check, shape)
 
 CERTIFICATE_FORMAT = "ulrich-certificate/1"
 
@@ -38,6 +40,12 @@ CAVEAT_FIELD = ("computed over F_p; lifting the certificate to "
                 "characteristic 0 is not addressed")
 CAVEAT_LOCAL_FREENESS = ("local freeness of the cokernel is sampled, not "
                          "certified; the sampler is incomplete")
+
+# Settings of the removed local-freeness sampler, still written into every
+# ulrich-certificate/1 certificate and ulrich-sweep/1 report.
+LEGACY_LF_CONFIG = {"lf_k_max": 2, "lf_trials": 20}
+LF_VERDICT_PROVED = "no degeneracy found (incomplete)"
+LF_VERDICT_NOT_PROVED = "not proved: h^1(E(-2d)) != 0"
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +210,7 @@ class UlrichCertificate:
     level: str
     seed_path: tuple[int, ...]
     generic_rank: GenericRankResult
-    vanishings: list[tuple[int, int]]          # (t, h^1(E(-t d)))
-    local_freeness: LocalFreenessResult
+    vanishings: list[tuple[int, int]]          # (t, h^1(E(-t d))), t = 2 first
     valid: bool
     full_checks: Optional[list[CheckResult]] = None
     full_ok: Optional[bool] = None
@@ -213,8 +220,7 @@ class UlrichCertificate:
     @property
     def passed(self) -> bool:
         """Did every check at the requested level succeed.  A valid
-        certificate has h^1(E(-2d)) = 0, which proves local freeness, so the
-        sampler's verdict needs no separate term here."""
+        certificate has h^1(E(-2d)) = 0, which proves local freeness."""
         return self.valid and self.full_ok is not False
 
     def discrepancies(self) -> list[dict]:
@@ -247,9 +253,10 @@ class UlrichCertificate:
             },
             "vanishings": [{"t": t, "h1": h1} for t, h1 in self.vanishings],
             "local_freeness": {
-                "verdict": self.local_freeness.describe(),
-                "k_max": self.local_freeness.k_max,
-                "trials_per_k": self.local_freeness.trials_per_k,
+                "verdict": (LF_VERDICT_PROVED if self.vanishings[0][1] == 0
+                            else LF_VERDICT_NOT_PROVED),
+                "k_max": LEGACY_LF_CONFIG["lf_k_max"],
+                "trials_per_k": LEGACY_LF_CONFIG["lf_trials"],
             },
             "valid": self.valid,
             "full_checks": ([c.to_json_dict() for c in self.full_checks]
@@ -265,8 +272,7 @@ class UlrichCertificate:
 
 def certify(pres: UlrichPresentation, level: str = "basic",
             master_seed: int = 0, seed_path: tuple[int, ...] = (),
-            rank_trials: int = 3, lf_k_max: int = 2, lf_trials: int = 20,
-            acm_window_pad: int = 3) -> UlrichCertificate:
+            rank_trials: int = 3, acm_window_pad: int = 3) -> UlrichCertificate:
     """Certify the Ulrich property of a presented bundle.
 
     basic: generic-rank witness plus h^1(E(-t d)) = 0 for t = 2..alpha,
@@ -276,32 +282,23 @@ def certify(pres: UlrichPresentation, level: str = "basic",
     Hilbert values, second cohomology at t = -3, -4, the cotangent-twist
     table, endomorphism cohomology, and the Ulrich profile of the twisted
     dual.  Failures are recorded, never raised; a negative pad, which would
-    shrink the window below [-alpha, 3], is rejected with ValueError, and
-    so is lf_k_max outside 1..4 (the extension degrees the sampler has).
+    shrink the window below [-alpha, 3], is rejected with ValueError.
 
-    The local-freeness sampler runs only when h^1(E(-2d)) != 0, on its own
-    seed stream.  When it vanishes, M has rank a at every point over the
-    algebraic closure, and the sampler's "no degeneracy found" is recorded.
+    Local freeness is not checked separately.  h^1(E(-2d)) = dim
+    coker(M^T)_{d-1}; when it is 0 the sheaf map M^T is surjective, so M has
+    rank a at every point over the algebraic closure.  The certificate's
+    local_freeness verdict says whether that vanishing holds.
     """
     if level not in ("basic", "full"):
         raise ValueError(f"level must be 'basic' or 'full', got {level!r}")
     if acm_window_pad < 0:
         raise ValueError(f"acm_window_pad must be >= 0, got {acm_window_pad}")
-    if not 1 <= lf_k_max <= 4:
-        raise ValueError(f"lf_k_max must be in 1..4, got {lf_k_max}")
     d, r = pres.d, pres.r
     alpha = pres.alpha
 
     rng_rank = np.random.default_rng(np.random.SeedSequence([master_seed, *seed_path, 101]))
     gr = generic_rank_check(pres, trials=rank_trials, rng=rng_rank)
     vanishings = [(t, h1_twist(pres, -t * d)) for t in range(2, alpha + 1)]
-    if vanishings[0][1] == 0:
-        # h^1(E(-2d)) = 0 means M has rank a at every point over the
-        # algebraic closure, so the sampler could only report this verdict
-        lf = LocalFreenessResult("no-degeneracy-found", lf_k_max, lf_trials)
-    else:
-        rng_lf = np.random.default_rng(np.random.SeedSequence([master_seed, *seed_path, 202]))
-        lf = local_freeness_sample(pres, k_max=lf_k_max, trials_per_k=lf_trials, rng=rng_lf)
 
     # validity is exactly: witnessed injectivity + the finite vanishing list
     valid = gr.passed and all(h1 == 0 for _, h1 in vanishings)
@@ -316,10 +313,10 @@ def certify(pres: UlrichPresentation, level: str = "basic",
         presentation_hash=pres.content_hash,
         p=pres.p, d=d, r=r, a=pres.a, b=pres.b, alpha=alpha,
         level=level, seed_path=(master_seed, *seed_path),
-        generic_rank=gr, vanishings=vanishings, local_freeness=lf,
+        generic_rank=gr, vanishings=vanishings,
         valid=valid, full_checks=full_checks, full_ok=full_ok,
-        config={"rank_trials": rank_trials, "lf_k_max": lf_k_max,
-                "lf_trials": lf_trials, "acm_window_pad": acm_window_pad},
+        config={"rank_trials": rank_trials, **LEGACY_LF_CONFIG,
+                "acm_window_pad": acm_window_pad},
     )
 
 

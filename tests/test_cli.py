@@ -144,6 +144,25 @@ def test_sweep_cli_empty_degree_list_exit_2(capsys):
     assert "empty" in err and out == ""
 
 
+def test_search_cli_negative_workers_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "search", "--d", "3", "--r", "3", "--seed", "0",
+                         "--workers", "-3", "--out", str(tmp_path))
+    assert code == 2
+    assert "workers" in err and out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_sweep_cli_zero_workers_exit_2(capsys, tmp_path):
+    # with no time left the sweep would skip every degree and still write
+    # a report claiming "workers": 0
+    code, out, err = run(capsys, "sweep", "--r", "3", "--d", "3,5", "--seed", "0",
+                         "--workers", "0", "--time-budget", "0",
+                         "--out", str(tmp_path))
+    assert code == 2
+    assert "workers" in err and out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_search_d1_output_certifies(capsys, tmp_path):
     # d = 1 gives a = 0: a b x 0 matrix, the trivial bundle O^r on P^2
     code, _, _ = run(capsys, "search", "--d", "1", "--r", "2", "--seed", "0",

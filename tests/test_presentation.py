@@ -11,8 +11,7 @@ from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import (ParityError, PresentationFormatError,
                                        UlrichPresentation, direct_sum,
                                        generic_rank_check, linear_span_dimension,
-                                       load, local_freeness_sample,
-                                       random_presentation, save, shape)
+                                       load, random_presentation, save, shape)
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -123,30 +122,6 @@ def test_generic_rank_witness_kernel_empty():
     pres = random_presentation(5, 2, np.random.default_rng(11))
     res = generic_rank_check(pres, trials=3, rng=np.random.default_rng(0))
     assert rank_dense(pres.evaluate_at(res.witness), pres.p) == pres.a
-
-
-def test_local_freeness_zero_column_falsified():
-    coeffs = random_presentation(3, 2, np.random.default_rng(4)).coeff_array.copy()
-    coeffs[:, 0] = 0
-    degenerate = UlrichPresentation(F, 3, 2, coeffs)
-    res = local_freeness_sample(degenerate, k_max=1, trials_per_k=5,
-                                rng=np.random.default_rng(0))
-    assert res.falsified and res.degree == 1
-    assert "falsified" in res.describe()
-
-
-def test_local_freeness_euler_column_clean():
-    res = local_freeness_sample(euler_presentation(), k_max=3, trials_per_k=25,
-                                rng=np.random.default_rng(0))
-    assert not res.falsified
-    assert "incomplete" in res.describe()
-
-
-def test_local_freeness_random_presentation():
-    pres = random_presentation(3, 2, np.random.default_rng(12))
-    res = local_freeness_sample(pres, k_max=2, trials_per_k=100,
-                                rng=np.random.default_rng(0))
-    assert res.verdict == "no-degeneracy-found"
 
 
 def test_direct_sum_shapes_and_blocks():
