@@ -9,7 +9,7 @@ surrounding that construction.
 __version__ = "0.1.0"
 
 from .cohomology import (bundle_cohomology, dual_cohomology, end_cohomology,
-                         hom_presentations, line_h, omega_table, section_space)
+                         hom_presentations, line_h, omega_table)
 from .field import DEFAULT_PRIME, PrimeField
 from .poly import basis
 from .presentation import (UlrichPresentation, direct_sum, generic_rank_check,
@@ -25,6 +25,6 @@ __all__ = [
     "end_cohomology", "euler_pairing", "generic_rank_check", "hilbert_check",
     "hom_presentations", "invariants", "line_bundle_solutions", "line_h",
     "load", "omega_table", "random_presentation", "save", "search",
-    "section_space", "semistable_bound_check", "shape", "sweep",
+    "semistable_bound_check", "shape", "sweep",
     "veronese_facts", "__version__",
 ]

@@ -32,12 +32,15 @@ EXIT_IO = 3
 
 def _default_workers() -> int:
     env = os.environ.get("ULRICH_FORGE_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {env!r} from ULRICH_FORGE_WORKERS")
+    return workers
 
 
 def _emit(doc: dict, fmt: str, text_renderer) -> None:

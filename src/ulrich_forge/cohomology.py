@@ -34,17 +34,18 @@ changes no rank, and it makes M(lam) the z-coefficient of M.  Then:
 Without a pivot point (small p, or M not generically injective) the rank
 is that of the full matrix.
 
-Higher operations (dual bundle, endomorphisms, cotangent twists, Hom
-spaces) come from the dual resolution and the Euler sequence, acting on
-pivot-complement quotient models of the section spaces.
+The dual bundle comes from the dual resolution.  Hom between two
+presentations is the dimension of the chain-map space, with Q eliminated
+row by row so that one system in R alone is ranked.  End(E) and the
+middle column of the cotangent-twist table need no further matrix: they
+follow from Hom(E, E) and from rho, the rank of the 3b x a coefficient
+matrix of M.
 
-Map ranks and section spaces are memoized on the presentation object, so
-they live exactly as long as the presentation does.
+Map ranks are memoized on the presentation object, so they live exactly
+as long as the presentation does.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,86 +199,6 @@ def euler_characteristic(pres: UlrichPresentation, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Section-space quotient models
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SectionSpace:
-    """H^0(E(m)) as a pivot-complement quotient of H^0(O(d-1+m))^b.
-
-    The image of sigma_m is row-reduced once; ``complement`` lists the
-    coordinates spanning a complement of the image and ``reducer`` rewrites
-    any vector modulo the image in those coordinates.
-    """
-
-    m: int
-    ambient_dim: int
-    pivots: tuple[int, ...]
-    complement: np.ndarray          # coordinate indices, len = h0
-    reducer: np.ndarray             # (rank, h0): image rows restricted to complement
-    p: int
-
-    @property
-    def dim(self) -> int:
-        return int(self.complement.size)
-
-    def project_columns(self, mat: np.ndarray) -> np.ndarray:
-        """Images of ambient column vectors (entries in [0, p)) in the
-        quotient model."""
-        if mat.shape[0] != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        out = mat[self.complement, :].astype(np.int64)
-        if self.pivots:
-            out = out - matmul_mod(self.reducer.T, mat[list(self.pivots), :], self.p)
-        return out % self.p
-
-
-def section_space(pres: UlrichPresentation, m: int) -> SectionSpace:
-    """The quotient model of H^0(E(m)), memoized on pres."""
-    return pres._memoized(("sections", m), lambda: _build_section_space(pres, m))
-
-
-def _build_section_space(pres: UlrichPresentation, m: int) -> SectionSpace:
-    sigma = build_map_matrix(pres, pres.d - 2 + m, False)
-    ambient = sigma.shape[0]
-    reduced, pivots = rref(sigma.T, pres.p)
-    in_pivots = np.zeros(ambient, dtype=bool)
-    in_pivots[pivots] = True
-    complement = np.flatnonzero(~in_pivots)
-    return SectionSpace(
-        m=m,
-        ambient_dim=ambient,
-        pivots=tuple(pivots),
-        complement=complement,
-        reducer=reduced[:, complement],
-        p=pres.p,
-    )
-
-
-def form_action(pres: UlrichPresentation, m: int, f: np.ndarray) -> np.ndarray:
-    """Matrix of multiplication by the linear form with coefficient triple
-    f = (c0, c1, c2) as a map H^0(E(m)) -> H^0(E(m+1)) between the
-    quotient models."""
-    src = section_space(pres, m)
-    dst = section_space(pres, m + 1)
-    n = pres.d - 1 + m                      # degree of ambient forms at twist m
-    cols_per = dim_forms(n)
-    rows_per = dim_forms(n + 1)
-    lifted = np.zeros((dst.ambient_dim, src.dim), dtype=np.int64)
-    if src.dim and rows_per:
-        comp = src.complement // cols_per   # which of the b components
-        mon = src.complement % cols_per     # which monomial inside it
-        sh = shift_tables(n)
-        ar = np.arange(src.dim)
-        for v in range(3):
-            c = int(f[v])
-            if c:
-                lifted[comp * rows_per + sh[v][mon], ar] = c
-    return dst.project_columns(lifted)
-
-
-# ---------------------------------------------------------------------------
 # Dual bundle, endomorphisms, cotangent twists, Hom
 # ---------------------------------------------------------------------------
 
@@ -298,55 +219,40 @@ def dual_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, int, int]:
     return h0, h1, h2
 
 
-def _end_map(pres: UlrichPresentation) -> tuple[np.ndarray, int, int]:
-    """The map H^0(E(1-d))^b -> H^0(E(2-d))^a induced by the transposed
-    presentation entries, plus the two section-space dimensions."""
-    h_src = section_space(pres, 1 - pres.d).dim
-    h_dst = section_space(pres, 2 - pres.d).dim
-    phi = np.zeros((pres.a * h_dst, pres.b * h_src), dtype=np.int64)
-    for i in range(pres.b):
-        for j in range(pres.a):
-            block = form_action(pres, 1 - pres.d, pres.coeff_array[i, j])
-            phi[j * h_dst : (j + 1) * h_dst, i * h_src : (i + 1) * h_src] = block
-    return phi, h_src, h_dst
-
-
 def end_cohomology(pres: UlrichPresentation) -> tuple[int, int, int]:
     """(h^0, h^1, h^2) of End(E) = E tensor E^v.
 
     Tensoring the dual resolution with E gives
     0 -> End(E) -> E(1-d)^b -> E(2-d)^a -> 0, and h^1(E(1-d)), h^1(E(2-d)),
-    h^2(E(1-d)) all vanish for every two-term presentation, so h^0 and h^1
-    are the kernel and cokernel of the induced section map and h^2 = 0.
+    h^2(E(1-d)) all vanish for every two-term presentation, so h^2 = 0 and
+    h^0, h^1 are the kernel and cokernel of the section map
+    phi: Q |-> Q M from H^0(E(1-d))^b = F_p^{b x b} to
+    H^0(E(2-d))^a = (S_1^b / M F_p^a)^a, of dimension a(3b - rho) where rho
+    is the rank of the 3b x a coefficient matrix of M.  ker phi is the set
+    of Q with Q M = M R for some R: the chain maps of hom_presentations
+    minus the a(a - rho) pairs (0, R) with M R = 0, which exist only when
+    the coefficient matrix of M is not injective.
     """
-    phi, h_src, h_dst = _end_map(pres)
-    rk = rank_dense(phi, pres.p)
-    h0 = pres.b * h_src - rk
-    h1 = pres.a * h_dst - rk
-    return h0, h1, 0
-
-
-def euler_section_map(pres: UlrichPresentation) -> np.ndarray:
-    """The Euler-sequence map H^0(E(1-d))^3 -> H^0(E(2-d)),
-    (s1, s2, s3) |-> x*s1 + y*s2 + z*s3, in the quotient models."""
-    cols = [form_action(pres, 1 - pres.d, unit) for unit in np.eye(3, dtype=np.int64)]
-    return np.concatenate(cols, axis=1)
+    a, b = pres.a, pres.b
+    rho = _mult_rank(pres, 0, False)
+    h0 = hom_presentations(pres, pres) - a * (a - rho)
+    return h0, h0 + a * (3 * b - rho) - b * b, 0
 
 
 def omega_table(pres: UlrichPresentation) -> list[list[int]]:
     """The 3x3 table h^q(E(1-d) tensor Omega^{-t}(-t)) for t = -2, -1, 0.
 
     Row q, columns ordered t = -2, -1, 0.  The outer columns are plain
-    twists of E (Omega^2(2) = O(-1)); the middle column comes from the
-    Euler sequence tensored with E(2-d).
+    twists of E (Omega^2(2) = O(-1)).  The middle column comes from the
+    Euler sequence tensored with E(2-d): its section map
+    H^0(E(1-d))^3 -> H^0(E(2-d)), (s1, s2, s3) |-> x*s1 + y*s2 + z*s3, goes
+    from F_p^{3b} onto S_1^b / M F_p^a, since the cokernel module is
+    generated in degree 0.  So the column is (rho, 0, 0), rho the rank of
+    the 3b x a coefficient matrix of M.
     """
     col_left = bundle_cohomology(pres, -pres.d)
     col_right = bundle_cohomology(pres, 1 - pres.d)
-    euler = euler_section_map(pres)
-    rk = rank_dense(euler, pres.p)
-    h_src = section_space(pres, 1 - pres.d).dim
-    h_dst = section_space(pres, 2 - pres.d).dim
-    col_mid = (3 * h_src - rk, h_dst - rk, 0)
+    col_mid = (_mult_rank(pres, 0, False), 0, 0)
     return [[col_left[q], col_mid[q], col_right[q]] for q in range(3)]
 
 
@@ -354,28 +260,31 @@ def hom_presentations(p1: UlrichPresentation, p2: UlrichPresentation) -> int:
     """Dimension of the space of chain maps between two presentations.
 
     A chain map is a pair of scalar matrices (Q: b2 x b1, R: a2 x a1) with
-    Q M1 = M2 R as matrices of linear forms; matching coefficients gives a
-    linear system whose null-space dimension is the degree-0 module Hom.
-    There are no homotopies (Hom(O(d-1), O(d-2)) = 0), so the dimension is
-    exact as module-level Hom and an upper-bound proxy for sheaf Hom.
+    Q M1 = M2 R as matrices of linear forms.  Every map E1 -> E2 lifts to
+    one, because Ext^1(O(d-1), O(d-2)) = H^1(O(-1)) = 0, and the chain maps
+    inducing 0 are the (0, R) with M2 R = 0, since
+    Hom(O(d-1), O(d-2)) = H^0(O(-1)) = 0.  So when M2 has generic rank a2
+    the value is exactly dim Hom(E1, E2).
+
+    Q is eliminated row by row.  With C1 the b1 x 3a1 coefficient matrix of
+    M1, row i2 of Q solves Q[i2] C1 = (M2 R)[i2]: it exists iff the right
+    side is orthogonal to the null space of C1, and it is then free up to
+    a (b1 - rank C1)-dimensional space.  What is left is the system of those
+    orthogonality conditions on R alone, b2 (3a1 - rank C1) x a2 a1.
     """
     if p1.p != p2.p:
         raise ValueError("mixed moduli in hom_presentations")
     if p1.d != p2.d:
         raise ValueError("hom_presentations needs equal polarization degrees")
-    a1, b1, a2, b2 = p1.a, p1.b, p2.a, p2.b
-    c1 = p1.coeff_array  # (b1, a1, 3)
-    c2 = p2.coeff_array  # (b2, a2, 3)
-    n_q = b2 * b1
-    n_r = a2 * a1
-    rows = 3 * b2 * a1
-    sys = np.zeros((rows, n_q + n_r), dtype=np.int64)
-    # row index: ((i2 * a1) + j1) * 3 + v
-    for i2 in range(b2):
-        base = i2 * a1 * 3
-        for j1 in range(a1):
-            for v in range(3):
-                eq = base + j1 * 3 + v
-                sys[eq, i2 * b1 : (i2 + 1) * b1] = c1[:, j1, v]
-                sys[eq, n_q + j1 : n_q + n_r : a1] = (-c2[i2, :, v]) % p1.p
-    return n_q + n_r - rank_dense(sys, p1.p)
+    p, a1, b1, a2, b2 = p1.p, p1.a, p1.b, p2.a, p2.b
+    reduced, pivots = rref(p1.coeff_array.reshape(b1, 3 * a1), p)
+    free = np.setdiff1d(np.arange(3 * a1), pivots)
+    k = free.size
+    null = np.zeros((k, 3 * a1), dtype=np.int64)     # columns (j1, v)
+    null[np.arange(k), free] = 1
+    null[:, pivots] = -reduced[:, free].T % p
+    # (M2 R)[i2] . w = sum_{j2, j1} R[j2, j1] sum_v c2[i2, j2, v] w[j1, v]
+    w = null.reshape(k, a1, 3).transpose(2, 0, 1).reshape(3, k * a1)
+    sys = matmul_mod(p2.coeff_array.reshape(b2 * a2, 3), w, p)
+    sys = sys.reshape(b2, a2, k, a1).transpose(0, 2, 1, 3).reshape(b2 * k, a2 * a1)
+    return b2 * (b1 - len(pivots)) + a2 * a1 - rank_dense(sys, p)

@@ -72,8 +72,8 @@ class UlrichPresentation:
 
     ``coeff_array[i, j]`` holds the x, y, z coefficients of entry (i, j),
     reduced mod p and read-only.  Equality and hashing go through
-    ``content_hash``.  Ranks and section spaces computed for this object are
-    memoized on it and freed with it.
+    ``content_hash``.  Ranks computed for this object are memoized on it
+    and freed with it.
     """
 
     field: PrimeField
@@ -151,9 +151,10 @@ class UlrichPresentation:
 
 
 def canonical_json_bytes(obj) -> bytes:
-    """Byte-stable canonical serialization shared by every file format."""
+    """Byte-stable canonical serialization shared by every file format;
+    strict JSON, so a non-finite float raises ValueError."""
     return (json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                       ensure_ascii=True) + "\n").encode("ascii")
+                       ensure_ascii=True, allow_nan=False) + "\n").encode("ascii")
 
 
 def random_presentation(d: int, r: int, rng: np.random.Generator,

@@ -9,6 +9,7 @@ matter how many workers ran them.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -232,11 +233,13 @@ def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0
           out_dir: Optional[Path] = None, time_budget_s: Optional[float] = None,
           record_timings: bool = False) -> SweepReport:
     """Run one search per degree; partial results are marked when the time
-    budget runs out before the list is exhausted."""
+    budget (finite, > 0 seconds) runs out before the list is exhausted."""
     if not d_list:
         raise ValueError("the degree list is empty")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if time_budget_s is not None and not (math.isfinite(time_budget_s) and time_budget_s > 0):
+        raise ValueError(f"time budget must be a finite number > 0, got {time_budget_s}")
     for d in d_list:
         shape(d, r)  # fail fast on any invalid pair
     config = {

@@ -7,7 +7,7 @@ import pytest
 
 from ulrich_forge.cli import main
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
-from ulrich_forge.presentation import UlrichPresentation, save
+from ulrich_forge.presentation import UlrichPresentation, canonical_json_bytes, save
 
 from conftest import seeded_presentation
 
@@ -221,6 +221,31 @@ def test_workers_env_fallback(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ULRICH_FORGE_WORKERS", "2")
     code, out, _ = run(capsys, "search", "--d", "2", "--r", "2", "--seed", "0")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["-4", "0", "abc", "2.5"])
+def test_workers_env_invalid_exit_2(capsys, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("ULRICH_FORGE_WORKERS", value)
+    for command in (["search", "--d", "2", "--r", "2"], ["sweep", "--d", "3", "--r", "3"]):
+        code, out, err = run(capsys, *command, "--seed", "0", "--out", str(tmp_path))
+        assert code == 2
+        assert "workers must be >= 1" in err and out == ""
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
+def test_sweep_cli_bad_time_budget_exit_2(capsys, tmp_path, budget):
+    code, out, err = run(capsys, "--format", "json", "sweep", "--r", "3", "--d", "3,5",
+                         "--seed", "0", "--time-budget", budget, "--out", str(tmp_path))
+    assert code == 2
+    assert "time budget" in err and out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_canonical_json_rejects_non_finite_floats():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            canonical_json_bytes({"time_budget_s": value})
 
 
 def test_json_outputs_are_canonical(capsys):

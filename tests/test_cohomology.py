@@ -8,8 +8,7 @@ from ulrich_forge import cohomology
 from ulrich_forge.cohomology import (_mult_rank, build_map_matrix, bundle_cohomology,
                                      chi_line, dual_cohomology, end_cohomology,
                                      euler_characteristic, h1_twist,
-                                     hom_presentations, line_h, omega_table,
-                                     section_space)
+                                     hom_presentations, line_h, omega_table)
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import UlrichPresentation, direct_sum, random_presentation
@@ -107,6 +106,8 @@ def _variant(pres: UlrichPresentation, kind: str, rng) -> UlrichPresentation:
         c[:, :, 2] = 0
     elif kind == "equal_xy":
         c[:, :, 1] = c[:, :, 0]
+    elif kind == "equal_xz":
+        c[:, :, 2] = c[:, :, 0]
     elif kind == "sparse":
         c *= rng.integers(0, 2, size=c.shape)
     elif kind == "zero_column":
@@ -155,33 +156,6 @@ def test_mult_rank_builds_matrix_only_without_pivot(monkeypatch):
                 assert _mult_rank(q, n, transpose) == want
     # only the degenerate presentation, for every n >= 0 in both layouts
     assert [args[0] for args in built] == [degenerate] * 20
-
-
-# --- section spaces ---------------------------------------------------------
-
-def test_section_space_dimensions(pres_d5r2):
-    d, r = pres_d5r2.d, pres_d5r2.r
-    assert section_space(pres_d5r2, -d).dim == 0
-    assert section_space(pres_d5r2, 2 - d).dim == r * (d + 2) == 14
-    # large twist: dimension equals the Euler characteristic
-    big = section_space(pres_d5r2, d)
-    assert big.dim == euler_characteristic(pres_d5r2, d)
-
-
-def test_section_space_projects_image_to_zero(pres_d3r2):
-    from ulrich_forge.cohomology import build_map_matrix
-    from ulrich_forge.linalg import rank_dense
-    m = 0
-    sigma = build_map_matrix(pres_d3r2, pres_d3r2.d - 2 + m, False)
-    space = section_space(pres_d3r2, m)
-    proj = space.project_columns(sigma)
-    assert not proj.any()
-    assert space.dim == sigma.shape[0] - rank_dense(sigma, pres_d3r2.p)
-
-
-def test_section_space_matches_h0(pres_d3r2):
-    for m in range(-4, 4):
-        assert section_space(pres_d3r2, m).dim == bundle_cohomology(pres_d3r2, m)[0]
 
 
 # --- duality ----------------------------------------------------------------
@@ -301,3 +275,49 @@ def test_hom_row_permutation_nonzero(pres_d3r2):
 def test_hom_rejects_mismatched(pres_d3r2, pres_d5r2):
     with pytest.raises(ValueError):
         hom_presentations(pres_d3r2, pres_d5r2)
+
+
+def _chain_map_dimension(p1: UlrichPresentation, p2: UlrichPresentation) -> int:
+    """Null space of the unreduced chain-map system Q M1 = M2 R: one
+    equation per (row of Q M1, column, variable), 3 b2 a1 of them, in the
+    b2 b1 + a2 a1 entries of Q and R."""
+    a1, b1, a2, b2 = p1.a, p1.b, p2.a, p2.b
+    c1, c2 = p1.coeff_array, p2.coeff_array
+    n_q, n_r = b2 * b1, a2 * a1
+    sys = np.zeros((3 * b2 * a1, n_q + n_r), dtype=np.int64)
+    for i2 in range(b2):
+        for j1 in range(a1):
+            for v in range(3):
+                eq = (i2 * a1 + j1) * 3 + v
+                sys[eq, i2 * b1 : (i2 + 1) * b1] = c1[:, j1, v]
+                sys[eq, n_q + j1 : n_q + n_r : a1] = -c2[i2, :, v] % p1.p
+    return n_q + n_r - rank_dense(sys, p1.p)
+
+
+@st.composite
+def _hom_pairs(draw):
+    p = draw(st.sampled_from([3, 5, 7, 32003, 2**31 - 1]))
+    d = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kinds = st.sampled_from(["random", "zero_column", "sparse", "equal_xz", "direct_sum"])
+    pair = []
+    for _ in range(2):
+        r = draw(st.integers(min_value=1, max_value=2)) * (1 if d % 2 else 2)
+        pair.append(_variant(random_presentation(d, r, rng, p=p), draw(kinds), rng))
+    return tuple(pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hom_pairs())
+def test_hom_end_omega_match_chain_map_system(pair):
+    p1, p2 = pair
+    assert hom_presentations(p1, p2) == _chain_map_dimension(p1, p2)
+    hom_self = _chain_map_dimension(p1, p1)
+    assert hom_presentations(p1, p1) == hom_self
+    # End and the Euler-map column from rho, the rank of M's 3b x a
+    # coefficient matrix
+    a, b = p1.a, p1.b
+    rho = rank_dense(p1.coeff_array.transpose(0, 2, 1).reshape(3 * b, a), p1.p)
+    h0 = hom_self - a * (a - rho)
+    assert end_cohomology(p1) == (h0, h0 + a * (3 * b - rho) - b * b, 0)
+    assert [row[1] for row in omega_table(p1)] == [rho, 0, 0]

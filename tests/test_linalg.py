@@ -4,7 +4,7 @@ against an independent division-free elimination oracle."""
 import numpy as np
 import pytest
 
-from ulrich_forge.cohomology import build_map_matrix, section_space
+from ulrich_forge.cohomology import build_map_matrix
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import _ROWOPS_MAX_CELLS, matmul_mod, rank_dense, rref
 from ulrich_forge.poly import dim_forms
@@ -174,13 +174,6 @@ def test_solve_inconsistent():
     # 0 = 1 shows up as a pivot in the right-hand-side column
     aug = np.array([[0, 0, 1], [0, 0, 0]], dtype=np.int64)
     assert rref(aug, P)[1] == [2]
-
-
-def test_solve_dimension_mismatch():
-    pres = UlrichPresentation(F, 2, 2, np.eye(3, dtype=np.int64)[:, None, :])
-    space = section_space(pres, 0)
-    with pytest.raises(ValueError, match="ambient dimension"):
-        space.project_columns(np.zeros((space.ambient_dim + 1, 2), dtype=np.int64))
 
 
 def test_solve_random_consistent_exact_residual():

@@ -1,6 +1,8 @@
 """Randomized search: determinism, reproducibility, failure taxonomy."""
 
+import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -105,8 +107,12 @@ def test_sweep_empty_list():
         sweep([], 3, trials_per_d=5, master_seed=0)
 
 
-def test_sweep_time_budget_marks_partial():
-    rep = sweep([3, 5], 3, trials_per_d=5, master_seed=0, time_budget_s=-1.0)
+def test_sweep_time_budget_marks_partial(monkeypatch):
+    # a clock that moves one second per reading: the budget is spent
+    # before the first degree starts
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+    rep = sweep([3, 5], 3, trials_per_d=5, master_seed=0, time_budget_s=0.5)
     assert rep.partial
     assert rep.skipped == [3, 5]
     assert not rep.all_succeeded
