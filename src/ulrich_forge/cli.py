@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -30,17 +29,10 @@ EXIT_PARAMS = 2
 EXIT_IO = 3
 
 
-def _default_workers() -> int:
-    env = os.environ.get("ULRICH_FORGE_WORKERS")
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {env!r} from ULRICH_FORGE_WORKERS")
-    return workers
+def _check_serial(workers: int) -> None:
+    """--workers stays for command-line compatibility and accepts only 1."""
+    if workers != 1:
+        raise ValueError(f"trials run serially; --workers accepts only 1, got {workers}")
 
 
 def _emit(doc: dict, fmt: str, text_renderer) -> None:
@@ -86,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     srch.add_argument("--p", type=int, default=DEFAULT_PRIME)
     srch.add_argument("--seed", type=int, default=0)
     srch.add_argument("--trials", type=int, default=5)
-    srch.add_argument("--workers", type=int, default=None)
+    srch.add_argument("--workers", type=int, default=1,
+                      help="accepted for compatibility; trials run serially")
     srch.add_argument("--out", metavar="DIR", default=None)
     srch.add_argument("--timings", action="store_true",
                       help="record wall-clock times in the report "
@@ -99,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--p", type=int, default=DEFAULT_PRIME)
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--trials", type=int, default=5)
-    swp.add_argument("--workers", type=int, default=None)
+    swp.add_argument("--workers", type=int, default=1,
+                      help="accepted for compatibility; trials run serially")
     swp.add_argument("--out", metavar="DIR", default=None)
     swp.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
     swp.add_argument("--timings", action="store_true")
@@ -180,10 +174,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
+    _check_serial(args.workers)
     res = search(args.d, args.r, trials=args.trials, master_seed=args.seed,
-                 p=args.p, workers=workers,
-                 out_dir=Path(args.out) if args.out else None,
+                 p=args.p, out_dir=Path(args.out) if args.out else None,
                  record_timings=args.timings)
     doc = res.report.to_json_dict()
 
@@ -203,10 +196,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
+    _check_serial(args.workers)
     rep = sweep(args.d, args.r, trials_per_d=args.trials, master_seed=args.seed,
-                p=args.p, workers=workers,
-                out_dir=Path(args.out) if args.out else None,
+                p=args.p, out_dir=Path(args.out) if args.out else None,
                 time_budget_s=args.time_budget, record_timings=args.timings)
     doc = rep.to_json_dict()
     if args.out:

@@ -7,11 +7,13 @@ plain numpy arrays; the modulus is passed alongside.
 The dense elimination is blocked.  A panel of columns is eliminated with
 immediate reduction; the accumulated multipliers are then applied to the
 trailing submatrix with one float64 GEMM per block.  The float path is
-exact because block * (p-1)^2 < 2^53, and entries are re-reduced mod p
-after every update.  For moduli too large for that bound a plain row-op
-elimination (immediate reduction, still exact) takes over; it also takes
-matrices of at most 4096 cells, where the blocked setup costs more than it
-saves.
+exact because no magnitude exceeds 2^52: panel slabs and pivot rows are
+kept reduced, and the trailing submatrix accumulates GEMM updates
+unreduced until the next one could pass that cap, when it is reduced mod p
+once.  Moduli too large for an 8-column block under the cap, with room to
+spare (p - 1 > 2^23), go to a plain row-op elimination (immediate
+reduction, still exact); it also takes matrices of at most 4096 cells,
+where the blocked setup costs more than it saves.
 
 ``matmul_mod`` is the one integer matrix product mod p: it splits the
 inner dimension so that no int64 partial sum overflows for any p < 2^31.
@@ -45,7 +47,7 @@ def _reduce_inplace(a: np.ndarray, p: float) -> None:
     np.subtract(a, p, out=a, where=a >= p)
 
 
-def rank_dense(a: np.ndarray, p: int, block: int = _DEFAULT_BLOCK) -> int:
+def rank_dense(a: np.ndarray, p: int) -> int:
     """Rank over F_p by blocked Gaussian elimination with delayed reduction.
 
     The working matrix is float64 holding exact integers.  Panel slabs and
@@ -62,7 +64,7 @@ def rank_dense(a: np.ndarray, p: int, block: int = _DEFAULT_BLOCK) -> int:
     if max_block < 8 or m * n <= _ROWOPS_MAX_CELLS:
         w = np.array(a, dtype=np.int64) % p
         return _rank_rowops(w, p)
-    block = int(max(8, min(block, max_block)))
+    block = int(min(_DEFAULT_BLOCK, max_block))
     step_growth = block * (p - 1) ** 2  # max magnitude added per block step
 
     w = (np.asarray(a, dtype=np.int64) % p).astype(np.float64)

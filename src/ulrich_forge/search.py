@@ -3,15 +3,14 @@
 One trial draws a presentation with uniform coefficients and runs the
 basic certifier.  Trial i of a search uses a generator derived by hashing
 (master seed, namespace, trial index), so trials are order-independent:
-the same seed gives byte-identical reports and presentation files no
-matter how many workers ran them.
+the same seed gives byte-identical reports and presentation files.
+Trials run serially and the search stops at the first success.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Optional
@@ -27,27 +26,17 @@ SWEEP_FORMAT = "ulrich-sweep/1"
 SEARCH_FORMAT = "ulrich-search/1"
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    index: int
-    presentation: UlrichPresentation
-    certificate: UlrichCertificate
+# Trials always run serially; the key stays because the seed-0 sweep
+# digests pin it.
+LEGACY_WORKERS_CONFIG = {"workers": 1}
 
-    @property
-    def succeeded(self) -> bool:
-        return self.certificate.passed
 
-    @property
-    def failure_reason(self) -> Optional[str]:
-        if self.succeeded:
-            return None
-        cert = self.certificate
-        if not cert.generic_rank.passed:
-            return "generic_rank"
-        for t, h1 in cert.vanishings:
-            if h1 != 0:
-                return f"h1_t{t}"
-        return "unknown"
+def _failure_key(cert: UlrichCertificate) -> str:
+    """Histogram key of a failed basic certificate: the witness first, else
+    the first nonzero vanishing (a failed certificate has one of the two)."""
+    if not cert.generic_rank.passed:
+        return "generic_rank"
+    return next(f"h1_t{t}" for t, h1 in cert.vanishings if h1 != 0)
 
 
 @dataclass
@@ -100,94 +89,60 @@ class SearchResult:
     certificate: Optional[UlrichCertificate]
 
 
-def _run_trial(d: int, r: int, p: int, master_seed: int,
-               namespace: tuple[int, ...], index: int) -> TrialOutcome:
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, *namespace, index]))
-    pres = random_presentation(d, r, rng, p=p)
-    cert = certify(pres, level="basic", master_seed=master_seed,
-                   seed_path=(*namespace, index))
-    return TrialOutcome(index=index, presentation=pres, certificate=cert)
-
-
 def presentation_filename(d: int, r: int, p: int, master_seed: int) -> str:
     return f"ulrich_d{d}_r{r}_p{p}_seed{master_seed}.json"
 
 
 def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
-           p: int = DEFAULT_PRIME, workers: int = 1,
-           out_dir: Optional[Path] = None, namespace: tuple[int, ...] = (),
+           p: int = DEFAULT_PRIME, out_dir: Optional[Path] = None,
+           namespace: tuple[int, ...] = (),
            record_timings: bool = False) -> SearchResult:
     """Try seeded random presentations until one certifies (basic level).
 
-    The report only covers trials with index <= the first success, so its
-    content does not depend on the worker count.  On success the winning
-    presentation is saved under out_dir with a deterministic name and its
-    certificate is written next to it.
+    Trials run in index order and stop at the first success, so the report
+    covers exactly the trials with index <= the first success.  On success
+    the winning presentation is saved under out_dir with a deterministic
+    name and its certificate is written next to it.
     """
     shape(d, r)  # validate before any work
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     t_start = time.perf_counter()
 
-    outcomes: dict[int, TrialOutcome] = {}
-    first_success: Optional[int] = None
-    if workers <= 1:
-        for i in range(trials):
-            out = _run_trial(d, r, p, master_seed, namespace, i)
-            outcomes[i] = out
-            if out.succeeded:
-                first_success = i
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for batch_start in range(0, trials, workers):
-                batch = range(batch_start, min(trials, batch_start + workers))
-                futures = {i: pool.submit(_run_trial, d, r, p, master_seed,
-                                          namespace, i)
-                           for i in batch}
-                for i in batch:
-                    outcomes[i] = futures[i].result()
-                hit = next((i for i in batch if outcomes[i].succeeded), None)
-                if hit is not None:
-                    first_success = hit
-                    break
-
-    # deterministic view: outcomes at indices <= first success only
-    horizon = first_success + 1 if first_success is not None else trials
-    considered = [outcomes[i] for i in range(horizon)]
     histogram: dict[str, int] = {}
-    for out in considered:
-        reason = out.failure_reason
-        if reason is not None:
-            histogram[reason] = histogram.get(reason, 0) + 1
+    success_trial: Optional[int] = None
+    presentation: Optional[UlrichPresentation] = None
+    certificate: Optional[UlrichCertificate] = None
+    for i in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([master_seed, *namespace, i]))
+        pres = random_presentation(d, r, rng, p=p)
+        cert = certify(pres, level="basic", master_seed=master_seed,
+                       seed_path=(*namespace, i))
+        if cert.passed:
+            success_trial, presentation, certificate = i, pres, cert
+            break
+        key = _failure_key(cert)
+        histogram[key] = histogram.get(key, 0) + 1
 
-    presentation = None
-    certificate = None
     filename = None
-    if first_success is not None:
-        winner = outcomes[first_success]
-        presentation = winner.presentation
-        certificate = winner.certificate
-        if out_dir is not None:
-            out_dir = Path(out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            filename = presentation_filename(d, r, p, master_seed)
-            save(presentation, out_dir / filename)
-            cert_path = out_dir / (filename[: -len(".json")] + ".cert.json")
-            cert_path.write_bytes(certificate.to_bytes())
+    if certificate is not None and out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        filename = presentation_filename(d, r, p, master_seed)
+        save(presentation, out_dir / filename)
+        cert_path = out_dir / (filename[: -len(".json")] + ".cert.json")
+        cert_path.write_bytes(certificate.to_bytes())
 
     elapsed_ms = 1e3 * (time.perf_counter() - t_start)
-    winner_cert = outcomes[first_success].certificate if first_success is not None else None
     report = SearchReport(
         d=d, r=r, p=p, master_seed=master_seed,
-        trials_requested=trials, trials_run=horizon,
-        success_trial=first_success,
-        presentation_hash=(winner_cert.presentation_hash if winner_cert else None),
+        trials_requested=trials,
+        trials_run=trials if success_trial is None else success_trial + 1,
+        success_trial=success_trial,
+        presentation_hash=(certificate.presentation_hash if certificate else None),
         presentation_file=filename,
-        h1_checks=(list(winner_cert.vanishings) if winner_cert else []),
-        generic_rank=(winner_cert.generic_rank.status if winner_cert else None),
+        h1_checks=(list(certificate.vanishings) if certificate else []),
+        generic_rank=(certificate.generic_rank.status if certificate else None),
         failure_histogram=histogram,
         ms=round(elapsed_ms, 3) if record_timings else None,
     )
@@ -229,22 +184,20 @@ class SweepReport:
 
 
 def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0,
-          p: int = DEFAULT_PRIME, workers: int = 1,
-          out_dir: Optional[Path] = None, time_budget_s: Optional[float] = None,
+          p: int = DEFAULT_PRIME, out_dir: Optional[Path] = None,
+          time_budget_s: Optional[float] = None,
           record_timings: bool = False) -> SweepReport:
     """Run one search per degree; partial results are marked when the time
     budget (finite, > 0 seconds) runs out before the list is exhausted."""
     if not d_list:
         raise ValueError("the degree list is empty")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if time_budget_s is not None and not (math.isfinite(time_budget_s) and time_budget_s > 0):
         raise ValueError(f"time budget must be a finite number > 0, got {time_budget_s}")
     for d in d_list:
         shape(d, r)  # fail fast on any invalid pair
     config = {
-        "workers": workers,
         "time_budget_s": time_budget_s,
+        **LEGACY_WORKERS_CONFIG,
         **LEGACY_LF_CONFIG,
         "record_timings": record_timings,
     }
@@ -256,7 +209,7 @@ def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0
             skipped = list(d_list[pos:])
             break
         res = search(d, r, trials=trials_per_d, master_seed=master_seed, p=p,
-                     workers=workers, out_dir=out_dir, namespace=(d,),
+                     out_dir=out_dir, namespace=(d,),
                      record_timings=record_timings)
         results.append(res.report)
     return SweepReport(p=p, r=r, master_seed=master_seed,

@@ -11,6 +11,24 @@ def seeded_presentation(d: int, r: int, seed: int = 0, p: int = 32003) -> Ulrich
     return random_presentation(d, r, rng, p=p)
 
 
+def drop_rank_at(pres: UlrichPresentation, point, rng) -> UlrichPresentation:
+    """Change column 0 so that M(point) v = 0 for a random v with v_0 = 1.
+
+    point must have a coordinate equal to 1; that coordinate's coefficient
+    of column 0 absorbs the correction, so M keeps its other columns."""
+    p, c = pres.p, np.array(pres.coeff_array)
+    k = list(point).index(1)
+    v = rng.integers(0, p, size=pres.a)
+    v[0] = 1
+    m_at = pres.evaluate_at(point)
+    want = -(m_at[:, 1:] @ v[1:]) % p
+    others = sum(c[:, 0, l] * point[l] for l in range(3) if l != k)
+    c[:, 0, k] = (want - others) % p
+    dropped = UlrichPresentation(pres.field, pres.d, pres.r, c)
+    assert not (dropped.evaluate_at(point) @ v % p).any()
+    return dropped
+
+
 @pytest.fixture(scope="session")
 def pres_d2r2():
     return seeded_presentation(2, 2)

@@ -163,6 +163,16 @@ def test_sweep_cli_zero_workers_exit_2(capsys, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [["search", "--d", "3"], ["sweep", "--d", "3,5"]])
+def test_workers_other_than_one_exit_2(capsys, tmp_path, command):
+    # trials run serially; --workers stays only so that "--workers 1" parses
+    code, out, err = run(capsys, *command, "--r", "3", "--seed", "0",
+                         "--workers", "2", "--out", str(tmp_path))
+    assert code == 2
+    assert "serially" in err and out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_search_d1_output_certifies(capsys, tmp_path):
     # d = 1 gives a = 0: a b x 0 matrix, the trivial bundle O^r on P^2
     code, _, _ = run(capsys, "search", "--d", "1", "--r", "2", "--seed", "0",
@@ -215,22 +225,6 @@ def test_table_bad_range_exit_2(capsys, tmp_path):
     save(pres, path)
     code, _, _ = run(capsys, "table", "--in", str(path), "--from", "3", "--to", "-3")
     assert code == 2
-
-
-def test_workers_env_fallback(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ULRICH_FORGE_WORKERS", "2")
-    code, out, _ = run(capsys, "search", "--d", "2", "--r", "2", "--seed", "0")
-    assert code == 0
-
-
-@pytest.mark.parametrize("value", ["-4", "0", "abc", "2.5"])
-def test_workers_env_invalid_exit_2(capsys, tmp_path, monkeypatch, value):
-    monkeypatch.setenv("ULRICH_FORGE_WORKERS", value)
-    for command in (["search", "--d", "2", "--r", "2"], ["sweep", "--d", "3", "--r", "3"]):
-        code, out, err = run(capsys, *command, "--seed", "0", "--out", str(tmp_path))
-        assert code == 2
-        assert "workers must be >= 1" in err and out == ""
-    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])

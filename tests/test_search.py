@@ -1,5 +1,6 @@
 """Randomized search: determinism, reproducibility, failure taxonomy."""
 
+import importlib
 import itertools
 import json
 import time
@@ -7,10 +8,17 @@ import time
 import numpy as np
 import pytest
 
-from ulrich_forge.presentation import (ParityError, linear_span_dimension, load,
+from ulrich_forge.field import DEFAULT_PRIME, PrimeField
+from ulrich_forge.presentation import (ParityError, UlrichPresentation,
+                                       linear_span_dimension, load,
                                        random_presentation)
 from ulrich_forge.search import search, sweep
 from ulrich_forge.ulrich import certify
+
+from conftest import drop_rank_at, seeded_presentation
+
+# the package exports the function search under the module's name
+search_module = importlib.import_module("ulrich_forge.search")
 
 
 def test_search_d7r3_succeeds_first_trial(tmp_path):
@@ -62,10 +70,30 @@ def test_search_byte_reproducible(tmp_path):
     assert json.dumps(r1.report.to_json_dict()) == json.dumps(r2.report.to_json_dict())
 
 
-def test_search_worker_count_does_not_change_report():
-    seq = search(3, 2, trials=8, master_seed=5, p=3, workers=1)
-    par = search(3, 2, trials=8, master_seed=5, p=3, workers=4)
-    assert seq.report.to_json_dict() == par.report.to_json_dict()
+def _search_drawing(monkeypatch, pres, trials):
+    # every trial draws the given presentation
+    monkeypatch.setattr(search_module, "random_presentation",
+                        lambda d, r, rng, p: pres)
+    return search(pres.d, pres.r, trials=trials, master_seed=0, p=pres.p)
+
+
+def test_failure_histogram_counts_witness_before_vanishing(monkeypatch):
+    coeffs = seeded_presentation(3, 2).coeff_array.copy()
+    coeffs[:, 0] = 0
+    degenerate = UlrichPresentation(PrimeField(DEFAULT_PRIME), 3, 2, coeffs)
+    cert = certify(degenerate, level="basic", master_seed=0)
+    # both the witness and h^1(E(-2d)) fail; the witness names the failure
+    assert not cert.generic_rank.passed and cert.vanishings[0][1] > 0
+    rep = _search_drawing(monkeypatch, degenerate, trials=2).report
+    assert rep.failure_histogram == {"generic_rank": 2}
+    assert rep.success_trial is None and rep.trials_run == 2
+
+
+def test_failure_histogram_counts_point_rank_drop_at_t2(monkeypatch, pres_d7r3):
+    dropped = drop_rank_at(pres_d7r3, (5, 11, 1), np.random.default_rng(3))
+    rep = _search_drawing(monkeypatch, dropped, trials=1).report
+    assert rep.failure_histogram == {"h1_t2": 1}
+    assert rep.success_trial is None and rep.trials_run == 1
 
 
 def test_search_trial_outcomes_are_index_pure():

@@ -17,7 +17,7 @@ from ulrich_forge.ulrich import (UlrichCertificate, certify, euler_pairing,
                                  line_bundle_solutions, semistable_bound_check,
                                  veronese_facts)
 
-from conftest import seeded_presentation
+from conftest import drop_rank_at, seeded_presentation
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -213,24 +213,6 @@ def test_certify_rejects_unknown_level(pres_d3r2):
 
 # --- local freeness: h^1(E(-2d)) = 0 against pointwise ranks ----------------
 
-def _drop_rank_at(pres: UlrichPresentation, point, rng) -> UlrichPresentation:
-    """Change column 0 so that M(point) v = 0 for a random v with v_0 = 1.
-
-    point must have a coordinate equal to 1; that coordinate's coefficient
-    of column 0 absorbs the correction, so M keeps its other columns."""
-    p, c = pres.p, np.array(pres.coeff_array)
-    k = list(point).index(1)
-    v = rng.integers(0, p, size=pres.a)
-    v[0] = 1
-    m_at = pres.evaluate_at(point)
-    want = -(m_at[:, 1:] @ v[1:]) % p
-    others = sum(c[:, 0, l] * point[l] for l in range(3) if l != k)
-    c[:, 0, k] = (want - others) % p
-    dropped = UlrichPresentation(pres.field, pres.d, pres.r, c)
-    assert not (dropped.evaluate_at(point) @ v % p).any()
-    return dropped
-
-
 @st.composite
 def _lf_cases(draw):
     p = draw(st.sampled_from([3, 5, 7]))
@@ -249,7 +231,7 @@ def _lf_cases(draw):
     elif pres.a and kind == "point_drop":
         point = [int(x) for x in rng.integers(0, p, size=3)]
         point[draw(st.integers(min_value=0, max_value=2))] = 1
-        pres = _drop_rank_at(pres, point, rng)
+        pres = drop_rank_at(pres, point, rng)
     return pres, rng
 
 
@@ -287,7 +269,7 @@ def test_vanishing_t2_gives_full_rank_at_every_point(case):
 
 def test_single_point_rank_drop_fails_at_vanishing_t2(pres_d7r3):
     point = (5, 11, 1)
-    pres = _drop_rank_at(pres_d7r3, point, np.random.default_rng(3))
+    pres = drop_rank_at(pres_d7r3, point, np.random.default_rng(3))
     assert rank_dense(pres.evaluate_at(point), pres.p) < pres.a
     cert = certify(pres, master_seed=0)
     assert cert.generic_rank.passed
