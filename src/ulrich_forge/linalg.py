@@ -12,8 +12,11 @@ kept reduced, and the trailing submatrix accumulates GEMM updates
 unreduced until the next one could pass that cap, when it is reduced mod p
 once.  Moduli too large for an 8-column block under the cap, with room to
 spare (p - 1 > 2^23), go to a plain row-op elimination (immediate
-reduction, still exact); it also takes matrices of at most 4096 cells,
-where the blocked setup costs more than it saves.
+reduction, still exact).  It also takes every shape whose elimination
+updates at most 9216 trailing cells per pivot, on average k(3L - k)/6 for
+short side k and long side L: there the blocked path's per-column
+overhead costs more than it saves.  That covers squares up to 166 x 166
+and every matrix of at most 18432 cells.
 
 ``matmul_mod`` is the one integer matrix product mod p: it splits the
 inner dimension so that no int64 partial sum overflows for any p < 2^31.
@@ -31,9 +34,11 @@ from .field import inverse_mod
 _FLOAT_EXACT = 2**52
 _DEFAULT_BLOCK = 256
 _PANEL_LEAF = 16
-# Below this many cells the row-op loop beats the blocked path's setup
-# (square break-even lies between 128x128 and 160x160 at p = 32003).
-_ROWOPS_MAX_CELLS = 4096
+# Mean trailing cells updated per pivot, k(3L - k)/6, up to which the row-op
+# loop beats the blocked path.  Measured at p = 32003 on one core: break-even
+# near 9000 for thin shapes (24 x 768, 48 x 384) and near 12000-13000 for
+# squares (190 x 190 to 200 x 200).
+_ROWOPS_MAX_AREA = 9216
 
 
 def _reduce_inplace(a: np.ndarray, p: float) -> None:
@@ -61,7 +66,8 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     if m == 0 or n == 0:
         return 0
     max_block = _FLOAT_EXACT // (8 * (p - 1) ** 2)
-    if max_block < 8 or m * n <= _ROWOPS_MAX_CELLS:
+    k, long_side = min(m, n), max(m, n)
+    if max_block < 8 or k * (3 * long_side - k) <= 6 * _ROWOPS_MAX_AREA:
         w = np.array(a, dtype=np.int64) % p
         return _rank_rowops(w, p)
     block = int(min(_DEFAULT_BLOCK, max_block))
@@ -214,7 +220,7 @@ def _unit_lower_inverse(l: np.ndarray, p: int) -> np.ndarray:
 
 def _rank_rowops(a: np.ndarray, p: int) -> int:
     """Unblocked elimination with immediate reduction (any p < 2^31); the
-    path for large p and for tiny matrices."""
+    path for large p and for small or thin matrices."""
     m, n = a.shape
     r = 0
     for j in range(n):

@@ -209,3 +209,21 @@ def test_criterion_9_performance_gate():
     elapsed = time.perf_counter() - t0
     report(9, rank == 4000 and elapsed <= 20,
            f"dense 4000x4000 rank over F_32003 in {elapsed:.1f}s (limit 20s)")
+
+
+def test_criterion_10_rank3_atlas_slice():
+    t0 = time.perf_counter()
+    failed = []
+    for d in range(15, 26, 2):
+        res = search(d, 3, trials=5, master_seed=0)
+        ok = res.report.succeeded
+        if ok:
+            cert = certify(res.presentation, level="full", master_seed=0)
+            ok = cert.valid and cert.full_ok
+        if not ok:
+            failed.append(d)
+    elapsed = time.perf_counter() - t0
+    report(10, not failed and elapsed <= 120,
+           f"rank-3 searches for odd d=15..25 each certify in full "
+           f"({'all valid' if not failed else f'failed at d={failed}'}), "
+           f"{elapsed:.1f}s (limit 120s)")

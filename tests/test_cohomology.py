@@ -11,7 +11,9 @@ from ulrich_forge.cohomology import (_mult_rank, build_map_matrix, bundle_cohomo
                                      hom_presentations, line_h, omega_table)
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
+from ulrich_forge.poly import dim_forms
 from ulrich_forge.presentation import UlrichPresentation, direct_sum, random_presentation
+from ulrich_forge.ulrich import certify
 
 from conftest import seeded_presentation
 
@@ -156,6 +158,64 @@ def test_mult_rank_builds_matrix_only_without_pivot(monkeypatch):
                 assert _mult_rank(q, n, transpose) == want
     # only the degenerate presentation, for every n >= 0 in both layouts
     assert [args[0] for args in built] == [degenerate] * 20
+
+
+@st.composite
+def _rank_sequences(draw):
+    """A presentation and every (n, layout) for n in [-1, 3d], in random order."""
+    p = draw(st.sampled_from([3, 5, 7, 32003]))
+    # d <= 4, and r <= 2 past d = 3, keep the oracle's matrices at n = 3d small
+    d = draw(st.integers(min_value=1, max_value=4))
+    r = draw(st.integers(min_value=1, max_value=2 if d > 3 else 3))
+    r += r * (d - 1) % 2
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "direct_sum", "non_surjective", "zero_z",
+                                 "equal_xy", "equal_xz", "sparse", "zero_column"]))
+    pres = _variant(random_presentation(d, r, rng, p=p), kind, rng)
+    requests = [(n, t) for n in range(-1, 3 * d + 1) for t in (False, True)]
+    return pres, draw(st.permutations(requests))
+
+
+def _check_rank_orders(pres, requests):
+    """Each order of requests, on a fresh copy of pres, gives the oracle ranks.
+    Returns the oracle's first degree at which M^T is onto, or None."""
+    want = {(n, t): rank_dense(build_map_matrix(pres, n, t), pres.p) for n, t in requests}
+    # table asks for the largest n first
+    for order in (requests, sorted(requests, reverse=True)):
+        fresh = UlrichPresentation(pres.field, pres.d, pres.r, pres.coeff_array)
+        for n, transpose in order:
+            assert _mult_rank(fresh, n, transpose) == want[n, transpose], (n, transpose)
+    return next((n for n, t in sorted(want) if t and n >= 0
+                 and want[n, t] == pres.a * dim_forms(n + 1)), None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rank_sequences())
+def test_mult_rank_in_any_order_matches_dense_oracle(case):
+    _check_rank_orders(*case)
+
+
+@pytest.mark.parametrize("p, d, r, seed", [(3, 3, 3, 0), (5, 3, 4, 0)])
+def test_mult_rank_onto_only_past_square_residue(p, d, r, seed):
+    # h^1(E(-2d)) != 0, so M^T first becomes onto past n = d - 2
+    pres = random_presentation(d, r, np.random.default_rng(seed), p=p)
+    requests = [(n, t) for n in range(-1, 3 * d + 1) for t in (False, True)]
+    np.random.default_rng(seed).shuffle(requests)
+    assert _check_rank_orders(pres, requests) > d - 2
+
+
+@pytest.mark.parametrize("level", ["basic", "full"])
+@pytest.mark.parametrize("d, r", [(7, 3), (13, 3)])
+def test_valid_certificate_builds_one_residue(monkeypatch, d, r, level):
+    # every transposed rank the certifier asks for lies at n < 0 or
+    # n >= d - 2, and the square residue at d - 2 is onto
+    built = []
+    residue = cohomology._residue
+    monkeypatch.setattr(cohomology, "_residue",
+                        lambda pencil, n, p: built.append(n) or residue(pencil, n, p))
+    cert = certify(seeded_presentation(d, r), level=level)
+    assert cert.passed
+    assert built == [d - 2]
 
 
 # --- duality ----------------------------------------------------------------

@@ -4,9 +4,10 @@ against an independent division-free elimination oracle."""
 import numpy as np
 import pytest
 
+from ulrich_forge import linalg
 from ulrich_forge.cohomology import build_map_matrix
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
-from ulrich_forge.linalg import _ROWOPS_MAX_CELLS, matmul_mod, rank_dense, rref
+from ulrich_forge.linalg import matmul_mod, rank_dense, rref
 from ulrich_forge.poly import dim_forms
 from ulrich_forge.presentation import UlrichPresentation
 
@@ -62,9 +63,14 @@ def test_rank_against_independent_oracle():
     assert rank_dense(a, P) == division_free_rank(a, P)
 
 
-# shapes on both sides of the row-op cutoff (4096 cells and fewer take the
-# row-op loop, 4097 and more the blocked path)
-CUTOFF_SHAPES = [(64, 64), (17, 241), (241, 17), (1, 4096), (4097, 1), (40, 100)]
+# shapes on both sides of the row-op rule k(3L - k) <= 6 * 9216, k the short
+# and L the long side.  64 x 64, 1 x 4096 and 40 x 100 took the row-op loop
+# under the old 4096-cell cutoff too; 166 x 166 / 167 x 167 and 1 x 18432 /
+# 1 x 18433 sit on the boundary.
+ROWOPS_SHAPES = [(64, 64), (17, 241), (241, 17), (1, 4096), (4097, 1), (40, 100),
+                 (166, 166), (48, 384), (1, 18432)]
+BLOCKED_SHAPES = [(167, 167), (64, 400), (400, 64), (24, 800), (1, 18433)]
+CUTOFF_SHAPES = ROWOPS_SHAPES + BLOCKED_SHAPES
 
 
 def low_rank(rng, m: int, n: int, k: int, p: int) -> np.ndarray:
@@ -95,16 +101,19 @@ def test_rank_crosses_block_boundaries():
     assert rank_dense(a, P) == 258
 
 
-def test_rank_small_prime():
+def test_rank_small_prime(monkeypatch):
     rng = np.random.default_rng(2)
     for _ in range(10):
         a = rng.integers(0, 7, size=(40, 40))
         assert rank_dense(a, 7) == division_free_rank(a, 7)
-    cells = {m * n for m, n in CUTOFF_SHAPES}
-    assert {_ROWOPS_MAX_CELLS, _ROWOPS_MAX_CELLS + 1} <= cells
+    looped = []
+    rowops = linalg._rank_rowops
+    monkeypatch.setattr(linalg, "_rank_rowops",
+                        lambda a, p: looped.append(a.shape) or rowops(a, p))
     for m, n in CUTOFF_SHAPES:
         for a in (rng.integers(0, 7, size=(m, n)), low_rank(rng, m, n, min(m, n) // 2 + 1, 7)):
             assert rank_dense(a, 7) == division_free_rank(a, 7)
+    assert looped == [shape for shape in ROWOPS_SHAPES for _ in range(2)]
 
 
 def test_rank_equals_transpose_rank():
