@@ -66,9 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--in", dest="infile", required=True, metavar="FILE")
     cert.add_argument("--level", choices=("basic", "full"), default="basic")
     cert.add_argument("--seed", type=int, default=0)
-    cert.add_argument("--window-pad", type=int, default=3,
-                      help="full level checks h1(E(td)) = 0 for t in "
-                           "[-alpha-PAD, 3]; PAD >= 0 (default 3)")
     cert.add_argument("--out", metavar="DIR", default=None,
                       help="directory for the certificate (default: next to input)")
 
@@ -139,8 +136,7 @@ def cmd_numerology(args) -> int:
 
 def cmd_certify(args) -> int:
     pres = load(args.infile)
-    cert = certify(pres, level=args.level, master_seed=args.seed,
-                   acm_window_pad=args.window_pad)
+    cert = certify(pres, level=args.level, master_seed=args.seed)
     in_path = Path(args.infile)
     out_dir = Path(args.out) if args.out else in_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)

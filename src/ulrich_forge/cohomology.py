@@ -21,9 +21,9 @@ presentation.  The substitution (x, y, z) -> G(x, y, z) with G invertible
 and lam as its third column is a graded automorphism of F_p[x, y, z], so it
 changes no rank, and it makes M(lam) the z-coefficient of M.  Then:
 
-- direct layout (sigma maps, dual h^2 maps): M has full rank at lam, so it
-  is injective on forms and the rank is a*dim(n), with no elimination;
-- transposed layout (mu and tau maps), N = M^T: scalar row and column
+- direct layout (sigma maps): M has full rank at lam, so it is injective
+  on forms and the rank is a*dim(n), with no elimination;
+- transposed layout (mu maps), N = M^T: scalar row and column
   operations bring the z-coefficient of N to [I | 0].  The first a*dim(n)
   source columns then have the distinct leading terms z*u*e_i, and modulo
   them the target becomes F_p[x, y]_{n+1}^a with z acting as
@@ -41,11 +41,12 @@ full, a*dim(n0+1) at some n0 (C_{n0+1} = 0), every transposed rank at
 n >= n0 is a*dim(n+1).  The least such n0 is memoized on the
 presentation, and a request past d-2 with no n0 known first ranks the
 square residue at n = d-2, r*d(d-1)/2 rows and columns.  h^1(E(-2d)) = 0
-is exactly that residue being nonsingular.  Every mu and tau rank the
+is exactly that residue being nonsingular.  Every mu rank the
 certifier asks for lies at n < 0 or n >= d-2, so for a valid presentation
 that residue is the only transposed rank eliminated.
 
-The dual bundle comes from the dual resolution.  Hom between two
+The dual bundle needs no rank of its own: by Serre duality against
+K = O(-3), h^i(E^v(m)) = h^{2-i}(E(-m-3)).  Hom between two
 presentations is the dimension of the chain-map space, with Q eliminated
 row by row so that one system in R alone is ranked.  End(E) and the
 middle column of the cotangent-twist table need no further matrix: they
@@ -87,7 +88,7 @@ def build_map_matrix(pres: UlrichPresentation, n: int, transpose: bool = False) 
 
     Direct layout: block (i, j) = M_ij, mapping component j of a to
     component i of b (the sigma maps).  Transposed layout: block (j, i) =
-    M_ij, from b components to a components (the mu and dual maps).
+    M_ij, from b components to a components (the mu maps).
     """
     rows_per = dim_forms(n + 1)
     cols_per = dim_forms(n)
@@ -164,16 +165,16 @@ def _pivot_pencil(pres: UlrichPresentation):
     p, b = pres.p, pres.b
     for point in _PIVOT_POINTS:
         lam = np.array(point, dtype=np.int64) % p
-        if rank_dense(pres.evaluate_at(lam), p) == pres.a:
+        k = int(np.flatnonzero(lam)[0])
+        g = np.eye(3, dtype=np.int64)[:, [v for v in range(3) if v != k]]
+        coeffs = matmul_mod(pres.coeff_array, np.column_stack([g, lam]), p)
+        # The z block of N is now M(lam)^T; it has full row rank iff every pivot
+        # of [z | x | y] lies in it, and then the reduction applies P to all three.
+        reduced, pivots = rref(coeffs.transpose(1, 2, 0)[:, [2, 0, 1]].reshape(pres.a, 3 * b), p)
+        if sum(j < b for j in pivots) == pres.a:
             break
     else:
         return None
-    k = int(np.flatnonzero(lam)[0])
-    g = np.eye(3, dtype=np.int64)[:, [v for v in range(3) if v != k]]
-    coeffs = matmul_mod(pres.coeff_array, np.column_stack([g, lam]), p)
-    # The z block of N is now M(lam)^T, of full row rank, so every pivot of
-    # [z | x | y] lies in the z block and the reduction applies P to all three.
-    reduced, pivots = rref(coeffs.transpose(1, 2, 0)[:, [2, 0, 1]].reshape(pres.a, 3 * b), p)
     free = np.setdiff1d(np.arange(b), pivots)
     blocks = []
     for v in (1, 2):
@@ -220,12 +221,6 @@ def bundle_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, int, int]:
     return h0, h1, h2
 
 
-def h1_twist(pres: UlrichPresentation, m: int) -> int:
-    """h^1(E(m)) alone; skips the sigma rank that only h^0 needs."""
-    mu_rank = _mult_rank(pres, -m - pres.d - 2, True)
-    return pres.a * line_h(2, pres.d - 2 + m) - mu_rank
-
-
 def euler_characteristic(pres: UlrichPresentation, m: int) -> int:
     """chi(E(m)) from the resolution, independent of any rank computation."""
     return pres.b * chi_line(pres.d - 1 + m) - pres.a * chi_line(pres.d - 2 + m)
@@ -237,19 +232,9 @@ def euler_characteristic(pres: UlrichPresentation, m: int) -> int:
 
 
 def dual_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, int, int]:
-    """(h^0, h^1, h^2) of the dual bundle twist E^v(m).
-
-    Uses the dual resolution 0 -> E^v -> O(1-d)^b -> O(2-d)^a -> 0, valid
-    for locally free cokernels.  The H^2-level map is again computed as the
-    rank of a Serre-dual multiplication matrix, here in direct layout.
-    """
-    d = pres.d
-    tau_rank = _mult_rank(pres, 1 - d + m, True)
-    dual_h2_rank = _mult_rank(pres, d - m - 5, False)
-    h0 = pres.b * line_h(0, 1 - d + m) - tau_rank
-    h1 = pres.a * line_h(0, 2 - d + m) - tau_rank
-    h2 = pres.b * line_h(2, 1 - d + m) - dual_h2_rank
-    return h0, h1, h2
+    """(h^0, h^1, h^2) of E^v(m) for a locally free cokernel, by Serre
+    duality against K = O(-3): h^i(E^v(m)) = h^{2-i}(E(-m-3))."""
+    return bundle_cohomology(pres, -m - 3)[::-1]
 
 
 def end_cohomology(pres: UlrichPresentation) -> tuple[int, int, int]:

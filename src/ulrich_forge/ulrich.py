@@ -17,7 +17,9 @@ algebraic closure, so the cokernel is locally free.  The certificate's
 the ``lf_k_max``/``lf_trials`` config keys, all from a point sampler that no
 longer exists), ``CAVEAT_LOCAL_FREENESS`` and the ``ulrich-certificate/1``
 tag keep their bytes on purpose: the benchmark pins the digests of seed-0
-certificates and sweep reports.
+certificates and sweep reports.  So do the fixed ``rank_trials`` and
+``acm_window_pad`` config keys: on a valid certificate the first generic-rank
+draw is a witness, and every window twist is implied or has no H^2 block.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .cohomology import (bundle_cohomology, chi_line, dual_cohomology,
-                         end_cohomology, h1_twist, omega_table)
+                         end_cohomology, omega_table)
 from .field import DEFAULT_PRIME
 from .presentation import (GenericRankResult, ParityError, UlrichPresentation,
                            canonical_json_bytes, generic_rank_check, shape)
@@ -44,6 +46,8 @@ CAVEAT_LOCAL_FREENESS = ("local freeness of the cokernel is sampled, not "
 # Settings of the removed local-freeness sampler, still written into every
 # ulrich-certificate/1 certificate and ulrich-sweep/1 report.
 LEGACY_LF_CONFIG = {"lf_k_max": 2, "lf_trials": 20}
+# The config of every ulrich-certificate/1 certificate.
+LEGACY_CERT_CONFIG = {"rank_trials": 3, **LEGACY_LF_CONFIG, "acm_window_pad": 3}
 LF_VERDICT_PROVED = "no degeneracy found (incomplete)"
 LF_VERDICT_NOT_PROVED = "not proved: h^1(E(-2d)) != 0"
 
@@ -271,18 +275,18 @@ class UlrichCertificate:
 
 
 def certify(pres: UlrichPresentation, level: str = "basic",
-            master_seed: int = 0, seed_path: tuple[int, ...] = (),
-            rank_trials: int = 3, acm_window_pad: int = 3) -> UlrichCertificate:
+            master_seed: int = 0, seed_path: tuple[int, ...] = ()) -> UlrichCertificate:
     """Certify the Ulrich property of a presented bundle.
 
     basic: generic-rank witness plus h^1(E(-t d)) = 0 for t = 2..alpha,
     which together force the Ulrich property for a locally free cokernel.
-    full: additionally re-verify the dimension ladder at twists -d, 1-d,
-    2-d, the vanishing window h^1(E(td)) = 0 for t in [-alpha-pad, 3],
-    Hilbert values, second cohomology at t = -3, -4, the cotangent-twist
-    table, endomorphism cohomology, and the Ulrich profile of the twisted
-    dual.  Failures are recorded, never raised; a negative pad, which would
-    shrink the window below [-alpha, 3], is rejected with ValueError.
+    full: once the basic certificate is valid, additionally re-verify the
+    dimension ladder at twists -d, 1-d, 2-d, the vanishing window
+    h^1(E(td)) = 0 for t in the fixed range [-alpha-3, 3], Hilbert values,
+    second cohomology at t = -3, -4, the cotangent-twist table,
+    endomorphism cohomology, and the Ulrich profile of the twisted dual.
+    An invalid basic certificate gets full_checks None and full_ok False.
+    Failures are recorded, never raised.
 
     Local freeness is not checked separately.  h^1(E(-2d)) = dim
     coker(M^T)_{d-1}; when it is 0 the sheaf map M^T is surjective, so M has
@@ -291,14 +295,12 @@ def certify(pres: UlrichPresentation, level: str = "basic",
     """
     if level not in ("basic", "full"):
         raise ValueError(f"level must be 'basic' or 'full', got {level!r}")
-    if acm_window_pad < 0:
-        raise ValueError(f"acm_window_pad must be >= 0, got {acm_window_pad}")
     d, r = pres.d, pres.r
     alpha = pres.alpha
 
     rng_rank = np.random.default_rng(np.random.SeedSequence([master_seed, *seed_path, 101]))
-    gr = generic_rank_check(pres, trials=rank_trials, rng=rng_rank)
-    vanishings = [(t, h1_twist(pres, -t * d)) for t in range(2, alpha + 1)]
+    gr = generic_rank_check(pres, trials=LEGACY_CERT_CONFIG["rank_trials"], rng=rng_rank)
+    vanishings = [(t, bundle_cohomology(pres, -t * d)[1]) for t in range(2, alpha + 1)]
 
     # validity is exactly: witnessed injectivity + the finite vanishing list
     valid = gr.passed and all(h1 == 0 for _, h1 in vanishings)
@@ -306,7 +308,7 @@ def certify(pres: UlrichPresentation, level: str = "basic",
     full_checks = None
     full_ok = None
     if level == "full":
-        full_checks = _full_profile_checks(pres, acm_window_pad)
+        full_checks = _full_profile_checks(pres) if valid else None
         full_ok = valid and all(c.passed for c in full_checks)
 
     return UlrichCertificate(
@@ -315,12 +317,11 @@ def certify(pres: UlrichPresentation, level: str = "basic",
         level=level, seed_path=(master_seed, *seed_path),
         generic_rank=gr, vanishings=vanishings,
         valid=valid, full_checks=full_checks, full_ok=full_ok,
-        config={"rank_trials": rank_trials, **LEGACY_LF_CONFIG,
-                "acm_window_pad": acm_window_pad},
+        config=dict(LEGACY_CERT_CONFIG),
     )
 
 
-def _full_profile_checks(pres: UlrichPresentation, acm_window_pad: int) -> list[CheckResult]:
+def _full_profile_checks(pres: UlrichPresentation) -> list[CheckResult]:
     d, r = pres.d, pres.r
     alpha = pres.alpha
     inv = invariants(d, r)
@@ -342,8 +343,8 @@ def _full_profile_checks(pres: UlrichPresentation, acm_window_pad: int) -> list[
                 passed=got[q] == expected[q], note=note))
 
     # no intermediate cohomology across the finite window
-    for t in range(-alpha - acm_window_pad, 4):
-        h1 = h1_twist(pres, t * d)
+    for t in range(-alpha - LEGACY_CERT_CONFIG["acm_window_pad"], 4):
+        h1 = bundle_cohomology(pres, t * d)[1]
         checks.append(CheckResult(
             name=f"acm_h1_t{t}", expected=0, computed=h1, passed=h1 == 0,
             note="no intermediate cohomology at any polarization twist"))

@@ -90,25 +90,28 @@ def test_certify_full_level(capsys, tmp_path):
     path = tmp_path / "d3r2.json"
     save(pres, path)
     code, out, _ = run(capsys, "--format", "json", "certify", "--in", str(path),
-                       "--level", "full", "--window-pad", "4")
+                       "--level", "full")
     assert code == 0
     doc = json.loads(out)
     assert doc["full_ok"] is True
     assert doc["discrepancies"] == []
-    assert doc["config"]["acm_window_pad"] == 4
-    # the widened window produced the extra twist check
-    assert any(c["check"] == "acm_h1_t-6" for c in doc["full_checks"])
+    assert doc["config"]["acm_window_pad"] == 3
+    # the fixed window is [-alpha-3, 3], alpha = 2
+    acm = [int(c["check"][len("acm_h1_t"):]) for c in doc["full_checks"]
+           if c["check"].startswith("acm_h1_t")]
+    assert min(acm) == -5 and max(acm) == 3
 
 
 def test_certify_negative_window_pad_exit_2(capsys, tmp_path):
-    # a negative pad would shrink the checked window yet still claim full_ok
+    # the full profile's window is fixed, so certify has no --window-pad
     pres = seeded_presentation(3, 2)
     path = tmp_path / "d3r2.json"
     save(pres, path)
-    code, _, err = run(capsys, "certify", "--in", str(path), "--level", "full",
-                       "--window-pad", "-10")
-    assert code == 2
-    assert "acm_window_pad" in err
+    for pad in ("-10", "3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--in", str(path), "--level", "full", "--window-pad", pad])
+        assert exc.value.code == 2
+        assert "--window-pad" in capsys.readouterr().err
     assert not (tmp_path / "d3r2.cert.json").exists()
 
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulrich_forge import cohomology
-from ulrich_forge.cohomology import (_mult_rank, build_map_matrix, bundle_cohomology,
+from ulrich_forge.cohomology import (_PIVOT_POINTS, _mult_rank, _pivot_pencil,
+                                     build_map_matrix, bundle_cohomology,
                                      chi_line, dual_cohomology, end_cohomology,
-                                     euler_characteristic, h1_twist,
-                                     hom_presentations, line_h, omega_table)
+                                     euler_characteristic, hom_presentations,
+                                     line_h, omega_table)
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.poly import dim_forms
@@ -58,8 +59,8 @@ def test_vanishing_ladder_d3r2(pres_d3r2):
 
 
 def test_certification_vanishings_d7r3(pres_d7r3):
-    assert h1_twist(pres_d7r3, -14) == 0
-    assert h1_twist(pres_d7r3, -21) == 0
+    assert bundle_cohomology(pres_d7r3, -14)[1] == 0
+    assert bundle_cohomology(pres_d7r3, -21)[1] == 0
 
 
 def test_structural_zeros_when_h2_blocks_empty(pres_d5r2):
@@ -83,15 +84,15 @@ def test_euler_identity_random_presentations():
 def test_acm_window_certified(pres_d3r2):
     alpha = pres_d3r2.alpha
     for t in range(-alpha - 3, 4):
-        assert h1_twist(pres_d3r2, t * pres_d3r2.d) == 0
+        assert bundle_cohomology(pres_d3r2, t * pres_d3r2.d)[1] == 0
 
 
 def test_h1_nonzero_off_polarization_multiples(pres_d7r3):
     # intermediate twists must NOT vanish identically: otherwise the bundle
     # would split into line bundles, which cannot be Ulrich for d >= 2
-    vals = [h1_twist(pres_d7r3, m) for m in range(-21, 4)]
+    vals = [bundle_cohomology(pres_d7r3, m)[1] for m in range(-21, 4)]
     assert any(v != 0 for v in vals)
-    assert all(h1_twist(pres_d7r3, 7 * t) == 0 for t in range(-3, 1))
+    assert all(bundle_cohomology(pres_d7r3, 7 * t)[1] == 0 for t in range(-3, 1))
 
 
 # --- the z-slice rank kernel against the dense oracle ------------------------
@@ -115,6 +116,28 @@ def _variant(pres: UlrichPresentation, kind: str, rng) -> UlrichPresentation:
     elif kind == "zero_column":
         c[:, :1] = 0            # rank M(point) < a everywhere: no pivot point
     return UlrichPresentation(pres.field, pres.d, pres.r, c)
+
+
+_KINDS = ["random", "direct_sum", "non_surjective", "zero_z", "equal_xy",
+          "equal_xz", "sparse", "zero_column"]
+
+
+@st.composite
+def _variant_cases(draw):
+    """A presentation of any _variant kind at a small or a medium prime."""
+    p = draw(st.sampled_from([3, 5, 7, 32003]))
+    d = draw(st.integers(min_value=1, max_value=5))
+    r = draw(st.integers(min_value=1, max_value=3))
+    r += r * (d - 1) % 2
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return _variant(random_presentation(d, r, rng, p=p), draw(st.sampled_from(_KINDS)), rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_variant_cases())
+def test_pivot_pencil_exists_iff_a_pivot_point_has_full_rank(pres):
+    full = any(rank_dense(pres.evaluate_at(pt), pres.p) == pres.a for pt in _PIVOT_POINTS)
+    assert (_pivot_pencil(pres) is not None) == full
 
 
 @st.composite
@@ -169,8 +192,7 @@ def _rank_sequences(draw):
     r = draw(st.integers(min_value=1, max_value=2 if d > 3 else 3))
     r += r * (d - 1) % 2
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "direct_sum", "non_surjective", "zero_z",
-                                 "equal_xy", "equal_xz", "sparse", "zero_column"]))
+    kind = draw(st.sampled_from(_KINDS))
     pres = _variant(random_presentation(d, r, rng, p=p), kind, rng)
     requests = [(n, t) for n in range(-1, 3 * d + 1) for t in (False, True)]
     return pres, draw(st.permutations(requests))
@@ -225,6 +247,30 @@ def test_serre_duality_cross_paths(pres_d3r2):
         h = bundle_cohomology(pres_d3r2, m)
         hd = dual_cohomology(pres_d3r2, -m - 3)
         assert h == (hd[2], hd[1], hd[0]), m
+
+
+def _dual_resolution_cohomology(pres, m):
+    """(h^0, h^1, h^2) of E^v(m) from 0 -> E^v -> O(1-d)^b -> O(2-d)^a -> 0,
+    with the dense oracle ranking M^T at 1-d+m for h^0, h^1 and the
+    Serre-dual H^2 map, M in direct layout at d-m-5, for h^2."""
+    d, a, b = pres.d, pres.a, pres.b
+    tau = rank_dense(build_map_matrix(pres, 1 - d + m, True), pres.p)
+    h2_rank = rank_dense(build_map_matrix(pres, d - m - 5, False), pres.p)
+    return (b * line_h(0, 1 - d + m) - tau, a * line_h(0, 2 - d + m) - tau,
+            b * line_h(2, 1 - d + m) - h2_rank)
+
+
+@st.composite
+def _dual_cases(draw):
+    pres = draw(_variant_cases())
+    return pres, draw(st.integers(min_value=-4 * pres.d - 3, max_value=2 * pres.d + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dual_cases())
+def test_dual_cohomology_matches_dual_resolution(case):
+    pres, m = case
+    assert dual_cohomology(pres, m) == _dual_resolution_cohomology(pres, m)
 
 
 def test_dual_euler_identity(pres_d3r2):

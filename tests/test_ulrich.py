@@ -1,13 +1,15 @@
 """Numerology, the certifier, and the arithmetic checkers."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulrich_forge.cli import main
-from ulrich_forge.cohomology import h1_twist
+from ulrich_forge import cohomology
+from ulrich_forge.cohomology import bundle_cohomology
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import (ParityError, UlrichPresentation,
@@ -194,6 +196,30 @@ def test_certify_full_records_failures():
     assert isinstance(cert.discrepancies(), list)
 
 
+def test_certify_full_skips_profile_after_invalid_basic(monkeypatch):
+    # a zero column leaves no pivot point, so every full-profile rank would
+    # need a full multiplication matrix (up to 5670 x 7140 at (7, 3));
+    # none is built past the basic level
+    built = []
+    dense = cohomology.build_map_matrix
+    monkeypatch.setattr(cohomology, "build_map_matrix",
+                        lambda *args: built.append(args) or dense(*args))
+    coeffs = seeded_presentation(7, 3).coeff_array.copy()
+    coeffs[:, 0] = 0
+
+    def run(level):
+        built.clear()
+        return certify(UlrichPresentation(F, 7, 3, coeffs), level=level), len(built)
+
+    basic, basic_built = run("basic")
+    t0 = time.perf_counter()
+    full, full_built = run("full")
+    assert time.perf_counter() - t0 < 2.0
+    assert full_built <= basic_built
+    assert not full.valid and full.full_checks is None and full.full_ok is False
+    assert full.discrepancies() == basic.discrepancies()
+
+
 def test_certificate_serialization_roundtrip(pres_d3r2):
     cert = certify(pres_d3r2, level="full", master_seed=0)
     doc = json.loads(cert.to_bytes())
@@ -249,7 +275,7 @@ def test_vanishing_t2_gives_full_rank_at_every_point(case):
     # algebraic closure; check all of P^2(F_p) and random F_{p^2} points
     pres, rng = case
     p, a = pres.p, pres.a
-    if h1_twist(pres, -2 * pres.d) != 0:
+    if bundle_cohomology(pres, -2 * pres.d)[1] != 0:
         return
     points = list(_projective_points(p))
     assert len(points) == p * p + p + 1
