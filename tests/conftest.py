@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from ulrich_forge.cohomology import build_map_matrix, line_h
+from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import UlrichPresentation, random_presentation
 
 
@@ -27,6 +29,17 @@ def drop_rank_at(pres: UlrichPresentation, point, rng) -> UlrichPresentation:
     dropped = UlrichPresentation(pres.field, pres.d, pres.r, c)
     assert not (dropped.evaluate_at(point) @ v % p).any()
     return dropped
+
+
+def dual_resolution_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, int, int]:
+    """(h^0, h^1, h^2) of E^v(m) from 0 -> E^v -> O(1-d)^b -> O(2-d)^a -> 0,
+    with the dense oracle ranking M^T at 1-d+m for h^0, h^1 and the
+    Serre-dual H^2 map, M in direct layout at d-m-5, for h^2."""
+    d, a, b = pres.d, pres.a, pres.b
+    tau = rank_dense(build_map_matrix(pres, 1 - d + m, True), pres.p)
+    h2_rank = rank_dense(build_map_matrix(pres, d - m - 5, False), pres.p)
+    return (b * line_h(0, 1 - d + m) - tau, a * line_h(0, 2 - d + m) - tau,
+            b * line_h(2, 1 - d + m) - h2_rank)
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,8 @@ from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check,
                                  invariants, line_bundle_solutions,
                                  semistable_bound_check)
 
+from conftest import dual_resolution_cohomology
+
 
 def report(n: int, ok: bool, detail: str):
     line = f"ACCEPTANCE {n}: {'PASS' if ok else 'FAIL'} - {detail}"
@@ -135,7 +137,7 @@ def test_criterion_6_duality_cross_paths():
     mismatches = []
     for m in range(-12, 4):
         direct = bundle_cohomology(pres, m)
-        dual = dual_cohomology(pres, -m - 3)
+        dual = dual_resolution_cohomology(pres, -m - 3)
         if direct != (dual[2], dual[1], dual[0]):
             mismatches.append(m)
     d = pres.d
@@ -146,7 +148,7 @@ def test_criterion_6_duality_cross_paths():
         and all(dual_cohomology(pres, shift + t * d)[1] == 0 for t in range(-3, 4))
     )
     report(6, not mismatches and dual_profile_ok,
-           f"Serre duality matches on m in [-12, 3] "
+           f"Serre duality matches the dual resolution on m in [-12, 3] "
            f"({'no mismatches' if not mismatches else mismatches}) and the "
            f"twisted dual shows the Ulrich profile")
 

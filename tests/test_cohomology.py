@@ -16,7 +16,7 @@ from ulrich_forge.poly import dim_forms
 from ulrich_forge.presentation import UlrichPresentation, direct_sum, random_presentation
 from ulrich_forge.ulrich import certify
 
-from conftest import seeded_presentation
+from conftest import dual_resolution_cohomology, seeded_presentation
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -243,21 +243,11 @@ def test_valid_certificate_builds_one_residue(monkeypatch, d, r, level):
 # --- duality ----------------------------------------------------------------
 
 def test_serre_duality_cross_paths(pres_d3r2):
+    # h^i(E(m)) = h^{2-i}(E^v(-m-3)), the right side from the dual
+    # resolution and the dense oracle
     for m in range(-8, 3):
-        h = bundle_cohomology(pres_d3r2, m)
-        hd = dual_cohomology(pres_d3r2, -m - 3)
-        assert h == (hd[2], hd[1], hd[0]), m
-
-
-def _dual_resolution_cohomology(pres, m):
-    """(h^0, h^1, h^2) of E^v(m) from 0 -> E^v -> O(1-d)^b -> O(2-d)^a -> 0,
-    with the dense oracle ranking M^T at 1-d+m for h^0, h^1 and the
-    Serre-dual H^2 map, M in direct layout at d-m-5, for h^2."""
-    d, a, b = pres.d, pres.a, pres.b
-    tau = rank_dense(build_map_matrix(pres, 1 - d + m, True), pres.p)
-    h2_rank = rank_dense(build_map_matrix(pres, d - m - 5, False), pres.p)
-    return (b * line_h(0, 1 - d + m) - tau, a * line_h(0, 2 - d + m) - tau,
-            b * line_h(2, 1 - d + m) - h2_rank)
+        hd = dual_resolution_cohomology(pres_d3r2, -m - 3)
+        assert bundle_cohomology(pres_d3r2, m) == (hd[2], hd[1], hd[0]), m
 
 
 @st.composite
@@ -270,7 +260,7 @@ def _dual_cases(draw):
 @given(_dual_cases())
 def test_dual_cohomology_matches_dual_resolution(case):
     pres, m = case
-    assert dual_cohomology(pres, m) == _dual_resolution_cohomology(pres, m)
+    assert dual_cohomology(pres, m) == dual_resolution_cohomology(pres, m)
 
 
 def test_dual_euler_identity(pres_d3r2):

@@ -1,8 +1,12 @@
 """Exact rank, row reduction and modular products over F_p, cross-checked
 against an independent division-free elimination oracle."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulrich_forge import linalg
 from ulrich_forge.cohomology import build_map_matrix
@@ -133,6 +137,83 @@ def test_rank_sparse_profile_against_oracle(n):
         rows = rng.choice(n, size=3, replace=False)
         a[rows, j] = rng.integers(1, P, size=3)
     assert rank_dense(a, P) == division_free_rank(a, P)
+
+
+# the blocked path on shapes small enough for the oracle: every shape goes
+# blocked, a 24-column block recurses once into 12-column leaves, and a
+# stripe holds at most 24 cells, so most stripes are one to three rows
+STRIPED = {"_STRIPE_CELLS": 24, "_ROWOPS_MAX_AREA": 0, "_DEFAULT_BLOCK": 24}
+PRIMES = [7, P, 4194301]
+
+
+@st.composite
+def _kernel_cases(draw):
+    p = draw(st.sampled_from(PRIMES))
+    m, n = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["full", "low", "zero_columns", "duplicate_rows"]))
+    if kind == "low":
+        a = low_rank(rng, m, n, draw(st.integers(1, min(m, n))), p)
+    else:
+        a = rng.integers(0, p, size=(m, n))
+    if kind == "zero_columns":
+        a[:, rng.integers(0, n, size=draw(st.integers(1, n)))] = 0
+    if kind == "duplicate_rows":
+        a[rng.integers(0, m, size=m // 2)] = a[rng.integers(0, m)]
+    return a, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_cases())
+def test_striped_blocked_path_against_oracle(case):
+    a, p = case
+    plain = rank_dense(a, p)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in STRIPED.items():
+            mp.setattr(linalg, name, value)
+        assert rank_dense(a, p) == plain == division_free_rank(a, p)
+
+
+def test_striped_slack_reset_large_prime(monkeypatch):
+    # p = 4194301 allows 32-column blocks, and the trailing matrix is reset
+    # mod p before every seventh trailing update: 13 panels cross one reset
+    p = 4194301
+    rng = np.random.default_rng(9)
+    monkeypatch.setattr(linalg, "_STRIPE_CELLS", 1000)
+    for a in (rng.integers(0, p, size=(400, 400)), low_rank(rng, 400, 420, 390, p)):
+        assert rank_dense(a, p) == division_free_rank(a, p)
+
+
+@pytest.mark.parametrize("shape", [(30, 40), (200, 300)])  # row-op, blocked
+def test_rank_leaves_input_untouched(shape):
+    rng = np.random.default_rng(10)
+    base = rng.integers(-3 * P, 3 * P, size=shape)
+    inputs = [base, (base % 50000).astype(np.int32), (base % 60000).astype(np.uint16)]
+    for a in inputs:
+        before = a.tobytes()
+        rank_dense(a, P)
+        rref(a, P)
+        assert a.tobytes() == before
+    nested = base.tolist()
+    kept = copy.deepcopy(nested)
+    assert rank_dense(nested, P) == rank_dense(base, P)
+    assert nested == kept
+
+
+@pytest.mark.parametrize("p", [P, 4194301])
+def test_rank_memory_one_float_copy(p):
+    # beyond one float64 copy of the matrix, every buffer is a stripe of at
+    # most 2^20 cells (8 MiB); a few of them are alive at once
+    a = np.random.default_rng(0).integers(0, p, size=(2000, 2000))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert rank_dense(a, p) == 2000
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * a.size + 24 * 2**20, peak
 
 
 def test_kernel_identity_empty():
