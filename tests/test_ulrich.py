@@ -1,5 +1,6 @@
 """Numerology, the certifier, and the arithmetic checkers."""
 
+import hashlib
 import json
 import time
 
@@ -14,6 +15,7 @@ from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import (ParityError, UlrichPresentation,
                                        direct_sum, random_presentation, save)
+from ulrich_forge.search import sweep
 from ulrich_forge.ulrich import (UlrichCertificate, certify, euler_pairing,
                                  hilbert_check, invariants,
                                  line_bundle_solutions, semistable_bound_check,
@@ -235,6 +237,35 @@ def test_certificate_serialization_roundtrip(pres_d3r2):
 def test_certify_rejects_unknown_level(pres_d3r2):
     with pytest.raises(ValueError):
         certify(pres_d3r2, level="extreme")
+
+
+def test_artifact_bytes_are_pinned(pres_d7r3, pres_d3r2):
+    # sha256 digests of four deterministic artifacts; every verdict in a
+    # certificate must follow from the numbers next to it
+    zeroed = pres_d7r3.coeff_array.copy()
+    zeroed[:, 0] = 0
+    certs = {
+        "076bebae71b1239c7803ac04a94e3ec06030e1c3762346288a288b64a232fe81":
+            certify(pres_d7r3, "full"),
+        "3931ffd34cbb36fa1b030ab36908bee8cf0262347e3bb70d85c0c61d8dd8da0e":
+            certify(pres_d3r2, "basic"),
+        "8c5a6fa2a6b9f205a9815cfb2b8fc1f0cf3ee545152e81044debe656b6184b8f":
+            certify(UlrichPresentation(F, 7, 3, zeroed), "full"),
+    }
+    for digest, cert in certs.items():
+        assert hashlib.sha256(cert.to_bytes()).hexdigest() == digest
+        doc = json.loads(cert.to_bytes())
+        checks = doc["full_checks"] or []
+        assert all(c["passed"] == (c["computed"] == c["expected"]) for c in checks)
+        valid = (doc["generic_rank"]["status"] == "injective"
+                 and all(v["h1"] == 0 for v in doc["vanishings"]))
+        assert doc["valid"] is valid
+        assert doc["full_ok"] is (None if doc["level"] == "basic"
+                                  else valid and all(c["passed"] for c in checks))
+    assert [c.valid for c in certs.values()] == [True, True, False]
+    report = sweep([3, 5, 7], 3, trials_per_d=5, master_seed=0)
+    assert (hashlib.sha256(report.to_bytes()).hexdigest()
+            == "cb2c719eb409b46bcaa9bd60546ec362b20263a95a32670c239eaa82f530d607")
 
 
 # --- local freeness: h^1(E(-2d)) = 0 against pointwise ranks ----------------
