@@ -12,7 +12,6 @@ embeds its effective configuration, and exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 

@@ -187,12 +187,13 @@ def _pivot_pencil(pres: UlrichPresentation):
 def _residue(pencil, n: int, p: int) -> np.ndarray:
     """Images in k[x,y]_{n+1}^a, where z acts as T = -(x*X0 + y*Y0), of the
     last r*dim(n) source columns: the shifts x^al y^be W_g (al + be = n - g)
-    of W_0 = x*X1 + y*Y1, W_{g+1} = T W_g.  Rows are (component, power of y)."""
+    of W_0 = x*X1 + y*Y1, W_{g+1} = T W_g.  Rows are (component, power of y).
+    Entries lie in [0, p) with p < 2^31, so the matrix is int32."""
     x0, x1, y0, y1 = pencil
     a, r = x1.shape
     t = np.concatenate([x0, y0])
     w = np.stack([x1, y1], axis=1)          # (a, y-power, r)
-    out = np.zeros((a, n + 2, r * dim_forms(n)), dtype=np.int64)
+    out = np.zeros((a, n + 2, r * dim_forms(n)), dtype=np.int32)
     col = 0
     for g in range(n + 1):
         for be in range(n - g + 1):
@@ -219,11 +220,6 @@ def bundle_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, int, int]:
     h1 = pres.a * line_h(2, d - 2 + m) - mu_rank
     h2 = pres.b * line_h(2, d - 1 + m) - mu_rank
     return h0, h1, h2
-
-
-def euler_characteristic(pres: UlrichPresentation, m: int) -> int:
-    """chi(E(m)) from the resolution, independent of any rank computation."""
-    return pres.b * chi_line(pres.d - 1 + m) - pres.a * chi_line(pres.d - 2 + m)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     if max_block < 8 or k * (3 * long_side - k) <= 6 * _ROWOPS_MAX_AREA:
         w = np.array(a, dtype=np.int64)
         w %= p
-        return _rank_rowops(w, p)
+        return len(_row_echelon(w, p))
     block = int(min(_DEFAULT_BLOCK, max_block))
     step_growth = block * (p - 1) ** 2  # max magnitude added per block step
     w = np.empty((m, n))
@@ -213,10 +213,13 @@ def _unit_lower_inverse(l: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _rank_rowops(a: np.ndarray, p: int) -> int:
-    """Unblocked elimination with immediate reduction (any p < 2^31); the
-    path for large p and for small or thin matrices."""
+def _row_echelon(a: np.ndarray, p: int) -> list[int]:
+    """In-place forward elimination of entries in [0, p), any p < 2^31, with
+    immediate reduction; returns the pivot columns, and the first
+    len(pivots) rows are then in echelon form.  The rank path for large p
+    and small or thin matrices, and rref's forward pass."""
     m, n = a.shape
+    pivots: list[int] = []
     r = 0
     for j in range(n):
         nz = np.flatnonzero(a[r:m, j])
@@ -231,36 +234,26 @@ def _rank_rowops(a: np.ndarray, p: int) -> int:
             f = a[r + 1 : m, j] * inv % p
             sub, t = a[r + 1 : m, j:], f[:, None] * a[r, j:]
             np.remainder(np.subtract(sub, t, out=t), p, out=sub)
+        pivots.append(j)
         r += 1
         if r == m:
             break
-    return r
+    return pivots
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form over F_p; returns (R, pivot column list)."""
+    """Reduced row-echelon form over F_p; returns (R, pivot column list).
+    After the forward pass each pivot row, last first, is scaled to a
+    leading 1 and cleared from the rows above it."""
     a = np.array(a, dtype=np.int64)
     a %= p
-    m, n = a.shape
-    pivots: list[int] = []
-    r = 0
-    for j in range(n):
-        if r >= m:
-            break
-        nz = np.flatnonzero(a[r:m, j])
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr], :] = a[[pr, r], :]
-        a[r, :] = a[r, :] * inverse_mod(int(a[r, j]), p) % p
-        col = a[:, j].copy()
-        col[r] = 0
-        rows = np.flatnonzero(col)
+    pivots = _row_echelon(a, p)
+    for i in reversed(range(len(pivots))):
+        j = pivots[i]
+        a[i, j:] = a[i, j:] * inverse_mod(int(a[i, j]), p) % p
+        rows = np.flatnonzero(a[:i, j])
         if rows.size:
-            a[rows, :] = (a[rows, :] - col[rows, None] * a[r, :]) % p
-        pivots.append(j)
-        r += 1
+            a[rows, j:] = (a[rows, j:] - a[rows, j, None] * a[i, j:]) % p
     return a[: len(pivots)], pivots
 
 

@@ -83,7 +83,7 @@ class UlrichPresentation:
     _memo: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        s = shape(self.d, self.r)
+        s = self._shape
         arr = np.array(self.coeff_array, dtype=np.int64) % self.field.p
         if arr.shape != (s.b, s.a, 3):
             raise ValueError(f"expected a ({s.b}, {s.a}, 3) coefficient array, "
@@ -105,21 +105,25 @@ class UlrichPresentation:
             self._memo[key] = compute()
         return self._memo[key]
 
+    @cached_property
+    def _shape(self) -> Shape:
+        return shape(self.d, self.r)
+
     @property
     def p(self) -> int:
         return self.field.p
 
     @property
     def a(self) -> int:
-        return self.r * (self.d - 1) // 2
+        return self._shape.a
 
     @property
     def b(self) -> int:
-        return self.r * (self.d + 1) // 2
+        return self._shape.b
 
     @property
     def alpha(self) -> int:
-        return (self.r + 3) // 2
+        return self._shape.alpha
 
     @cached_property
     def canonical_bytes(self) -> bytes:
@@ -175,12 +179,6 @@ def direct_sum(p1: UlrichPresentation, p2: UlrichPresentation) -> UlrichPresenta
     coeffs[: p1.b, : p1.a] = p1.coeff_array
     coeffs[p1.b :, p1.a :] = p2.coeff_array
     return UlrichPresentation(p1.field, p1.d, p1.r + p2.r, coeffs)
-
-
-def linear_span_dimension(pres: UlrichPresentation) -> int:
-    """Dimension of the span of all entries inside the 3-space of linear forms."""
-    flat = pres.coeff_array.reshape(-1, 3)
-    return rank_dense(flat, pres.p)
 
 
 # ---------------------------------------------------------------------------

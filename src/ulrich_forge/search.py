@@ -50,7 +50,6 @@ class SearchReport:
     p: int
     master_seed: int
     trials_requested: int
-    trials_run: int
     success_trial: Optional[int]
     presentation_hash: Optional[str]
     presentation_file: Optional[str]
@@ -62,6 +61,11 @@ class SearchReport:
     @property
     def succeeded(self) -> bool:
         return self.success_trial is not None
+
+    @property
+    def trials_run(self) -> int:
+        """Trials up to and including the first success, else all of them."""
+        return self.trials_requested if self.success_trial is None else self.success_trial + 1
 
     def to_json_dict(self) -> dict:
         s = shape(self.d, self.r)
@@ -86,7 +90,6 @@ class SearchReport:
 class SearchResult:
     report: SearchReport
     presentation: Optional[UlrichPresentation]
-    certificate: Optional[UlrichCertificate]
 
 
 def presentation_filename(d: int, r: int, p: int, master_seed: int) -> str:
@@ -137,7 +140,6 @@ def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
     report = SearchReport(
         d=d, r=r, p=p, master_seed=master_seed,
         trials_requested=trials,
-        trials_run=trials if success_trial is None else success_trial + 1,
         success_trial=success_trial,
         presentation_hash=(certificate.presentation_hash if certificate else None),
         presentation_file=filename,
@@ -146,7 +148,7 @@ def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
         failure_histogram=histogram,
         ms=round(elapsed_ms, 3) if record_timings else None,
     )
-    return SearchResult(report=report, presentation=presentation, certificate=certificate)
+    return SearchResult(report=report, presentation=presentation)
 
 
 @dataclass
@@ -157,8 +159,12 @@ class SweepReport:
     trials_per_d: int
     results: list[SearchReport]
     skipped: list[int] = dc_field(default_factory=list)
-    partial: bool = False
     config: dict = dc_field(default_factory=dict)
+
+    @property
+    def partial(self) -> bool:
+        """The time budget ran out before the degree list did."""
+        return bool(self.skipped)
 
     @property
     def all_succeeded(self) -> bool:
@@ -214,4 +220,4 @@ def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0
         results.append(res.report)
     return SweepReport(p=p, r=r, master_seed=master_seed,
                        trials_per_d=trials_per_d, results=results,
-                       skipped=skipped, partial=bool(skipped), config=config)
+                       skipped=skipped, config=config)

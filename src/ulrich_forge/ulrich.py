@@ -9,6 +9,10 @@ E(-t d) for t = 2..alpha have vanishing first cohomology presents an
 Ulrich bundle, and the optional full profile re-verifies every dimension
 formula the theory predicts for it.
 
+A certificate stores its inputs and the numbers it computed, nothing else:
+every verdict (a check's ``passed``, ``valid``, ``full_ok``), shape number
+and constant is derived, so no certificate can contradict its own data.
+
 Local freeness is read off the first vanishing, h^1(E(-2d)) = 0, which
 every certificate checks: it makes M have rank a at every point over the
 algebraic closure, so the cokernel is locally free.  The certificate's
@@ -24,7 +28,7 @@ draw is a witness, and every window twist is implied or has no H^2 block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
@@ -32,8 +36,7 @@ import numpy as np
 
 from .cohomology import (bundle_cohomology, chi_line, dual_cohomology,
                          end_cohomology, omega_table)
-from .field import DEFAULT_PRIME
-from .presentation import (GenericRankResult, ParityError, UlrichPresentation,
+from .presentation import (GenericRankResult, UlrichPresentation,
                            canonical_json_bytes, generic_rank_check, shape)
 
 CERTIFICATE_FORMAT = "ulrich-certificate/1"
@@ -70,14 +73,11 @@ class UlrichInvariants:
     c2: int
     chi_end: int            # chi(E tensor E^v) = -r^2(d^2-5)/4
     h1_end_simple: int      # h^1(End) for simple E = (4 + r^2(d^2-5))/4
-    hilbert_coeffs_x2: tuple[int, int, int]  # chi(E(td)) = (A t^2 + B t + C)/2
     canonical_divisor: int = -3              # K coefficient on the hyperplane class
 
     def hilbert(self, t: int) -> int:
-        a2, b2, c2 = self.hilbert_coeffs_x2
-        val = a2 * t * t + b2 * t + c2
-        assert val % 2 == 0
-        return val // 2
+        """chi(E(td)) = d^2 r (t+1)(t+2)/2, the Ulrich Hilbert polynomial."""
+        return self.d * self.d * self.r * (t + 1) * (t + 2) // 2
 
 
 def invariants(d: int, r: int) -> UlrichInvariants:
@@ -91,19 +91,17 @@ def invariants(d: int, r: int) -> UlrichInvariants:
     assert num % 4 == 0, "parity constraint guarantees divisibility by 4"
     chi_end = -num // 4
     h1_end_simple = 1 - chi_end
-    h2r = d * d * r
     return UlrichInvariants(
         d=d, r=r, a=s.a, b=s.b, alpha=s.alpha,
         c1=c1, c2=c2, chi_end=chi_end, h1_end_simple=h1_end_simple,
-        hilbert_coeffs_x2=(h2r, 3 * h2r, 2 * h2r),
     )
 
 
 def hilbert_check(d: int, r: int, t: int) -> int:
     """chi(E(td)) via the resolution and via the closed form; they must agree."""
-    s = shape(d, r)
-    from_resolution = s.b * chi_line(d - 1 + t * d) - s.a * chi_line(d - 2 + t * d)
-    closed = d * d * r * (t + 1) * (t + 2) // 2
+    inv = invariants(d, r)
+    from_resolution = inv.b * chi_line(d - 1 + t * d) - inv.a * chi_line(d - 2 + t * d)
+    closed = inv.hilbert(t)
     if from_resolution != closed:
         raise AssertionError(
             f"Hilbert polynomial mismatch at (d={d}, r={r}, t={t}): "
@@ -191,8 +189,11 @@ class CheckResult:
     name: str
     expected: object
     computed: object
-    passed: bool
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.computed == self.expected
 
     def to_json_dict(self) -> dict:
         return {"check": self.name, "expected": self.expected,
@@ -202,24 +203,43 @@ class CheckResult:
 
 @dataclass
 class UlrichCertificate:
-    """Machine-checkable record of the verified vanishings and identities."""
+    """Machine-checkable record of the verified vanishings and identities:
+    the inputs and the computed numbers; every verdict is derived."""
 
     presentation_hash: str
     p: int
     d: int
     r: int
-    a: int
-    b: int
-    alpha: int
     level: str
     seed_path: tuple[int, ...]
     generic_rank: GenericRankResult
     vanishings: list[tuple[int, int]]          # (t, h^1(E(-t d))), t = 2 first
-    valid: bool
-    full_checks: Optional[list[CheckResult]] = None
-    full_ok: Optional[bool] = None
-    caveats: tuple[str, ...] = (CAVEAT_FIELD, CAVEAT_LOCAL_FREENESS)
-    config: dict = dc_field(default_factory=dict)
+    full_checks: Optional[list[CheckResult]] = None  # None unless full and valid
+
+    @property
+    def a(self) -> int:
+        return shape(self.d, self.r).a
+
+    @property
+    def b(self) -> int:
+        return shape(self.d, self.r).b
+
+    @property
+    def alpha(self) -> int:
+        return shape(self.d, self.r).alpha
+
+    @property
+    def valid(self) -> bool:
+        """Exactly the finite criterion: witnessed injectivity plus
+        h^1(E(-t d)) = 0 for t = 2..alpha."""
+        return self.generic_rank.passed and all(h1 == 0 for _, h1 in self.vanishings)
+
+    @property
+    def full_ok(self) -> Optional[bool]:
+        """None at the basic level; else valid and every full check passed."""
+        if self.level == "basic":
+            return None
+        return self.valid and all(c.passed for c in self.full_checks)
 
     @property
     def passed(self) -> bool:
@@ -266,8 +286,8 @@ class UlrichCertificate:
             "full_checks": ([c.to_json_dict() for c in self.full_checks]
                             if self.full_checks is not None else None),
             "full_ok": self.full_ok,
-            "caveats": list(self.caveats),
-            "config": self.config,
+            "caveats": [CAVEAT_FIELD, CAVEAT_LOCAL_FREENESS],
+            "config": dict(LEGACY_CERT_CONFIG),
         }
 
     def to_bytes(self) -> bytes:
@@ -295,30 +315,17 @@ def certify(pres: UlrichPresentation, level: str = "basic",
     """
     if level not in ("basic", "full"):
         raise ValueError(f"level must be 'basic' or 'full', got {level!r}")
-    d, r = pres.d, pres.r
-    alpha = pres.alpha
-
     rng_rank = np.random.default_rng(np.random.SeedSequence([master_seed, *seed_path, 101]))
     gr = generic_rank_check(pres, trials=LEGACY_CERT_CONFIG["rank_trials"], rng=rng_rank)
-    vanishings = [(t, bundle_cohomology(pres, -t * d)[1]) for t in range(2, alpha + 1)]
-
-    # validity is exactly: witnessed injectivity + the finite vanishing list
-    valid = gr.passed and all(h1 == 0 for _, h1 in vanishings)
-
-    full_checks = None
-    full_ok = None
-    if level == "full":
-        full_checks = _full_profile_checks(pres) if valid else None
-        full_ok = valid and all(c.passed for c in full_checks)
-
-    return UlrichCertificate(
-        presentation_hash=pres.content_hash,
-        p=pres.p, d=d, r=r, a=pres.a, b=pres.b, alpha=alpha,
+    vanishings = [(t, bundle_cohomology(pres, -t * pres.d)[1])
+                  for t in range(2, pres.alpha + 1)]
+    cert = UlrichCertificate(
+        presentation_hash=pres.content_hash, p=pres.p, d=pres.d, r=pres.r,
         level=level, seed_path=(master_seed, *seed_path),
-        generic_rank=gr, vanishings=vanishings,
-        valid=valid, full_checks=full_checks, full_ok=full_ok,
-        config=dict(LEGACY_CERT_CONFIG),
-    )
+        generic_rank=gr, vanishings=vanishings)
+    if level == "full" and cert.valid:
+        cert.full_checks = _full_profile_checks(pres)
+    return cert
 
 
 def _full_profile_checks(pres: UlrichPresentation) -> list[CheckResult]:
@@ -340,63 +347,51 @@ def _full_profile_checks(pres: UlrichPresentation) -> list[CheckResult]:
                 continue
             checks.append(CheckResult(
                 name=f"ladder_h{q}_m{m}", expected=expected[q], computed=got[q],
-                passed=got[q] == expected[q], note=note))
+                note=note))
 
     # no intermediate cohomology across the finite window
     for t in range(-alpha - LEGACY_CERT_CONFIG["acm_window_pad"], 4):
-        h1 = bundle_cohomology(pres, t * d)[1]
         checks.append(CheckResult(
-            name=f"acm_h1_t{t}", expected=0, computed=h1, passed=h1 == 0,
+            name=f"acm_h1_t{t}", expected=0, computed=bundle_cohomology(pres, t * d)[1],
             note="no intermediate cohomology at any polarization twist"))
 
     # Hilbert values through sections
     for t in range(0, 3):
-        h0 = bundle_cohomology(pres, t * d)[0]
-        want = inv.hilbert(t)
         checks.append(CheckResult(
-            name=f"sections_t{t}", expected=want, computed=h0, passed=h0 == want,
+            name=f"sections_t{t}", expected=inv.hilbert(t),
+            computed=bundle_cohomology(pres, t * d)[0],
             note="global sections match the Hilbert polynomial"))
 
     # second cohomology at strongly negative twists (Serre-dual sections)
     for t in (-3, -4):
-        h2 = bundle_cohomology(pres, t * d)[2]
-        want = inv.hilbert(t)
         checks.append(CheckResult(
-            name=f"h2_t{t}", expected=want, computed=h2, passed=h2 == want,
+            name=f"h2_t{t}", expected=inv.hilbert(t),
+            computed=bundle_cohomology(pres, t * d)[2],
             note="second cohomology carries the whole Euler characteristic"))
 
     # cotangent-twist table
-    table = omega_table(pres)
-    want_table = [[0, pres.a, pres.b], [0, 0, 0], [0, 0, 0]]
     checks.append(CheckResult(
-        name="omega_table", expected=want_table, computed=table,
-        passed=table == want_table,
+        name="omega_table", expected=[[0, pres.a, pres.b], [0, 0, 0], [0, 0, 0]],
+        computed=omega_table(pres),
         note="the spectral-sequence table must have one nonzero row"))
 
     # endomorphism cohomology of a simple bundle
-    end = end_cohomology(pres)
-    want_end = (1, inv.h1_end_simple, 0)
     checks.append(CheckResult(
-        name="end_cohomology", expected=list(want_end), computed=list(end),
-        passed=end == want_end,
+        name="end_cohomology", expected=[1, inv.h1_end_simple, 0],
+        computed=list(end_cohomology(pres)),
         note="simplicity and the deformation-space dimension"))
 
     # the twisted dual is again Ulrich
     shift = 3 * d - 3
-    dual_h0_neg = dual_cohomology(pres, shift - d)[0]
     checks.append(CheckResult(
-        name="dual_h0_m-d", expected=0, computed=dual_h0_neg,
-        passed=dual_h0_neg == 0,
+        name="dual_h0_m-d", expected=0, computed=dual_cohomology(pres, shift - d)[0],
         note="the twisted dual has no sections in its (-1)-twist"))
-    dual_h0 = dual_cohomology(pres, shift)[0]
     checks.append(CheckResult(
-        name="dual_h0_m0", expected=d * d * r, computed=dual_h0,
-        passed=dual_h0 == d * d * r,
+        name="dual_h0_m0", expected=d * d * r, computed=dual_cohomology(pres, shift)[0],
         note="the twisted dual has the Ulrich section count"))
     for t in range(-2, 3):
-        got = dual_cohomology(pres, shift + t * d)[1]
         checks.append(CheckResult(
-            name=f"dual_h1_t{t}", expected=0, computed=got, passed=got == 0,
+            name=f"dual_h1_t{t}", expected=0, computed=dual_cohomology(pres, shift + t * d)[1],
             note="the twisted dual has no intermediate cohomology"))
 
     return checks

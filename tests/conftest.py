@@ -13,6 +13,11 @@ def seeded_presentation(d: int, r: int, seed: int = 0, p: int = 32003) -> Ulrich
     return random_presentation(d, r, rng, p=p)
 
 
+def linear_span_dimension(pres: UlrichPresentation) -> int:
+    """Dimension of the span of all entries inside the 3-space of linear forms."""
+    return rank_dense(pres.coeff_array.reshape(-1, 3), pres.p)
+
+
 def drop_rank_at(pres: UlrichPresentation, point, rng) -> UlrichPresentation:
     """Change column 0 so that M(point) v = 0 for a random v with v_0 = 1.
 

@@ -13,13 +13,13 @@ import pytest
 from ulrich_forge.cohomology import bundle_cohomology, dual_cohomology, end_cohomology
 from ulrich_forge.field import DEFAULT_PRIME
 from ulrich_forge.linalg import rank_dense
-from ulrich_forge.presentation import direct_sum, linear_span_dimension, load
+from ulrich_forge.presentation import direct_sum, load
 from ulrich_forge.search import presentation_filename, search, sweep
 from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check,
                                  invariants, line_bundle_solutions,
                                  semistable_bound_check)
 
-from conftest import dual_resolution_cohomology
+from conftest import dual_resolution_cohomology, linear_span_dimension
 
 
 def report(n: int, ok: bool, detail: str):

@@ -8,8 +8,7 @@ from ulrich_forge import cohomology
 from ulrich_forge.cohomology import (_PIVOT_POINTS, _mult_rank, _pivot_pencil,
                                      build_map_matrix, bundle_cohomology,
                                      chi_line, dual_cohomology, end_cohomology,
-                                     euler_characteristic, hom_presentations,
-                                     line_h, omega_table)
+                                     hom_presentations, line_h, omega_table)
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.poly import dim_forms
@@ -75,9 +74,10 @@ def test_euler_identity_random_presentations():
     rng = np.random.default_rng(31)
     for d, r in [(2, 2), (3, 2), (3, 3), (5, 2)]:
         pres = random_presentation(d, r, rng)
+        a, b = pres.a, pres.b
         for m in range(-3 * d - 2, d + 3):
             h0, h1, h2 = bundle_cohomology(pres, m)
-            assert h0 - h1 + h2 == euler_characteristic(pres, m), (d, r, m)
+            assert h0 - h1 + h2 == b * chi_line(d - 1 + m) - a * chi_line(d - 2 + m), (d, r, m)
             assert h0 >= 0 and h1 >= 0 and h2 >= 0
 
 
@@ -230,14 +230,20 @@ def test_mult_rank_onto_only_past_square_residue(p, d, r, seed):
 @pytest.mark.parametrize("d, r", [(7, 3), (13, 3)])
 def test_valid_certificate_builds_one_residue(monkeypatch, d, r, level):
     # every transposed rank the certifier asks for lies at n < 0 or
-    # n >= d - 2, and the square residue at d - 2 is onto
+    # n >= d - 2, and the square residue at d - 2 is onto; its entries lie
+    # in [0, p), so it is built as int32
     built = []
     residue = cohomology._residue
-    monkeypatch.setattr(cohomology, "_residue",
-                        lambda pencil, n, p: built.append(n) or residue(pencil, n, p))
+
+    def record(pencil, n, p):
+        out = residue(pencil, n, p)
+        built.append((n, out.dtype))
+        return out
+
+    monkeypatch.setattr(cohomology, "_residue", record)
     cert = certify(seeded_presentation(d, r), level=level)
     assert cert.passed
-    assert built == [d - 2]
+    assert built == [(d - 2, np.int32)]
 
 
 # --- duality ----------------------------------------------------------------

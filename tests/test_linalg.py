@@ -111,8 +111,8 @@ def test_rank_small_prime(monkeypatch):
         a = rng.integers(0, 7, size=(40, 40))
         assert rank_dense(a, 7) == division_free_rank(a, 7)
     looped = []
-    rowops = linalg._rank_rowops
-    monkeypatch.setattr(linalg, "_rank_rowops",
+    rowops = linalg._row_echelon
+    monkeypatch.setattr(linalg, "_row_echelon",
                         lambda a, p: looped.append(a.shape) or rowops(a, p))
     for m, n in CUTOFF_SHAPES:
         for a in (rng.integers(0, 7, size=(m, n)), low_rank(rng, m, n, min(m, n) // 2 + 1, 7)):

@@ -10,8 +10,10 @@ from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import (ParityError, PresentationFormatError,
                                        UlrichPresentation, direct_sum,
-                                       generic_rank_check, linear_span_dimension,
-                                       load, random_presentation, save, shape)
+                                       generic_rank_check, load,
+                                       random_presentation, save, shape)
+
+from conftest import linear_span_dimension
 
 F = PrimeField(DEFAULT_PRIME)
 

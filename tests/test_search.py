@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
-from ulrich_forge.presentation import (ParityError, UlrichPresentation,
-                                       linear_span_dimension, load,
+from ulrich_forge.presentation import (ParityError, UlrichPresentation, load,
                                        random_presentation)
 from ulrich_forge.search import search, sweep
 from ulrich_forge.ulrich import certify
 
-from conftest import drop_rank_at, seeded_presentation
+from conftest import drop_rank_at, linear_span_dimension, seeded_presentation
 
 # the package exports the function search under the module's name
 search_module = importlib.import_module("ulrich_forge.search")
