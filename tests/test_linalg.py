@@ -281,11 +281,14 @@ def test_solve_random_consistent_exact_residual():
 
 def test_rref_reduces_pivot_columns():
     rng = np.random.default_rng(7)
-    a = rng.integers(0, P, size=(8, 12))
-    red, pivots = rref(a, P)
-    for i, j in enumerate(pivots):
-        col = red[:, j]
-        assert col[i] == 1 and np.count_nonzero(col) == 1
+    for a in (rng.integers(0, P, size=(8, 12)), low_rank(rng, 12, 9, 5, P),
+              low_rank(rng, 6, 14, 4, P) * (np.arange(14) % 3 > 0)):
+        red, pivots = rref(a, P)
+        assert len(pivots) == rank_dense(a, P)
+        for i, j in enumerate(pivots):
+            col = red[:, j]
+            assert col[i] == 1 and np.count_nonzero(col) == 1
+            assert not red[i, :j].any()
 
 
 def test_matrix_container_validation():
