@@ -35,15 +35,16 @@ Without a pivot point (small p, or M not generically injective) the rank
 is that of the full matrix.
 
 Most transposed ranks need no matrix at all.  The transposed map at
-degree n is M^T: S_n^b -> S_{n+1}^a, and its cokernel C = coker(M^T) is
-generated in degree 0, so C_{n+1} = S_1 C_n.  Once one transposed rank is
-full, a*dim(n0+1) at some n0 (C_{n0+1} = 0), every transposed rank at
-n >= n0 is a*dim(n+1).  The least such n0 is memoized on the
-presentation, and a request past d-2 with no n0 known first ranks the
-square residue at n = d-2, r*d(d-1)/2 rows and columns.  h^1(E(-2d)) = 0
-is exactly that residue being nonsingular.  Every mu rank the
-certifier asks for lies at n < 0 or n >= d-2, so for a valid presentation
-that residue is the only transposed rank eliminated.
+degree n is M^T: S_n^b -> S_{n+1}^a, with b*dim(n) columns and
+a*dim(n+1) rows; (d+1)(n+1) < (d-1)(n+3) exactly when n < d-2, so no
+transposed map below d-2 is onto, and at n = d-2 it is square: its
+residue has r*d(d-1)/2 rows and columns, and h^1(E(-2d)) = 0 is exactly
+that residue being nonsingular.  The cokernel C = coker(M^T) is generated
+in degree 0, so C_{n+1} = S_1 C_n, and once the square map is onto every
+transposed rank past d-2 is a*dim(n+1).  A request past d-2 therefore
+first ranks the square map.  Every mu rank the certifier asks for lies at
+n < 0 or n >= d-2, so for a valid presentation that residue is the only
+transposed rank eliminated.
 
 The dual bundle needs no rank of its own: by Serre duality against
 K = O(-3), h^i(E^v(m)) = h^{2-i}(E(-m-3)).  Hom between two
@@ -124,37 +125,25 @@ def _mult_rank(pres: UlrichPresentation, n: int, transpose: bool) -> int:
                           lambda: _slice_rank(pres, n, transpose))
 
 
-# Memo key of n0, the least degree whose transposed rank was found full.
-_ONTO = ("onto",)
-
-
 def _slice_rank(pres: UlrichPresentation, n: int, transpose: bool) -> int:
     """Rank of build_map_matrix(pres, n, transpose).
 
-    A transposed rank is full, a*dim(n+1), exactly when C_{n+1} = 0 for
-    C = coker(M^T).  C_{n+1} = S_1 C_n, so from the first such degree n0
-    on every transposed rank is implied.  A request past d-2 with no n0
-    known first ranks the square residue at d-2, which is full for every
-    valid presentation.
+    A transposed map has fewer columns than rows below d-2 and is square
+    at d-2; when that square map is onto, so is every later one, and a
+    transposed rank past d-2 is a*dim(n+1).  Every other rank comes from
+    the pivot pencil, or from the full matrix when there is none.
     """
     if n < 0 or pres.a == 0:
         return 0
-    onto_rank = pres.a * dim_forms(n + 1)
-    if transpose:
-        if n > pres.d - 2 and _ONTO not in pres._memo:
-            _mult_rank(pres, pres.d - 2, True)
-        n0 = pres._memo.get(_ONTO)
-        if n0 is not None and n >= n0:
-            return onto_rank
+    if transpose and n > pres.d - 2 and (
+            _mult_rank(pres, pres.d - 2, True) == pres.a * dim_forms(pres.d - 1)):
+        return pres.a * dim_forms(n + 1)
     pencil = pres._memoized(("pivot",), lambda: _pivot_pencil(pres))
     if pencil is None:
-        rank = rank_dense(build_map_matrix(pres, n, transpose), pres.p)
-    else:
-        rank = pres.a * dim_forms(n)
-        if transpose:
-            rank += rank_dense(_residue(pencil, n, pres.p), pres.p)
-    if transpose and rank == onto_rank:
-        pres._memo[_ONTO] = n      # n < n0 here, or it returned above
+        return rank_dense(build_map_matrix(pres, n, transpose), pres.p)
+    rank = pres.a * dim_forms(n)
+    if transpose:
+        rank += rank_dense(_residue(pencil, n, pres.p), pres.p)
     return rank
 
 

@@ -66,8 +66,28 @@ def shape(d: int, r: int) -> Shape:
     return Shape(a=r * (d - 1) // 2, b=r * (d + 1) // 2, alpha=(r + 3) // 2)
 
 
+class Shaped:
+    """a, b and alpha read from shape(d, r), for a class with d and r."""
+
+    @cached_property
+    def _shape(self) -> Shape:
+        return shape(self.d, self.r)
+
+    @property
+    def a(self) -> int:
+        return self._shape.a
+
+    @property
+    def b(self) -> int:
+        return self._shape.b
+
+    @property
+    def alpha(self) -> int:
+        return self._shape.alpha
+
+
 @dataclass(frozen=True, eq=False)
-class UlrichPresentation:
+class UlrichPresentation(Shaped):
     """A b x a matrix of linear forms presenting E = coker(O(d-2)^a -> O(d-1)^b).
 
     ``coeff_array[i, j]`` holds the x, y, z coefficients of entry (i, j),
@@ -105,25 +125,9 @@ class UlrichPresentation:
             self._memo[key] = compute()
         return self._memo[key]
 
-    @cached_property
-    def _shape(self) -> Shape:
-        return shape(self.d, self.r)
-
     @property
     def p(self) -> int:
         return self.field.p
-
-    @property
-    def a(self) -> int:
-        return self._shape.a
-
-    @property
-    def b(self) -> int:
-        return self._shape.b
-
-    @property
-    def alpha(self) -> int:
-        return self._shape.alpha
 
     @cached_property
     def canonical_bytes(self) -> bytes:
@@ -188,13 +192,16 @@ def direct_sum(p1: UlrichPresentation, p2: UlrichPresentation) -> UlrichPresenta
 
 @dataclass(frozen=True)
 class GenericRankResult:
-    status: str                    # "injective" | "undetermined"
     trials: int
     witness: Optional[tuple[int, int, int]] = None
 
     @property
     def passed(self) -> bool:
-        return self.status == "injective"
+        return self.witness is not None
+
+    @property
+    def status(self) -> str:
+        return "injective" if self.passed else "undetermined"
 
 
 def _chart_point_fp(p: int, chart: int, rng: np.random.Generator) -> tuple[int, int, int]:
@@ -217,8 +224,8 @@ def generic_rank_check(pres: UlrichPresentation, trials: int = 3,
     for i in range(trials):
         point = _chart_point_fp(pres.p, CHART_ROTATION[i % 3], rng)
         if rank_dense(pres.evaluate_at(point), pres.p) == pres.a:
-            return GenericRankResult(status="injective", trials=i + 1, witness=point)
-    return GenericRankResult(status="undetermined", trials=trials)
+            return GenericRankResult(trials=i + 1, witness=point)
+    return GenericRankResult(trials=trials)
 
 
 # ---------------------------------------------------------------------------

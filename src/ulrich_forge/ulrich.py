@@ -30,13 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .cohomology import (bundle_cohomology, chi_line, dual_cohomology,
                          end_cohomology, omega_table)
-from .presentation import (GenericRankResult, UlrichPresentation,
+from .presentation import (GenericRankResult, Shaped, UlrichPresentation,
                            canonical_json_bytes, generic_rank_check, shape)
 
 CERTIFICATE_FORMAT = "ulrich-certificate/1"
@@ -61,19 +61,16 @@ LF_VERDICT_NOT_PROVED = "not proved: h^1(E(-2d)) != 0"
 
 
 @dataclass(frozen=True)
-class UlrichInvariants:
+class UlrichInvariants(Shaped):
     """Numerical invariants forced on a rank-r Ulrich bundle on (P^2, dH)."""
 
     d: int
     r: int
-    a: int
-    b: int
-    alpha: int
     c1: int
     c2: int
     chi_end: int            # chi(E tensor E^v) = -r^2(d^2-5)/4
     h1_end_simple: int      # h^1(End) for simple E = (4 + r^2(d^2-5))/4
-    canonical_divisor: int = -3              # K coefficient on the hyperplane class
+    canonical_divisor: ClassVar[int] = -3    # K coefficient on the hyperplane class
 
     def hilbert(self, t: int) -> int:
         """chi(E(td)) = d^2 r (t+1)(t+2)/2, the Ulrich Hilbert polynomial."""
@@ -82,7 +79,7 @@ class UlrichInvariants:
 
 def invariants(d: int, r: int) -> UlrichInvariants:
     """All closed-form invariants for valid (d, r); ParityError otherwise."""
-    s = shape(d, r)
+    shape(d, r)             # raises ParityError for an impossible (d, r)
     c1 = 3 * r * (d - 1) // 2
     # c2 forced by matching the Riemann-Roch constant term to the Hilbert
     # polynomial value d^2 r at t = 0
@@ -92,8 +89,7 @@ def invariants(d: int, r: int) -> UlrichInvariants:
     chi_end = -num // 4
     h1_end_simple = 1 - chi_end
     return UlrichInvariants(
-        d=d, r=r, a=s.a, b=s.b, alpha=s.alpha,
-        c1=c1, c2=c2, chi_end=chi_end, h1_end_simple=h1_end_simple,
+        d=d, r=r, c1=c1, c2=c2, chi_end=chi_end, h1_end_simple=h1_end_simple,
     )
 
 
@@ -202,7 +198,7 @@ class CheckResult:
 
 
 @dataclass
-class UlrichCertificate:
+class UlrichCertificate(Shaped):
     """Machine-checkable record of the verified vanishings and identities:
     the inputs and the computed numbers; every verdict is derived."""
 
@@ -215,18 +211,6 @@ class UlrichCertificate:
     generic_rank: GenericRankResult
     vanishings: list[tuple[int, int]]          # (t, h^1(E(-t d))), t = 2 first
     full_checks: Optional[list[CheckResult]] = None  # None unless full and valid
-
-    @property
-    def a(self) -> int:
-        return shape(self.d, self.r).a
-
-    @property
-    def b(self) -> int:
-        return shape(self.d, self.r).b
-
-    @property
-    def alpha(self) -> int:
-        return shape(self.d, self.r).alpha
 
     @property
     def valid(self) -> bool:

@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines inline.
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +12,8 @@ import pytest
 from ulrich_forge.cohomology import bundle_cohomology, dual_cohomology, end_cohomology
 from ulrich_forge.field import DEFAULT_PRIME
 from ulrich_forge.linalg import rank_dense
-from ulrich_forge.presentation import direct_sum, load
-from ulrich_forge.search import presentation_filename, search, sweep
+from ulrich_forge.presentation import direct_sum
+from ulrich_forge.search import presentation_filename, search
 from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check,
                                  invariants, line_bundle_solutions,
                                  semistable_bound_check)

@@ -199,9 +199,13 @@ def _rank_sequences(draw):
 
 
 def _check_rank_orders(pres, requests):
-    """Each order of requests, on a fresh copy of pres, gives the oracle ranks.
+    """Each order of requests, on a fresh copy of pres, gives the oracle ranks,
+    and no transposed map below d - 2 is onto (it has fewer columns than rows).
     Returns the oracle's first degree at which M^T is onto, or None."""
     want = {(n, t): rank_dense(build_map_matrix(pres, n, t), pres.p) for n, t in requests}
+    for n, t in want:
+        if t and 0 <= n < pres.d - 2:
+            assert want[n, t] < pres.a * dim_forms(n + 1), n
     # table asks for the largest n first
     for order in (requests, sorted(requests, reverse=True)):
         fresh = UlrichPresentation(pres.field, pres.d, pres.r, pres.coeff_array)
@@ -224,6 +228,22 @@ def test_mult_rank_onto_only_past_square_residue(p, d, r, seed):
     requests = [(n, t) for n in range(-1, 3 * d + 1) for t in (False, True)]
     np.random.default_rng(seed).shuffle(requests)
     assert _check_rank_orders(pres, requests) > d - 2
+
+
+@pytest.mark.parametrize("d, r", [(7, 3), (13, 3), (5, 4)])
+def test_table_order_ranks_only_the_square_residue_past_d_minus_2(monkeypatch, d, r):
+    # table asks for the largest n first; on a valid presentation the square
+    # map at d - 2 is onto, so every transposed rank past it is implied
+    built = []
+    residue = cohomology._residue
+    monkeypatch.setattr(cohomology, "_residue",
+                        lambda pencil, n, p: built.append(n) or residue(pencil, n, p))
+    pres = seeded_presentation(d, r)
+    for n in range(3 * d, -2, -1):
+        rank = _mult_rank(pres, n, True)
+        if n >= d - 2:
+            assert rank == pres.a * dim_forms(n + 1), n
+    assert [n for n in built if n >= d - 2] == [d - 2]
 
 
 @pytest.mark.parametrize("level", ["basic", "full"])

@@ -16,8 +16,7 @@ from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import (ParityError, UlrichPresentation,
                                        direct_sum, random_presentation, save)
 from ulrich_forge.search import sweep
-from ulrich_forge.ulrich import (UlrichCertificate, certify, euler_pairing,
-                                 hilbert_check, invariants,
+from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check, invariants,
                                  line_bundle_solutions, semistable_bound_check,
                                  veronese_facts)
 
@@ -187,15 +186,20 @@ def test_certify_full_d3r2(pres_d3r2):
 
 
 def test_certify_full_records_failures():
-    # an invalid "presentation": entries of a valid one, rank bumped is not
-    # possible, so instead corrupt by zeroing one row (kills injectivity
-    # generically but keeps the shape); full check failures must be recorded
-    coeffs = seeded_presentation(3, 3).coeff_array.copy()
-    coeffs[0] = 0
-    broken = UlrichPresentation(F, 3, 3, coeffs)
-    cert = certify(broken, level="full", master_seed=0)
-    assert cert.full_ok is False or not cert.valid
-    assert isinstance(cert.discrepancies(), list)
+    # a direct sum of two Ulrich bundles is Ulrich, so it passes the basic
+    # level, but it is not simple: the full profile must record exactly
+    # the End failure, h^0(End) = 2, and the JSON must say so
+    summed = direct_sum(seeded_presentation(3, 2, seed=0), seeded_presentation(3, 2, seed=1))
+    t0 = time.perf_counter()
+    cert = certify(summed, level="full")
+    elapsed = time.perf_counter() - t0
+    assert cert.valid is True and cert.full_ok is False
+    assert [(c["check"], c["computed"]) for c in cert.discrepancies()] == [
+        ("end_cohomology", [2, 18, 0])]
+    assert elapsed < 2.0    # about 0.02 s on a 2-vCPU host
+    doc = json.loads(cert.to_bytes())
+    assert [c["passed"] for c in doc["full_checks"] if c["check"] == "end_cohomology"] == [False]
+    assert doc["valid"] is True and doc["full_ok"] is False
 
 
 def test_certify_full_skips_profile_after_invalid_basic(monkeypatch):
