@@ -4,22 +4,37 @@ This is the computational workhorse: every cohomology dimension in the
 package reduces to the rank of an explicit matrix over F_p.  Matrices are
 plain numpy arrays; the modulus is passed alongside.
 
-The dense elimination is blocked.  A panel of columns is eliminated with
-immediate reduction; the accumulated multipliers are then applied to the
-trailing submatrix by float64 GEMMs.  The float path is exact because no
-magnitude exceeds 2^52: panel slabs and pivot rows are kept reduced, and
-the trailing submatrix accumulates GEMM updates unreduced until the next
-one could pass that cap, when it is reduced mod p once.  Moduli too large
-for an 8-column block under the cap, with room to spare (p - 1 > 2^23), go
-to a plain row-op elimination (immediate reduction, still exact).  It also
-takes every shape whose elimination updates at most 9216 trailing cells
-per pivot, on average k(3L - k)/6 for short side k and long side L: there
-the blocked path's per-column overhead costs more than it saves.  That
-covers squares up to 166 x 166 and every matrix of at most 18432 cells.
+The dense elimination is blocked, with delayed reduction in float64 (the
+FFLAS-FFPACK design).  A panel of up to 256 columns is eliminated
+left-looking, one 16-column leaf at a time.  The leaf is brought up to
+date with the panel's earlier pivots by one GEMM pair (u = L^{-1} times
+the pivot rows, then the rows below minus L21 u) and reduced mod p; each
+of its columns then takes one GEMV with the leaf's own earlier pivots and
+is reduced before its pivot search.  Multipliers are stored in the
+eliminated positions, and each pivot appends its row -(l L^{-1}) mod p to
+the panel's running unit-lower inverse L^{-1}.  The panel hands L^{-1} to
+the trailing update, the same GEMM pair over every later column.
+
+The float path is exact because no magnitude exceeds 2^52.  The block B
+satisfies 8 B (p - 1)^2 <= 2^52, and every product is taken of reduced
+factors in [0, p) with at most B terms, so it adds at most
+S = B (p - 1)^2: u, a row of L^{-1}, a GEMV (at most 15 terms) and a leaf
+GEMM.  The trailing submatrix accumulates updates unreduced and is reduced
+mod p once, before an update, when fewer than 2S + p of the 2^52 budget
+are left; after every update each entry is thus at most 2^52 - S, room
+for the leaf GEMM that precedes the leaf's reduction.  Moduli too large
+for an 8-column block (p - 1 > 2^23) go to a plain row-op elimination
+(immediate reduction, still exact).  It also takes every shape whose
+elimination updates at most 9216 trailing cells per pivot, on average
+k(3L - k)/6 for short side k and long side L: there the blocked path's
+per-column overhead costs more than it saves.  That covers squares up to
+166 x 166 and every matrix of at most 18432 cells.
 
 The blocked path holds the caller's input and one float64 working copy.
-Every other buffer is a row stripe of at most 2^20 cells (8 MiB) or at
-most one panel leaf (16 columns) wide, whatever the size of the matrix.
+Every other buffer is a row stripe of at most 2^20 cells (8 MiB), at most
+one leaf (16 columns) wide, or the panel's L^{-1} (at most 256 x 256),
+whatever the size of the matrix; non-consecutive multiplier columns are
+gathered one row stripe at a time.
 
 ``matmul_mod`` is the one integer matrix product mod p: it splits the
 inner dimension so that no int64 partial sum overflows for any p < 2^31.
@@ -46,17 +61,16 @@ _ROWOPS_MAX_AREA = 9216
 _STRIPE_CELLS = 2**20
 
 
-def _stripe_rows(a: np.ndarray) -> int:
-    """Rows of a (non-empty) per stripe of at most _STRIPE_CELLS cells, at
-    least one."""
-    return max(1, _STRIPE_CELLS // (a.size // len(a)))
+def _stripe_rows(cols: int) -> int:
+    """Rows per stripe of at most _STRIPE_CELLS cells, cols wide; at least one."""
+    return max(1, _STRIPE_CELLS // cols)
 
 
 def _reduce_inplace(a: np.ndarray, p: float) -> None:
     """Exact in-place reduction of integral float64 values (|x| <= 2^52)
     to [0, p); larger than one stripe, it goes one row stripe at a time."""
     if len(a) > 1 and a.size > _STRIPE_CELLS:
-        rows = _stripe_rows(a)
+        rows = _stripe_rows(a.size // len(a))
         for i in range(0, len(a), rows):
             _reduce_inplace(a[i : i + rows], p)
         return
@@ -72,9 +86,10 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     """Rank over F_p by blocked Gaussian elimination with delayed reduction.
 
     The working matrix is one float64 copy holding exact integers, filled
-    in row stripes; the input is never modified.  Panel slabs and pivot
-    rows are kept reduced; the trailing submatrix accumulates GEMM updates
-    unreduced until the 2^52 exactness budget would be exceeded.
+    in row stripes; the input is never modified.  Each panel is eliminated
+    leaf by leaf and its pivots are applied to the trailing submatrix, which
+    accumulates GEMM updates unreduced until the 2^52 exactness budget
+    would be exceeded.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -91,7 +106,7 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     block = int(min(_DEFAULT_BLOCK, max_block))
     step_growth = block * (p - 1) ** 2  # max magnitude added per block step
     w = np.empty((m, n))
-    rows = _stripe_rows(w)
+    rows = _stripe_rows(n)
     for i in range(0, m, rows):
         w[i : i + rows] = np.asarray(a[i : i + rows], dtype=np.int64) % p
     r = c = rank = 0
@@ -99,118 +114,102 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     pf = float(p)
     while r < m and c < n:
         cb = min(block, n - c)
-        _reduce_inplace(w[r:m, c : c + cb], pf)
-        piv_cols = _eliminate_panel(w, p, r, c, cb)
+        piv_cols, linv = _eliminate_panel(w, p, r, c, cb)
         k = len(piv_cols)
         rank += k
         if k and c + cb < n and r + k < m:
             if slack < 2 * step_growth + p:
                 _reduce_inplace(w[r:m, c + cb : n], pf)
                 slack = float(_FLOAT_EXACT)
-            _apply_pivots(w, p, r, np.asarray(piv_cols), c + cb, n, reduce_out=False)
+            _apply_pivots(w, p, r, piv_cols, linv, c + cb, n)
             slack -= step_growth
         r += k
         c += cb
     return rank
 
 
-def _eliminate_panel(a: np.ndarray, p: int, r: int, c: int, cb: int) -> list[int]:
-    """Eliminate columns c..c+cb below row r in place; multipliers are stored
-    in the eliminated positions.  Returns the pivot column indices.
+def _eliminate_panel(a: np.ndarray, p: int, r: int, c: int,
+                     cb: int) -> tuple[list[int], np.ndarray]:
+    """Eliminate columns c..c+cb below row r in place, left-looking, from
+    entries of magnitude at most 2^52 - S.  Returns the pivot columns and
+    the inverse mod p of the pivots' unit lower triangle L.
 
-    Recursive: the left half is eliminated, its pivots are applied to the
-    right half by GEMM, then the right half is eliminated.  The slab must
-    enter reduced to [0, p).
+    Multipliers are stored in the eliminated positions.  Each leaf of
+    _PANEL_LEAF columns takes the panel's earlier pivots (_apply_pivots)
+    and is reduced; each of its columns then takes a GEMV with the leaf's
+    own earlier pivots, is reduced, and is searched for a pivot.  A pivot
+    appends the row -(l L^{-1}) mod p and a unit diagonal to L^{-1}, where
+    l holds its row's stored multipliers.  Pivot rows are never updated
+    in place; their stale values are read only through L^{-1}.
     """
     m = a.shape[0]
-    if r >= m:
-        return []
-    if cb <= _PANEL_LEAF:
-        return _eliminate_panel_leaf(a, p, r, c, cb)
-    half = cb // 2
-    piv1 = _eliminate_panel(a, p, r, c, half)
-    k1 = len(piv1)
-    if k1 and r + k1 < m:
-        _apply_pivots(a, p, r, np.asarray(piv1), c + half, c + cb, reduce_out=True)
-    piv2 = _eliminate_panel(a, p, r + k1, c + half, cb - half)
-    return piv1 + piv2
-
-
-def _eliminate_panel_leaf(a: np.ndarray, p: int, r: int, c: int, cb: int) -> list[int]:
-    """Unblocked elimination of a narrow slab.  Only the current column, the
-    multipliers and the pivot-row segment are kept reduced; other slab
-    entries accumulate at most p + cb*p^2 < 2^52, re-reduced on demand."""
-    m = a.shape[0]
     pf = float(p)
-    piv_cols: list[int] = []
-    rr = r
-    for j in range(c, c + cb):
-        col = a[rr:m, j]
-        _reduce_inplace(col, pf)
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        pr = rr + int(nz[0])
-        if pr != rr:
-            a[[rr, pr], :] = a[[pr, rr], :]
-        inv = float(inverse_mod(int(a[rr, j]), p))
-        if rr + 1 < m:
-            f = a[rr + 1 : m, j] * inv
+    piv: list[int] = []
+    linv = np.zeros((min(cb, m - r), min(cb, m - r)))
+    for j0 in range(c, c + cb, _PANEL_LEAF):
+        j1, t0 = min(c + cb, j0 + _PANEL_LEAF), len(piv)
+        if t0:
+            _apply_pivots(a, p, r, piv, linv[:t0, :t0], j0, j1)
+        _reduce_inplace(a[r + t0 : m, j0:j1], pf)
+        for j in range(j0, j1):
+            t = len(piv)
+            rr = r + t
+            if t > t0:  # up to date with the leaf's own pivots, then reduced
+                v = linv[t0:t, t0:t] @ a[r + t0 : rr, j] % pf
+                col = a[rr:m, j] - a[rr:m, _columns(piv[t0:])] @ v
+                _reduce_inplace(col, pf)
+            else:
+                col = a[rr:m, j].copy()
+            i = int((col != 0).argmax())  # the first nonzero, if any
+            if not col[i]:
+                continue
+            inv = float(inverse_mod(int(col[i]), p))
+            if i:
+                a[[rr, rr + i], :] = a[[rr + i, rr], :]
+                col[i] = col[0]
+            f = col[1:] * inv
             _reduce_inplace(f, pf)
             a[rr + 1 : m, j] = f
-            if j + 1 < c + cb:
-                seg = a[rr, j + 1 : c + cb]
-                _reduce_inplace(seg, pf)
-                a[rr + 1 : m, j + 1 : c + cb] -= f[:, None] * seg
-        piv_cols.append(j)
-        rr += 1
-        if rr == m:
-            break
-    return piv_cols
+            if t:
+                linv[t, :t] = -(a[rr, _columns(piv)] @ linv[:t, :t]) % pf
+            linv[t, t] = 1.0
+            piv.append(j)
+            if rr + 1 == m:
+                return piv, linv
+    return piv, linv[: len(piv), : len(piv)]
 
 
-def _apply_pivots(a: np.ndarray, p: int, r: int, piv_cols: np.ndarray,
-                  s0: int, s1: int, reduce_out: bool) -> None:
-    """Apply the pivots of rows r..r+k (multipliers stored at piv_cols) to
-    columns [s0, s1) of every row below row r+k.
+def _columns(cols: list[int]) -> slice | list[int]:
+    """Index for columns cols (increasing): a slice, so a view, when they
+    are consecutive, else the list itself, so a gather."""
+    return slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] == len(cols) - 1 else cols
 
-    Pivot rows are forward-substituted transiently; their stale stored
-    values are never read again.  The update runs in row stripes, within
-    column blocks whose k final pivot rows fit in one stripe.  With
-    reduce_out each stripe is reduced to [0, p) (required wherever a later
-    panel elimination will read it)."""
+
+def _apply_pivots(a: np.ndarray, p: int, r: int, piv_cols: list[int],
+                  linv: np.ndarray, s0: int, s1: int) -> None:
+    """Apply the k pivots of rows r..r+k (multipliers stored at piv_cols,
+    unit lower triangle inverted in linv) to columns [s0, s1) of every row
+    below row r+k; the result is left unreduced.
+
+    Pivot rows are forward-substituted transiently, L^{-1} u in one GEMM;
+    their stale stored values in these columns are never read again.  The
+    update runs within column blocks whose k final pivot rows fit in one
+    stripe, in row stripes sized so that the stripe's k multiplier columns
+    (gathered when not consecutive) and its product each fit in one."""
     m = a.shape[0]
     k = len(piv_cols)
     pf = float(p)
-    linv = _unit_lower_inverse(a[r : r + k, piv_cols], p) if k > 1 else None
+    sel = _columns(piv_cols)
     width = max(1, _STRIPE_CELLS // k)
     for c0 in range(s0, s1, width):
         c1 = min(s1, c0 + width)
         u = a[r : r + k, c0:c1].copy()
         _reduce_inplace(u, pf)
-        if linv is not None:
-            u = linv @ u  # the final pivot rows L11^{-1} u, one GEMM
-            _reduce_inplace(u, pf)
-        rows = _stripe_rows(u)
+        u = linv @ u
+        _reduce_inplace(u, pf)
+        rows = _stripe_rows(max(k, c1 - c0))
         for i in range(r + k, m, rows):
-            tgt = a[i : i + rows, c0:c1]
-            tgt -= a[i : i + rows, piv_cols] @ u
-            if reduce_out:
-                _reduce_inplace(tgt, pf)
-
-
-def _unit_lower_inverse(l: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of the unit lower-triangular matrix whose strictly
-    lower part is stored in l (diagonal and upper entries are ignored)."""
-    k = l.shape[0]
-    pf = float(p)
-    x = np.eye(k)
-    for i in range(1, k):
-        s = l[i, :i] @ x[:i, :i]
-        _reduce_inplace(s, pf)
-        np.subtract(pf, s, out=s, where=s > 0)
-        x[i, :i] = s
-    return x
+            a[i : i + rows, c0:c1] -= a[i : i + rows, sel] @ u
 
 
 def _row_echelon(a: np.ndarray, p: int) -> list[int]:
