@@ -10,10 +10,10 @@ left-looking, one 16-column leaf at a time.  The leaf is brought up to
 date with the panel's earlier pivots by one GEMM pair (u = L^{-1} times
 the pivot rows, then the rows below minus L21 u) and reduced mod p; each
 of its columns then takes one GEMV with the leaf's own earlier pivots and
-is reduced before its pivot search.  Multipliers are stored in the
-eliminated positions, and each pivot appends its row -(l L^{-1}) mod p to
-the panel's running unit-lower inverse L^{-1}.  The panel hands L^{-1} to
-the trailing update, the same GEMM pair over every later column.
+is reduced, in int64, before its pivot search.  Multipliers are stored in
+the eliminated positions, and each pivot appends its row -(l L^{-1}) mod p
+to the panel's running unit-lower inverse L^{-1}.  The panel hands L^{-1}
+to the trailing update, the same GEMM pair over every later column.
 
 The float path is exact because no magnitude exceeds 2^52.  The block B
 satisfies 8 B (p - 1)^2 <= 2^52, and every product is taken of reduced
@@ -23,12 +23,14 @@ GEMM.  The trailing submatrix accumulates updates unreduced and is reduced
 mod p once, before an update, when fewer than 2S + p of the 2^52 budget
 are left; after every update each entry is thus at most 2^52 - S, room
 for the leaf GEMM that precedes the leaf's reduction.  Moduli too large
-for an 8-column block (p - 1 > 2^23) go to a plain row-op elimination
-(immediate reduction, still exact).  It also takes every shape whose
-elimination updates at most 9216 trailing cells per pivot, on average
-k(3L - k)/6 for short side k and long side L: there the blocked path's
-per-column overhead costs more than it saves.  That covers squares up to
-166 x 166 and every matrix of at most 18432 cells.
+for an 8-column block (p - 1 > 2^23) go to a row-op elimination in int64,
+where a rank-1 update of reduced factors adds at most (p - 1)^2, so the
+trailing block is reduced only every (2^63 - p) // (p - 1)^2 updates
+(8.9e9 at p = 32003, 2 at 2^31 - 1).  That loop also takes every shape
+whose elimination updates at most 6144 trailing cells per pivot, on
+average k(3L - k)/6 for short side k and long side L: there the blocked
+path's per-column overhead costs more than it saves.  That covers squares
+up to 135 x 135 and every matrix of at most 12288 cells.
 
 The blocked path holds the caller's input and one float64 working copy.
 Every other buffer is a row stripe of at most 2^20 cells (8 MiB), at most
@@ -54,9 +56,9 @@ _DEFAULT_BLOCK = 256
 _PANEL_LEAF = 16
 # Mean trailing cells updated per pivot, k(3L - k)/6, up to which the row-op
 # loop beats the blocked path.  Measured at p = 32003 on one core: break-even
-# near 9000 for thin shapes (24 x 768, 48 x 384) and near 12000-13000 for
-# squares (190 x 190 to 200 x 200).
-_ROWOPS_MAX_AREA = 9216
+# near 6000 for thin shapes (180 x 81, 32 x 400, 24 x 520) and near 7500-8000
+# for squares (150 x 150 to 155 x 155).
+_ROWOPS_MAX_AREA = 6144
 # Cells in one row stripe of the blocked path's temporaries (8 MiB).
 _STRIPE_CELLS = 2**20
 
@@ -154,22 +156,19 @@ def _eliminate_panel(a: np.ndarray, p: int, r: int, c: int,
         for j in range(j0, j1):
             t = len(piv)
             rr = r + t
-            if t > t0:  # up to date with the leaf's own pivots, then reduced
+            col = a[rr:m, j]
+            if t > t0:  # up to date with the leaf's own pivots
                 v = linv[t0:t, t0:t] @ a[r + t0 : rr, j] % pf
-                col = a[rr:m, j] - a[rr:m, _columns(piv[t0:])] @ v
-                _reduce_inplace(col, pf)
-            else:
-                col = a[rr:m, j].copy()
+                col = col - a[rr:m, _columns(piv[t0:])] @ v
+            col = col.astype(np.int64) % p  # exact: every |entry| <= 2^52
             i = int((col != 0).argmax())  # the first nonzero, if any
             if not col[i]:
                 continue
-            inv = float(inverse_mod(int(col[i]), p))
+            inv = inverse_mod(int(col[i]), p)
             if i:
                 a[[rr, rr + i], :] = a[[rr + i, rr], :]
                 col[i] = col[0]
-            f = col[1:] * inv
-            _reduce_inplace(f, pf)
-            a[rr + 1 : m, j] = f
+            a[rr + 1 : m, j] = col[1:] * inv % p
             if t:
                 linv[t, :t] = -(a[rr, _columns(piv)] @ linv[:t, :t]) % pf
             linv[t, t] = 1.0
@@ -213,26 +212,32 @@ def _apply_pivots(a: np.ndarray, p: int, r: int, piv_cols: list[int],
 
 
 def _row_echelon(a: np.ndarray, p: int) -> list[int]:
-    """In-place forward elimination of entries in [0, p), any p < 2^31, with
-    immediate reduction; returns the pivot columns, and the first
-    len(pivots) rows are then in echelon form.  The rank path for large p
-    and small or thin matrices, and rref's forward pass."""
+    """In-place forward elimination of int64 entries in [0, p), any p < 2^31,
+    with delayed reduction; returns the pivot columns, and the first
+    len(pivots) rows are then in echelon form, reduced, with zeros left of
+    each pivot.  The rank path for large p and small or thin matrices, and
+    rref's forward pass.  Each pivot reduces its column and its whole row, so
+    the rank-1 update subtracts products of reduced factors; the trailing
+    block is reduced only before an update that could pass -2^63."""
     m, n = a.shape
     pivots: list[int] = []
     r = 0
+    limit = (2**63 - p) // (p - 1) ** 2
     for j in range(n):
-        nz = np.flatnonzero(a[r:m, j])
+        col = a[r:m, j]
+        col %= p
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr], :] = a[[pr, r], :]
-        inv = inverse_mod(int(a[r, j]), p)
+        a[r] %= p
         if r + 1 < m:
-            # entries lie in [0, p), so sub - t stays above -2^63
-            f = a[r + 1 : m, j] * inv % p
-            sub, t = a[r + 1 : m, j:], f[:, None] * a[r, j:]
-            np.remainder(np.subtract(sub, t, out=t), p, out=sub)
+            if r and r % limit == 0:  # limit updates since the last reduction
+                a[r + 1 : m, j:] %= p
+            f = col[1:] * inverse_mod(int(col[0]), p) % p
+            a[r + 1 : m, j:] -= f[:, None] * a[r, j:]
         pivots.append(j)
         r += 1
         if r == m:

@@ -67,18 +67,18 @@ def test_rank_against_independent_oracle():
     assert rank_dense(a, P) == division_free_rank(a, P)
 
 
-# shapes on both sides of the row-op rule k(3L - k) <= 6 * 9216, k the short
+# shapes on both sides of the row-op rule k(3L - k) <= 6 * 6144, k the short
 # and L the long side.  64 x 64, 1 x 4096 and 40 x 100 took the row-op loop
-# under the old 4096-cell cutoff too; 166 x 166 / 167 x 167 and 1 x 18432 /
-# 1 x 18433 sit on the boundary.
+# under the old 4096-cell cutoff too; 135 x 135 / 136 x 136 and 1 x 12288 /
+# 1 x 12289 sit on the boundary.
 ROWOPS_SHAPES = [(64, 64), (17, 241), (241, 17), (1, 4096), (4097, 1), (40, 100),
-                 (166, 166), (48, 384), (1, 18432)]
-BLOCKED_SHAPES = [(167, 167), (64, 400), (400, 64), (24, 800), (1, 18433)]
+                 (135, 135), (48, 256), (1, 12288)]
+BLOCKED_SHAPES = [(136, 136), (48, 384), (64, 400), (400, 64), (24, 800), (1, 12289)]
 CUTOFF_SHAPES = ROWOPS_SHAPES + BLOCKED_SHAPES
 
 
 def low_rank(rng, m: int, n: int, k: int, p: int) -> np.ndarray:
-    return (rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n))) % p
+    return matmul_mod(rng.integers(0, p, size=(m, k)), rng.integers(0, p, size=(k, n)), p)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -148,8 +148,8 @@ PRIMES = [7, P, 4194301]
 
 
 @st.composite
-def _kernel_cases(draw):
-    p = draw(st.sampled_from(PRIMES))
+def _kernel_cases(draw, primes=PRIMES):
+    p = draw(st.sampled_from(primes))
     kind = draw(st.sampled_from(["plain", "zero_columns", "duplicate_rows", "zero_run",
                                  "deep_pivot", "rows_run_out"]))
     if kind == "rows_run_out":  # m ends inside a leaf, before the last column
@@ -196,6 +196,22 @@ def test_striped_slack_reset_large_prime(monkeypatch):
     monkeypatch.setattr(linalg, "_STRIPE_CELLS", 1000)
     for a in (rng.integers(0, p, size=(400, 400)), low_rank(rng, 400, 420, 390, p)):
         assert rank_dense(a, p) == division_free_rank(a, p)
+
+
+# both primes take the row-op loop, where an entry absorbs 131071 and 2
+# unreduced rank-1 updates: at 2^31 - 1 the trailing block is reduced
+# before every other update, and one more update would wrap int64
+@settings(max_examples=200, deadline=None)
+@given(_kernel_cases([8388617, 2**31 - 1]))
+def test_rowops_large_prime_against_oracle(case):
+    a, p = case
+    rank = division_free_rank(a, p)
+    assert rank_dense(a, p) == rank
+    red, pivots = rref(a, p)
+    assert len(pivots) == rank and ((red >= 0) & (red < p)).all()
+    for i, j in enumerate(pivots):
+        assert red[i, j] == 1 and np.count_nonzero(red[:, j]) == 1
+        assert not red[i, :j].any()
 
 
 @pytest.mark.parametrize("shape", [(30, 40), (200, 300)])  # row-op, blocked
