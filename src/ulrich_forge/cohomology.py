@@ -164,7 +164,7 @@ def _pivot_pencil(pres: UlrichPresentation):
             break
     else:
         return None
-    free = np.setdiff1d(np.arange(b), pivots)
+    free = np.flatnonzero(np.bincount(pivots, minlength=b) == 0)
     blocks = []
     for v in (1, 2):
         part = reduced[:, v * b : (v + 1) * b]
@@ -281,7 +281,7 @@ def hom_presentations(p1: UlrichPresentation, p2: UlrichPresentation) -> int:
         raise ValueError("hom_presentations needs equal polarization degrees")
     p, a1, b1, a2, b2 = p1.p, p1.a, p1.b, p2.a, p2.b
     reduced, pivots = rref(p1.coeff_array.reshape(b1, 3 * a1), p)
-    free = np.setdiff1d(np.arange(3 * a1), pivots)
+    free = np.flatnonzero(np.bincount(pivots, minlength=3 * a1) == 0)
     k = free.size
     null = np.zeros((k, 3 * a1), dtype=np.int64)     # columns (j1, v)
     null[np.arange(k), free] = 1

@@ -248,16 +248,16 @@ def _row_echelon(a: np.ndarray, p: int) -> list[int]:
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over F_p; returns (R, pivot column list).
     After the forward pass each pivot row, last first, is scaled to a
-    leading 1 and cleared from the rows above it."""
+    leading 1 and cleared from the rows above it, on slices: every factor
+    is reduced, so no magnitude passes (p - 1)^2 + p < 2^63."""
     a = np.array(a, dtype=np.int64)
     a %= p
     pivots = _row_echelon(a, p)
     for i in reversed(range(len(pivots))):
         j = pivots[i]
         a[i, j:] = a[i, j:] * inverse_mod(int(a[i, j]), p) % p
-        rows = np.flatnonzero(a[:i, j])
-        if rows.size:
-            a[rows, j:] = (a[rows, j:] - a[rows, j, None] * a[i, j:]) % p
+        a[:i, j:] -= a[:i, j, None] * a[i, j:]
+        a[:i, j:] %= p
     return a[: len(pivots)], pivots
 
 

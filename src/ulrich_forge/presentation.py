@@ -204,9 +204,10 @@ class GenericRankResult:
         return "injective" if self.passed else "undetermined"
 
 
-def _chart_point_fp(p: int, chart: int, rng: np.random.Generator) -> tuple[int, int, int]:
+def _trial_point(p: int, i: int, rng: np.random.Generator) -> tuple[int, int, int]:
+    """The point of P^2(F_p) drawn for trial i, in chart CHART_ROTATION[i % 3]."""
     coords = [int(v) for v in rng.integers(0, p, size=3)]
-    coords[chart] = 1
+    coords[CHART_ROTATION[i % 3]] = 1
     return tuple(coords)
 
 
@@ -216,13 +217,15 @@ def generic_rank_check(pres: UlrichPresentation, trials: int = 3,
 
     A single witness certifies injectivity of the sheaf map (pointwise rank
     bounds generic rank from below); exhausting the trials proves nothing
-    and reports "undetermined".
+    and reports "undetermined".  The certifier calls this only when
+    h^1(E(-2d)) != 0; otherwise M has rank a at every point, and the first
+    draw, _trial_point(p, 0, rng), is the witness without a rank.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
     for i in range(trials):
-        point = _chart_point_fp(pres.p, CHART_ROTATION[i % 3], rng)
+        point = _trial_point(pres.p, i, rng)
         if rank_dense(pres.evaluate_at(point), pres.p) == pres.a:
             return GenericRankResult(trials=i + 1, witness=point)
     return GenericRankResult(trials=trials)

@@ -99,13 +99,15 @@ def presentation_filename(d: int, r: int, p: int, master_seed: int) -> str:
 def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
            p: int = DEFAULT_PRIME, out_dir: Optional[Path] = None,
            namespace: tuple[int, ...] = (),
-           record_timings: bool = False) -> SearchResult:
+           record_timings: bool = False,
+           deadline: Optional[float] = None) -> Optional[SearchResult]:
     """Try seeded random presentations until one certifies (basic level).
 
     Trials run in index order and stop at the first success, so the report
     covers exactly the trials with index <= the first success.  On success
     the winning presentation is saved under out_dir with a deterministic
-    name and its certificate is written next to it.
+    name and its certificate is written next to it.  A search that finds
+    time.perf_counter() past the deadline before a trial returns None.
     """
     shape(d, r)  # validate before any work
     if trials < 1:
@@ -117,6 +119,8 @@ def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
     presentation: Optional[UlrichPresentation] = None
     certificate: Optional[UlrichCertificate] = None
     for i in range(trials):
+        if deadline is not None and time.perf_counter() > deadline:
+            return None
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, *namespace, i]))
         pres = random_presentation(d, r, rng, p=p)
         cert = certify(pres, level="basic", master_seed=master_seed,
@@ -194,7 +198,9 @@ def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0
           time_budget_s: Optional[float] = None,
           record_timings: bool = False) -> SweepReport:
     """Run one search per degree; partial results are marked when the time
-    budget (finite, > 0 seconds) runs out before the list is exhausted."""
+    budget (finite, > 0 seconds) runs out before the list is exhausted.
+    The budget is checked before every trial; the degree it cuts short is
+    skipped, with every later one."""
     if not d_list:
         raise ValueError("the degree list is empty")
     if time_budget_s is not None and not (math.isfinite(time_budget_s) and time_budget_s > 0):
@@ -207,16 +213,16 @@ def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0
         **LEGACY_LF_CONFIG,
         "record_timings": record_timings,
     }
-    t0 = time.perf_counter()
+    deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
     results: list[SearchReport] = []
     skipped: list[int] = []
     for pos, d in enumerate(d_list):
-        if time_budget_s is not None and time.perf_counter() - t0 > time_budget_s:
-            skipped = list(d_list[pos:])
-            break
         res = search(d, r, trials=trials_per_d, master_seed=master_seed, p=p,
                      out_dir=out_dir, namespace=(d,),
-                     record_timings=record_timings)
+                     record_timings=record_timings, deadline=deadline)
+        if res is None:
+            skipped = list(d_list[pos:])
+            break
         results.append(res.report)
     return SweepReport(p=p, r=r, master_seed=master_seed,
                        trials_per_d=trials_per_d, results=results,

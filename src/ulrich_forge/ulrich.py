@@ -7,7 +7,8 @@ cleared by 2 or 4 throughout.  The certifier ties it to the cohomology
 engine: a presentation whose generic-rank witness exists and whose twists
 E(-t d) for t = 2..alpha have vanishing first cohomology presents an
 Ulrich bundle, and the optional full profile re-verifies every dimension
-formula the theory predicts for it.
+formula the theory predicts for it.  The witness is implied when
+h^1(E(-2d)) = 0, and computed by ranking M at drawn points otherwise.
 
 A certificate stores its inputs and the numbers it computed, nothing else:
 every verdict (a check's ``passed``, ``valid``, ``full_ok``), shape number
@@ -36,7 +37,7 @@ import numpy as np
 
 from .cohomology import (bundle_cohomology, chi_line, dual_cohomology,
                          end_cohomology, omega_table)
-from .presentation import (GenericRankResult, Shaped, UlrichPresentation,
+from .presentation import (GenericRankResult, Shaped, UlrichPresentation, _trial_point,
                            canonical_json_bytes, generic_rank_check, shape)
 
 CERTIFICATE_FORMAT = "ulrich-certificate/1"
@@ -295,14 +296,19 @@ def certify(pres: UlrichPresentation, level: str = "basic",
     Local freeness is not checked separately.  h^1(E(-2d)) = dim
     coker(M^T)_{d-1}; when it is 0 the sheaf map M^T is surjective, so M has
     rank a at every point over the algebraic closure.  The certificate's
-    local_freeness verdict says whether that vanishing holds.
+    local_freeness verdict says whether that vanishing holds.  It implies
+    the generic-rank witness too: the first point drawn, at trial 1 with no
+    rank, as generic_rank_check would find it; only when h^1(E(-2d)) != 0
+    are the drawn points ranked.
     """
     if level not in ("basic", "full"):
         raise ValueError(f"level must be 'basic' or 'full', got {level!r}")
-    rng_rank = np.random.default_rng(np.random.SeedSequence([master_seed, *seed_path, 101]))
-    gr = generic_rank_check(pres, trials=LEGACY_CERT_CONFIG["rank_trials"], rng=rng_rank)
     vanishings = [(t, bundle_cohomology(pres, -t * pres.d)[1])
                   for t in range(2, pres.alpha + 1)]
+    rng_rank = np.random.default_rng(np.random.SeedSequence([master_seed, *seed_path, 101]))
+    gr = (GenericRankResult(trials=1, witness=_trial_point(pres.p, 0, rng_rank))
+          if vanishings[0][1] == 0 else
+          generic_rank_check(pres, trials=LEGACY_CERT_CONFIG["rank_trials"], rng=rng_rank))
     cert = UlrichCertificate(
         presentation_hash=pres.content_hash, p=pres.p, d=pres.d, r=pres.r,
         level=level, seed_path=(master_seed, *seed_path),

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ulrich_forge.cohomology import build_map_matrix, line_h
 from ulrich_forge.linalg import rank_dense
-from ulrich_forge.presentation import UlrichPresentation, random_presentation
+from ulrich_forge.presentation import UlrichPresentation, direct_sum, random_presentation
 
 
 def seeded_presentation(d: int, r: int, seed: int = 0, p: int = 32003) -> UlrichPresentation:
@@ -34,6 +35,43 @@ def drop_rank_at(pres: UlrichPresentation, point, rng) -> UlrichPresentation:
     dropped = UlrichPresentation(pres.field, pres.d, pres.r, c)
     assert not (dropped.evaluate_at(point) @ v % p).any()
     return dropped
+
+
+def variant(pres: UlrichPresentation, kind: str, rng) -> UlrichPresentation:
+    """pres rebuilt with a degenerate structure the kernel must survive."""
+    c = np.array(pres.coeff_array)
+    if kind == "direct_sum":
+        other = random_presentation(pres.d, 1 if pres.d % 2 else 2, rng, p=pres.p)
+        return direct_sum(pres, other)
+    if kind == "non_surjective":
+        c[:, :1, 2] = 0         # column 0 of M vanishes at (0, 0, 1)
+    elif kind == "zero_z":
+        c[:, :, 2] = 0
+    elif kind == "equal_xy":
+        c[:, :, 1] = c[:, :, 0]
+    elif kind == "equal_xz":
+        c[:, :, 2] = c[:, :, 0]
+    elif kind == "sparse":
+        c *= rng.integers(0, 2, size=c.shape)
+    elif kind == "zero_column":
+        c[:, :1] = 0            # rank M(point) < a everywhere: no pivot point
+    return UlrichPresentation(pres.field, pres.d, pres.r, c)
+
+
+VARIANT_KINDS = ["random", "direct_sum", "non_surjective", "zero_z", "equal_xy",
+                 "equal_xz", "sparse", "zero_column"]
+
+
+@st.composite
+def variant_cases(draw):
+    """A presentation of any variant kind at a small or a medium prime."""
+    p = draw(st.sampled_from([3, 5, 7, 32003]))
+    d = draw(st.integers(min_value=1, max_value=5))
+    r = draw(st.integers(min_value=1, max_value=3))
+    r += r * (d - 1) % 2
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(VARIANT_KINDS))
+    return variant(random_presentation(d, r, rng, p=p), kind, rng)
 
 
 def dual_resolution_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, int, int]:

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, text/json number parity."""
 
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,51 @@ def test_sweep_cli_json(capsys, tmp_path):
     report = tmp_path / "sweep_r3_p32003_seed0.json"
     assert report.exists()
     assert json.loads(report.read_text())["results"] == doc["results"]
+
+
+# sha256 of every file written by the first command of the search_small
+# benchmark workload at seed 0, with --out added
+_SEARCH_SMALL_SEED0 = {
+    "sweep_r2_p32003_seed0.json":
+        "d267c3f3900731b00864e8eeefa9579cf301ec45c0e1e38898853eddf6c26d33",
+    "ulrich_d2_r2_p32003_seed0.cert.json":
+        "93d8250f19ef0e9d6599dd2436dc01cf60d06125098621442d800e739ee6d7c7",
+    "ulrich_d2_r2_p32003_seed0.json":
+        "aa1e17c788bc44949d12ec62d09f44a3dffaf1a6dabe2daffe6116a6ee0a012d",
+    "ulrich_d3_r2_p32003_seed0.cert.json":
+        "f5adb8df1a33922fd80d6e735cbe838ade28fe7be00cef3889359cb332cd7ef7",
+    "ulrich_d3_r2_p32003_seed0.json":
+        "97fba666ac0a4ead88e21d293e05d4df92757475a890b985a2d7245ad288295e",
+    "ulrich_d4_r2_p32003_seed0.cert.json":
+        "d57355032037484c3e5586cdba12692a03fffdd75208b2d8e475ed1f707f944f",
+    "ulrich_d4_r2_p32003_seed0.json":
+        "01de8991ce8db9eb054d88e5ac742479aa12afce4c3decf2171eb5cd6c85fd1a",
+    "ulrich_d5_r2_p32003_seed0.cert.json":
+        "7fb893702491c3b7641f295ae78d3bba99598a635ef6bb30a022d5999486151d",
+    "ulrich_d5_r2_p32003_seed0.json":
+        "ab6dd871d1a895a9e36bc97f35eb91e8fc41c56e2fed258a250a8a7e86201a90",
+    "ulrich_d6_r2_p32003_seed0.cert.json":
+        "35e157be5ed9c070f9518526d191ce5a05af5ed2e5bee959c53439fb89e767f5",
+    "ulrich_d6_r2_p32003_seed0.json":
+        "d0f881817f59883cc6a6e104a54335bdbefe7ec5f513363394a122f76292c25e",
+    "ulrich_d7_r2_p32003_seed0.cert.json":
+        "66942c3311064854702f88603099ba49453ead4ecb0686b7d08b3e9810961a00",
+    "ulrich_d7_r2_p32003_seed0.json":
+        "997aef7cbaba892fbc98fd5c98aa0ecd853051b1d6ae6da7d0f63c3d170b2d2a",
+    "ulrich_d8_r2_p32003_seed0.cert.json":
+        "c40e11782abf7cb05f5dbcbbc5c6057c1c297d06a247267718f364cc50e04563",
+    "ulrich_d8_r2_p32003_seed0.json":
+        "3e8eeb605d73368e55e529b56d0005b6074e247977f3ef66280b83aef9c5319c",
+}
+
+
+def test_search_small_seed0_bytes_are_pinned(capsys, tmp_path):
+    code, _, _ = run(capsys, "sweep", "--r", "2", "--d", "2,3,4,5,6,7,8",
+                     "--trials", "5", "--seed", "0", "--out", str(tmp_path))
+    assert code == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in tmp_path.iterdir()}
+    assert got == _SEARCH_SMALL_SEED0
 
 
 def test_sweep_cli_empty_degree_list_exit_2(capsys):

@@ -15,7 +15,8 @@ from ulrich_forge.poly import dim_forms
 from ulrich_forge.presentation import UlrichPresentation, direct_sum, random_presentation
 from ulrich_forge.ulrich import certify
 
-from conftest import dual_resolution_cohomology, seeded_presentation
+from conftest import (VARIANT_KINDS, dual_resolution_cohomology, seeded_presentation,
+                      variant, variant_cases)
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -97,44 +98,8 @@ def test_h1_nonzero_off_polarization_multiples(pres_d7r3):
 
 # --- the z-slice rank kernel against the dense oracle ------------------------
 
-def _variant(pres: UlrichPresentation, kind: str, rng) -> UlrichPresentation:
-    """pres rebuilt with a degenerate structure the kernel must survive."""
-    c = np.array(pres.coeff_array)
-    if kind == "direct_sum":
-        other = random_presentation(pres.d, 1 if pres.d % 2 else 2, rng, p=pres.p)
-        return direct_sum(pres, other)
-    if kind == "non_surjective":
-        c[:, :1, 2] = 0         # column 0 of M vanishes at (0, 0, 1)
-    elif kind == "zero_z":
-        c[:, :, 2] = 0
-    elif kind == "equal_xy":
-        c[:, :, 1] = c[:, :, 0]
-    elif kind == "equal_xz":
-        c[:, :, 2] = c[:, :, 0]
-    elif kind == "sparse":
-        c *= rng.integers(0, 2, size=c.shape)
-    elif kind == "zero_column":
-        c[:, :1] = 0            # rank M(point) < a everywhere: no pivot point
-    return UlrichPresentation(pres.field, pres.d, pres.r, c)
-
-
-_KINDS = ["random", "direct_sum", "non_surjective", "zero_z", "equal_xy",
-          "equal_xz", "sparse", "zero_column"]
-
-
-@st.composite
-def _variant_cases(draw):
-    """A presentation of any _variant kind at a small or a medium prime."""
-    p = draw(st.sampled_from([3, 5, 7, 32003]))
-    d = draw(st.integers(min_value=1, max_value=5))
-    r = draw(st.integers(min_value=1, max_value=3))
-    r += r * (d - 1) % 2
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    return _variant(random_presentation(d, r, rng, p=p), draw(st.sampled_from(_KINDS)), rng)
-
-
 @settings(max_examples=200, deadline=None)
-@given(_variant_cases())
+@given(variant_cases())
 def test_pivot_pencil_exists_iff_a_pivot_point_has_full_rank(pres):
     full = any(rank_dense(pres.evaluate_at(pt), pres.p) == pres.a for pt in _PIVOT_POINTS)
     assert (_pivot_pencil(pres) is not None) == full
@@ -149,7 +114,7 @@ def _rank_cases(draw):
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     kind = draw(st.sampled_from(["random", "direct_sum", "non_surjective", "zero_z",
                                  "equal_xy", "sparse", "zero_column"]))
-    pres = _variant(random_presentation(d, r, rng, p=p), kind, rng)
+    pres = variant(random_presentation(d, r, rng, p=p), kind, rng)
     n = draw(st.integers(min_value=-1, max_value=3 * d))
     return pres, n, draw(st.booleans())
 
@@ -173,7 +138,7 @@ def test_mult_rank_builds_matrix_only_without_pivot(monkeypatch):
     monkeypatch.setattr(cohomology, "build_map_matrix",
                         lambda *args: built.append(args) or dense(*args))
     pres = seeded_presentation(3, 3)
-    degenerate = _variant(pres, "zero_column", None)
+    degenerate = variant(pres, "zero_column", None)
     for n in range(-1, 10):
         for transpose in (False, True):
             for q in (pres, degenerate):
@@ -192,8 +157,8 @@ def _rank_sequences(draw):
     r = draw(st.integers(min_value=1, max_value=2 if d > 3 else 3))
     r += r * (d - 1) % 2
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    kind = draw(st.sampled_from(_KINDS))
-    pres = _variant(random_presentation(d, r, rng, p=p), kind, rng)
+    kind = draw(st.sampled_from(VARIANT_KINDS))
+    pres = variant(random_presentation(d, r, rng, p=p), kind, rng)
     requests = [(n, t) for n in range(-1, 3 * d + 1) for t in (False, True)]
     return pres, draw(st.permutations(requests))
 
@@ -278,7 +243,7 @@ def test_serre_duality_cross_paths(pres_d3r2):
 
 @st.composite
 def _dual_cases(draw):
-    pres = draw(_variant_cases())
+    pres = draw(variant_cases())
     return pres, draw(st.integers(min_value=-4 * pres.d - 3, max_value=2 * pres.d + 2))
 
 
@@ -425,7 +390,7 @@ def _hom_pairs(draw):
     pair = []
     for _ in range(2):
         r = draw(st.integers(min_value=1, max_value=2)) * (1 if d % 2 else 2)
-        pair.append(_variant(random_presentation(d, r, rng, p=p), draw(kinds), rng))
+        pair.append(variant(random_presentation(d, r, rng, p=p), draw(kinds), rng))
     return tuple(pair)
 
 

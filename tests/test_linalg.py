@@ -332,6 +332,63 @@ def test_rref_reduces_pivot_columns():
             assert not red[i, :j].any()
 
 
+def gauss_jordan(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Oracle: textbook Gauss-Jordan on Python integers; returns the nonzero
+    rows of the reduced row-echelon form, which is unique, and its pivots."""
+    a = [[v % p for v in row] for row in rows]
+    n = len(a[0]) if a else 0
+    pivots: list[int] = []
+    for j in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][j]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][j], -1, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][j]:
+                f = a[i][j]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+        pivots.append(j)
+    return a[: len(pivots)], pivots
+
+
+@st.composite
+def _rref_cases(draw):
+    """Matrices up to 12 x 30 or 30 x 12, with zero rows and columns,
+    duplicated rows and deficient rank."""
+    p = draw(st.sampled_from([3, 7, 32003, 2**31 - 1]))
+    m = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=30))
+    if draw(st.booleans()):
+        m, n = n, m                         # tall
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "low_rank", "zero_lines", "duplicates", "zero"]))
+    if kind == "low_rank":
+        a = low_rank(rng, m, n, int(rng.integers(1, min(m, n) + 1)), p)
+    else:
+        a = rng.integers(0, p, size=(m, n))
+    if kind == "zero_lines":
+        a[rng.random(m) < 0.3] = 0
+        a[:, rng.random(n) < 0.3] = 0
+    elif kind == "duplicates":
+        a[rng.integers(0, m, size=m // 2)] = a[0]
+    elif kind == "zero":
+        a[:] = 0
+    return a, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rref_cases())
+def test_rref_matches_gauss_jordan_oracle(case):
+    a, p = case
+    want, want_pivots = gauss_jordan(a.tolist(), p)
+    red, pivots = rref(a, p)
+    assert pivots == want_pivots
+    assert red.tolist() == want
+
+
 def test_matrix_container_validation():
     # rank_dense takes any integer 2-d array and reduces it mod p first
     with pytest.raises(ValueError):

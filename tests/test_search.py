@@ -145,6 +145,39 @@ def test_sweep_time_budget_marks_partial(monkeypatch):
     assert not rep.all_succeeded
 
 
+def test_sweep_time_budget_cuts_a_search_between_trials(monkeypatch, tmp_path):
+    # each certification takes 10 s on a fake clock; d = 5 always draws a
+    # presentation whose trial 0 fails, so the budget runs out before its
+    # trial 1: d = 5 and every later degree are skipped, and nothing of
+    # the cut search is written
+    now = [0.0]
+    monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+    certify_real = search_module.certify
+
+    def slow_certify(*args, **kwargs):
+        now[0] += 10.0
+        return certify_real(*args, **kwargs)
+
+    coeffs = seeded_presentation(5, 3).coeff_array.copy()
+    coeffs[:, 0] = 0
+    failing = UlrichPresentation(PrimeField(DEFAULT_PRIME), 5, 3, coeffs)
+    draw_real = search_module.random_presentation
+    monkeypatch.setattr(search_module, "certify", slow_certify)
+    monkeypatch.setattr(search_module, "random_presentation",
+                        lambda d, r, rng, p: failing if d == 5 else draw_real(d, r, rng, p))
+    rep = sweep([3, 5, 7], 3, trials_per_d=5, master_seed=0, out_dir=tmp_path,
+                time_budget_s=15.0)
+    assert rep.partial and rep.skipped == [5, 7]
+    assert [(r.d, r.success_trial) for r in rep.results] == [(3, 0)]
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "ulrich_d3_r3_p32003_seed0.cert.json", "ulrich_d3_r3_p32003_seed0.json"]
+    # without a budget the failing degree runs all its trials
+    now[0] = 0.0
+    rep = sweep([3, 5, 7], 3, trials_per_d=5, master_seed=0)
+    assert not rep.partial and [r.trials_run for r in rep.results] == [1, 5, 1]
+    assert rep.results[1].failure_histogram == {"generic_rank": 5}
+
+
 def test_sweep_validates_every_degree_first():
     with pytest.raises(ParityError):
         sweep([3, 4], 3, trials_per_d=5, master_seed=0)

@@ -9,18 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulrich_forge.cli import main
-from ulrich_forge import cohomology
+from ulrich_forge import cohomology, presentation
 from ulrich_forge.cohomology import bundle_cohomology
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
-from ulrich_forge.presentation import (ParityError, UlrichPresentation,
-                                       direct_sum, random_presentation, save)
+from ulrich_forge.presentation import (ParityError, UlrichPresentation, direct_sum,
+                                       generic_rank_check, random_presentation, save)
 from ulrich_forge.search import sweep
 from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check, invariants,
                                  line_bundle_solutions, semistable_bound_check,
                                  veronese_facts)
 
-from conftest import drop_rank_at, seeded_presentation
+from conftest import drop_rank_at, seeded_presentation, variant_cases
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -224,6 +224,40 @@ def test_certify_full_skips_profile_after_invalid_basic(monkeypatch):
     assert full_built <= basic_built
     assert not full.valid and full.full_checks is None and full.full_ok is False
     assert full.discrepancies() == basic.discrepancies()
+
+
+# --- the generic-rank witness: implied by h^1(E(-2d)) = 0 --------------------
+
+@settings(max_examples=200, deadline=None)
+@given(variant_cases(), st.integers(min_value=0, max_value=2**32 - 1),
+       st.lists(st.integers(min_value=0, max_value=50), max_size=2))
+def test_implied_witness_matches_generic_rank_check(pres, seed, path):
+    # certify ranks the drawn points only when h^1(E(-2d)) != 0; either way
+    # its witness is the one the computed check finds on the same stream
+    cert = certify(pres, master_seed=seed, seed_path=tuple(path))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, *path, 101]))
+    assert cert.generic_rank == generic_rank_check(pres, 3, rng)
+    if cert.valid:
+        assert rank_dense(pres.evaluate_at(cert.generic_rank.witness), pres.p) == pres.a
+
+
+def test_valid_certify_ranks_no_evaluated_matrix(monkeypatch, pres_d7r3):
+    ranked = []
+    dense = presentation.rank_dense
+    monkeypatch.setattr(presentation, "rank_dense",
+                        lambda a, p: ranked.append(a.shape) or dense(a, p))
+    assert certify(pres_d7r3, master_seed=0).valid
+    assert ranked == []
+    # h^1(E(-2d)) != 0: the drawn points are ranked until one has rank a
+    coeffs = pres_d7r3.coeff_array.copy()
+    coeffs[:, 0] = 0
+    zero_column = certify(UlrichPresentation(F, 7, 3, coeffs), master_seed=0)
+    assert not zero_column.generic_rank.passed and ranked == [(12, 9)] * 3
+    ranked.clear()
+    dropped = drop_rank_at(pres_d7r3, (5, 11, 1), np.random.default_rng(3))
+    cert = certify(dropped, master_seed=0)
+    assert cert.generic_rank.passed and not cert.valid
+    assert ranked == [(12, 9)] * cert.generic_rank.trials
 
 
 def test_certificate_serialization_roundtrip(pres_d3r2):
