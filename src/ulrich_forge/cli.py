@@ -20,7 +20,8 @@ from .presentation import (ParityError, PresentationFormatError,
                            canonical_json_bytes, load)
 from . import cohomology as coh
 from .search import search, sweep
-from .ulrich import certify, hilbert_check, invariants, veronese_facts
+from .ulrich import (certificate_filename, certify, hilbert_check, invariants,
+                     veronese_facts)
 
 EXIT_OK = 0
 EXIT_CERTIFICATION = 1
@@ -62,37 +63,32 @@ def build_parser() -> argparse.ArgumentParser:
     num.add_argument("--r", type=int, required=True)
 
     cert = sub.add_parser("certify", help="certify a presentation file")
-    cert.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    cert.add_argument("--in", dest="infile", type=Path, required=True, metavar="FILE")
     cert.add_argument("--level", choices=("basic", "full"), default="basic")
     cert.add_argument("--seed", type=int, default=0)
-    cert.add_argument("--out", metavar="DIR", default=None,
+    cert.add_argument("--out", metavar="DIR", type=Path, default=None,
                       help="directory for the certificate (default: next to input)")
 
-    srch = sub.add_parser("search", help="seeded random search for one (d, r)")
-    srch.add_argument("--d", type=int, required=True)
-    srch.add_argument("--r", type=int, required=True)
-    srch.add_argument("--p", type=int, default=DEFAULT_PRIME)
-    srch.add_argument("--seed", type=int, default=0)
-    srch.add_argument("--trials", type=int, default=5)
-    srch.add_argument("--workers", type=int, default=1,
-                      help="accepted for compatibility; trials run serially")
-    srch.add_argument("--out", metavar="DIR", default=None)
-    srch.add_argument("--timings", action="store_true",
-                      help="record wall-clock times in the report "
-                           "(off by default: timed reports are not byte-reproducible)")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--r", type=int, required=True)
+    shared.add_argument("--p", type=int, default=DEFAULT_PRIME)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--trials", type=int, default=5)
+    shared.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; trials run serially")
+    shared.add_argument("--out", metavar="DIR", type=Path, default=None)
+    shared.add_argument("--timings", action="store_true",
+                        help="record wall-clock times in the report "
+                             "(off by default: timed reports are not byte-reproducible)")
 
-    swp = sub.add_parser("sweep", help="searches across a degree list")
+    srch = sub.add_parser("search", parents=[shared],
+                          help="seeded random search for one (d, r)")
+    srch.add_argument("--d", type=int, required=True)
+
+    swp = sub.add_parser("sweep", parents=[shared], help="searches across a degree list")
     swp.add_argument("--d", type=_parse_d_list, required=True,
                      metavar="D1,D2,...", help="comma-separated degrees")
-    swp.add_argument("--r", type=int, required=True)
-    swp.add_argument("--p", type=int, default=DEFAULT_PRIME)
-    swp.add_argument("--seed", type=int, default=0)
-    swp.add_argument("--trials", type=int, default=5)
-    swp.add_argument("--workers", type=int, default=1,
-                      help="accepted for compatibility; trials run serially")
-    swp.add_argument("--out", metavar="DIR", default=None)
     swp.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
-    swp.add_argument("--timings", action="store_true")
 
     tab = sub.add_parser("table", help="cohomology table of a presentation file")
     tab.add_argument("--in", dest="infile", required=True, metavar="FILE")
@@ -136,11 +132,9 @@ def cmd_numerology(args) -> int:
 def cmd_certify(args) -> int:
     pres = load(args.infile)
     cert = certify(pres, level=args.level, master_seed=args.seed)
-    in_path = Path(args.infile)
-    out_dir = Path(args.out) if args.out else in_path.parent
+    out_dir = args.out or args.infile.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = in_path.name[:-len(".json")] if in_path.name.endswith(".json") else in_path.name
-    cert_path = out_dir / (stem + ".cert.json")
+    cert_path = out_dir / certificate_filename(args.infile.name)
     cert_path.write_bytes(cert.to_bytes())
 
     doc = cert.to_json_dict()
@@ -160,7 +154,7 @@ def cmd_certify(args) -> int:
                   f"{len(doc['full_checks'])} checks passed")
         print(f"certificate: {'VALID' if doc['valid'] else 'INVALID'} "
               f"-> {doc['certificate_file']}")
-        for item in cert.discrepancies():
+        for item in doc["discrepancies"]:
             print(f"  DISCREPANCY {item['check']}: expected {item['expected']}, "
                   f"computed {item['computed']}")
 
@@ -171,8 +165,7 @@ def cmd_certify(args) -> int:
 def cmd_search(args) -> int:
     _check_serial(args.workers)
     res = search(args.d, args.r, trials=args.trials, master_seed=args.seed,
-                 p=args.p, out_dir=Path(args.out) if args.out else None,
-                 record_timings=args.timings)
+                 p=args.p, out_dir=args.out, record_timings=args.timings)
     doc = res.report.to_json_dict()
 
     def render(doc):
@@ -193,13 +186,12 @@ def cmd_search(args) -> int:
 def cmd_sweep(args) -> int:
     _check_serial(args.workers)
     rep = sweep(args.d, args.r, trials_per_d=args.trials, master_seed=args.seed,
-                p=args.p, out_dir=Path(args.out) if args.out else None,
+                p=args.p, out_dir=args.out,
                 time_budget_s=args.time_budget, record_timings=args.timings)
     doc = rep.to_json_dict()
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report_path = out_dir / f"sweep_r{rep.r}_p{rep.p}_seed{rep.master_seed}.json"
+        args.out.mkdir(parents=True, exist_ok=True)
+        report_path = args.out / f"sweep_r{rep.r}_p{rep.p}_seed{rep.master_seed}.json"
         report_path.write_bytes(rep.to_bytes())
 
     def render(doc):

@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .field import DEFAULT_PRIME
-from .presentation import (UlrichPresentation, canonical_json_bytes,
+from .presentation import (Shaped, UlrichPresentation, canonical_json_bytes,
                            random_presentation, save, shape)
-from .ulrich import LEGACY_LF_CONFIG, UlrichCertificate, certify
+from .ulrich import LEGACY_LF_CONFIG, UlrichCertificate, certificate_filename, certify
 
 SWEEP_FORMAT = "ulrich-sweep/1"
 SEARCH_FORMAT = "ulrich-search/1"
@@ -40,27 +40,30 @@ def _failure_key(cert: UlrichCertificate) -> str:
 
 
 @dataclass
-class SearchReport:
+class SearchReport(Shaped):
     """Outcome of one (d, r) search; deterministic given the seed tuple.
 
-    Trial indices are 0-based: success_trial == 0 means the first draw."""
+    The winner's basic certificate carries its hash, vanishings and witness.
+    Trials run in index order and stop at the first success, so every counted
+    failure precedes it; trial indices are 0-based (0 means the first draw)."""
 
     d: int
     r: int
     p: int
     master_seed: int
     trials_requested: int
-    success_trial: Optional[int]
-    presentation_hash: Optional[str]
+    certificate: Optional[UlrichCertificate]
     presentation_file: Optional[str]
-    h1_checks: list[tuple[int, int]]
-    generic_rank: Optional[str]
     failure_histogram: dict[str, int]
     ms: Optional[float] = None
 
     @property
     def succeeded(self) -> bool:
-        return self.success_trial is not None
+        return self.certificate is not None
+
+    @property
+    def success_trial(self) -> Optional[int]:
+        return sum(self.failure_histogram.values()) if self.succeeded else None
 
     @property
     def trials_run(self) -> int:
@@ -68,19 +71,19 @@ class SearchReport:
         return self.trials_requested if self.success_trial is None else self.success_trial + 1
 
     def to_json_dict(self) -> dict:
-        s = shape(self.d, self.r)
+        cert = self.certificate
         return {
             "format": SEARCH_FORMAT,
             "d": self.d, "r": self.r, "p": self.p,
-            "a": s.a, "b": s.b, "alpha": s.alpha,
+            "a": self.a, "b": self.b, "alpha": self.alpha,
             "master_seed": self.master_seed,
             "trials_requested": self.trials_requested,
             "trials_run": self.trials_run,
             "success_trial": self.success_trial,
-            "presentation_hash": self.presentation_hash,
+            "presentation_hash": cert.presentation_hash if cert else None,
             "presentation_file": self.presentation_file,
-            "h1_checks": [[t, h1] for t, h1 in self.h1_checks],
-            "generic_rank": self.generic_rank,
+            "h1_checks": [[t, h1] for t, h1 in cert.vanishings] if cert else [],
+            "generic_rank": cert.generic_rank.status if cert else None,
             "failure_histogram": dict(sorted(self.failure_histogram.items())),
             "ms": self.ms,
         }
@@ -115,7 +118,6 @@ def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
     t_start = time.perf_counter()
 
     histogram: dict[str, int] = {}
-    success_trial: Optional[int] = None
     presentation: Optional[UlrichPresentation] = None
     certificate: Optional[UlrichCertificate] = None
     for i in range(trials):
@@ -126,7 +128,7 @@ def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
         cert = certify(pres, level="basic", master_seed=master_seed,
                        seed_path=(*namespace, i))
         if cert.passed:
-            success_trial, presentation, certificate = i, pres, cert
+            presentation, certificate = pres, cert
             break
         key = _failure_key(cert)
         histogram[key] = histogram.get(key, 0) + 1
@@ -137,18 +139,12 @@ def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
         out_dir.mkdir(parents=True, exist_ok=True)
         filename = presentation_filename(d, r, p, master_seed)
         save(presentation, out_dir / filename)
-        cert_path = out_dir / (filename[: -len(".json")] + ".cert.json")
-        cert_path.write_bytes(certificate.to_bytes())
+        (out_dir / certificate_filename(filename)).write_bytes(certificate.to_bytes())
 
     elapsed_ms = 1e3 * (time.perf_counter() - t_start)
     report = SearchReport(
-        d=d, r=r, p=p, master_seed=master_seed,
-        trials_requested=trials,
-        success_trial=success_trial,
-        presentation_hash=(certificate.presentation_hash if certificate else None),
-        presentation_file=filename,
-        h1_checks=(list(certificate.vanishings) if certificate else []),
-        generic_rank=(certificate.generic_rank.status if certificate else None),
+        d=d, r=r, p=p, master_seed=master_seed, trials_requested=trials,
+        certificate=certificate, presentation_file=filename,
         failure_histogram=histogram,
         ms=round(elapsed_ms, 3) if record_timings else None,
     )
@@ -163,7 +159,8 @@ class SweepReport:
     trials_per_d: int
     results: list[SearchReport]
     skipped: list[int] = dc_field(default_factory=list)
-    config: dict = dc_field(default_factory=dict)
+    time_budget_s: Optional[float] = None
+    record_timings: bool = False
 
     @property
     def partial(self) -> bool:
@@ -180,7 +177,8 @@ class SweepReport:
             "p": self.p, "r": self.r,
             "master_seed": self.master_seed,
             "trials_per_d": self.trials_per_d,
-            "config": self.config,
+            "config": {"time_budget_s": self.time_budget_s, **LEGACY_WORKERS_CONFIG,
+                       **LEGACY_LF_CONFIG, "record_timings": self.record_timings},
             "partial": self.partial,
             "skipped_degrees": self.skipped,
             "results": [
@@ -207,12 +205,6 @@ def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0
         raise ValueError(f"time budget must be a finite number > 0, got {time_budget_s}")
     for d in d_list:
         shape(d, r)  # fail fast on any invalid pair
-    config = {
-        "time_budget_s": time_budget_s,
-        **LEGACY_WORKERS_CONFIG,
-        **LEGACY_LF_CONFIG,
-        "record_timings": record_timings,
-    }
     deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
     results: list[SearchReport] = []
     skipped: list[int] = []
@@ -225,5 +217,5 @@ def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0
             break
         results.append(res.report)
     return SweepReport(p=p, r=r, master_seed=master_seed,
-                       trials_per_d=trials_per_d, results=results,
-                       skipped=skipped, config=config)
+                       trials_per_d=trials_per_d, results=results, skipped=skipped,
+                       time_budget_s=time_budget_s, record_timings=record_timings)

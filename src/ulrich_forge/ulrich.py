@@ -143,29 +143,27 @@ def euler_pairing(d: int, r1: int, r2: int) -> int:
 
 def semistable_bound_check(d: int, k: int, case: str) -> bool:
     """Strict moduli-dimension inequality showing stable bundles dominate
-    strictly semistable ones, evaluated exactly (scaled by 4).
+    strictly semistable ones, evaluated exactly.
 
     case "even":     rank 2k from rank 2 + rank 2k-2 extensions;
     case "odd-even": rank 2k from rank 3 + rank 2k-3 extensions;
     case "odd-odd":  rank 2k+1 from rank 3 + rank 2k-2 extensions.
-    The right side is the deformation dimension of a simple bundle of the
-    total rank, (4 + r^2(d^2-5))/4.
+    Extensions of simple E2 by simple E1 form a family of dimension
+    h^1(End E1) + h^1(End E2) - chi(E1^v tensor E2) - 1; the right side is
+    h^1(End) of a simple bundle of the total rank.  A part with no Ulrich
+    bundle at d (rank 3 at even d) raises ParityError.
     """
     if d < 3:
         raise ValueError(f"the bound needs d >= 3, got {d}")
     if k < 2:
         raise ValueError(f"the bound needs k >= 2, got {k}")
-    x = d * d - 5
-    if case == "even":
-        r = 2 * k
-        lhs4 = 4 * (d * d - 4) + 4 * ((k - 1) * (k - 1) * x + 1) + 4 * (k - 1) * x - 4
-    elif case in ("odd-even", "odd-odd"):
-        r = 2 * k if case == "odd-even" else 2 * k + 1
-        lhs4 = 4 + 9 * x + 4 + (r - 3) * (r - 3) * x + 3 * (r - 3) * x - 4
-    else:
+    parts = {"even": (2, 2 * k - 2), "odd-even": (3, 2 * k - 3), "odd-odd": (3, 2 * k - 2)}
+    if case not in parts:
         raise ValueError(f"unknown case {case!r}")
-    rhs4 = r * r * x + 4
-    return lhs4 < rhs4
+    r1, r2 = parts[case]
+    family = (invariants(d, r1).h1_end_simple + invariants(d, r2).h1_end_simple
+              - euler_pairing(d, r1, r2) - 1)
+    return family < invariants(d, r1 + r2).h1_end_simple
 
 
 def veronese_facts(d: int) -> tuple[int, int]:
@@ -277,6 +275,11 @@ class UlrichCertificate(Shaped):
 
     def to_bytes(self) -> bytes:
         return canonical_json_bytes(self.to_json_dict())
+
+
+def certificate_filename(presentation_name: str) -> str:
+    """The certificate file written beside a presentation: <stem>.cert.json."""
+    return presentation_name.removesuffix(".json") + ".cert.json"
 
 
 def certify(pres: UlrichPresentation, level: str = "basic",

@@ -186,38 +186,55 @@ def test_search_small_seed0_bytes_are_pinned(capsys, tmp_path):
     assert got == _SEARCH_SMALL_SEED0
 
 
+# sha256 of --format json stdout of searches and a sweep over F_3, where
+# trials do fail, so the reports carry a nonzero success_trial and a
+# non-empty failure_histogram
+_SMALL_P_SEARCH = [
+    (["search", "--d", "3", "--r", "2", "--p", "3", "--seed", "5", "--trials", "8"], 0,
+     "c35ea556ec8b0cdca32520194af78eb24c52977cae3f37e0b39a9aee11adf387"),
+    (["search", "--d", "3", "--r", "2", "--p", "3", "--seed", "6", "--trials", "8"], 1,
+     "214c9d4e2d8de55bf4212fc2c698072af4872affd5217798c0adfebae41fb116"),
+]
+_SMALL_P_SWEEP = "96fcfb747e081cc132d7c8f08081ef6e0fb6dcb4f87c3fc486d635cb7e1bf61f"
+
+
+@pytest.mark.parametrize("argv, want_code, digest", _SMALL_P_SEARCH, ids=["seed5", "seed6"])
+def test_small_p_search_bytes_are_pinned(capsys, argv, want_code, digest):
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == want_code
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_small_p_sweep_bytes_are_pinned(capsys, tmp_path):
+    code, out, _ = run(capsys, "--format", "json", "sweep", "--r", "3", "--d", "3,5,7,9",
+                       "--p", "3", "--seed", "0", "--trials", "20", "--out", str(tmp_path))
+    assert code == 0
+    assert [row["success_trial"] for row in json.loads(out)["results"]] == [2, 0, 3, 6]
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == _SMALL_P_SWEEP
+    assert (tmp_path / "sweep_r3_p3_seed0.json").read_text() == out
+
+
 def test_sweep_cli_empty_degree_list_exit_2(capsys):
     code, out, err = run(capsys, "sweep", "--r", "3", "--d", ",", "--seed", "0")
     assert code == 2
     assert "empty" in err and out == ""
 
 
-def test_search_cli_negative_workers_exit_2(capsys, tmp_path):
-    code, out, err = run(capsys, "search", "--d", "3", "--r", "3", "--seed", "0",
-                         "--workers", "-3", "--out", str(tmp_path))
-    assert code == 2
-    assert "workers" in err and out == ""
-    assert not any(tmp_path.iterdir())
+_SEARCH, _SWEEP = ["search", "--d", "3"], ["sweep", "--d", "3,5"]
 
 
-def test_sweep_cli_zero_workers_exit_2(capsys, tmp_path):
+@pytest.mark.parametrize("command", [
+    [*_SEARCH, "--workers", "2"], [*_SWEEP, "--workers", "2"],
+    [*_SEARCH, "--workers", "-3"], [*_SWEEP, "--workers", "-3"],
     # with no time left the sweep would skip every degree and still write
     # a report claiming "workers": 0
-    code, out, err = run(capsys, "sweep", "--r", "3", "--d", "3,5", "--seed", "0",
-                         "--workers", "0", "--time-budget", "0",
-                         "--out", str(tmp_path))
-    assert code == 2
-    assert "workers" in err and out == ""
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("command", [["search", "--d", "3"], ["sweep", "--d", "3,5"]])
+    [*_SEARCH, "--workers", "0"], [*_SWEEP, "--workers", "0", "--time-budget", "0"],
+])
 def test_workers_other_than_one_exit_2(capsys, tmp_path, command):
     # trials run serially; --workers stays only so that "--workers 1" parses
-    code, out, err = run(capsys, *command, "--r", "3", "--seed", "0",
-                         "--workers", "2", "--out", str(tmp_path))
+    code, out, err = run(capsys, *command, "--r", "3", "--seed", "0", "--out", str(tmp_path))
     assert code == 2
-    assert "serially" in err and out == ""
+    assert "serially" in err and "workers" in err and out == ""
     assert not any(tmp_path.iterdir())
 
 

@@ -25,7 +25,7 @@ def test_search_d7r3_succeeds_first_trial(tmp_path):
     rep = res.report
     assert rep.success_trial == 0
     assert rep.trials_run == 1
-    assert rep.h1_checks == [(2, 0), (3, 0)]
+    assert rep.certificate.vanishings == [(2, 0), (3, 0)]
     assert rep.failure_histogram == {}
     assert (tmp_path / rep.presentation_file).exists()
 
@@ -100,7 +100,7 @@ def test_search_trial_outcomes_are_index_pure():
     res = search(3, 3, trials=5, master_seed=9)
     seq = np.random.SeedSequence([9, res.report.success_trial])
     again = random_presentation(3, 3, np.random.default_rng(seq), p=32003)
-    assert again.content_hash == res.report.presentation_hash
+    assert again.content_hash == res.report.certificate.presentation_hash
     assert res.presentation == again
 
 
@@ -109,7 +109,7 @@ def test_saved_success_recertifies_from_disk(tmp_path):
     pres = load(tmp_path / res.report.presentation_file)
     cert = certify(pres, level="basic", master_seed=0)
     assert cert.valid
-    assert cert.presentation_hash == res.report.presentation_hash
+    assert cert.presentation_hash == res.report.certificate.presentation_hash
 
 
 def test_sweep_rank3_odd_degrees(tmp_path):
