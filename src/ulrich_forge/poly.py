@@ -39,17 +39,12 @@ def basis(n: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def basis_index(n: int) -> dict[tuple[int, int, int], int]:
-    return {e: i for i, e in enumerate(basis(n))}
-
-
-@lru_cache(maxsize=None)
 def shift_tables(n: int) -> np.ndarray:
-    """shift_tables(n)[v][j] = index in basis(n+1) of x_v * basis(n)[j]."""
-    idx = basis_index(n + 1)
-    out = np.empty((3, dim_forms(n)), dtype=np.int64)
-    for j, (e0, e1, e2) in enumerate(basis(n)):
-        out[0, j] = idx[(e0 + 1, e1, e2)]
-        out[1, j] = idx[(e0, e1 + 1, e2)]
-        out[2, j] = idx[(e0, e1, e2 + 1)]
-    return out
+    """shift_tables(n)[v][j] = index in basis(n+1) of x_v * basis(n)[j].
+
+    A monomial of y,z-degree s = e1 + e2 sits at index s(s+1)/2 + e2, so x
+    keeps index j, y sends it to j + s + 1 and z to j + s + 2.
+    """
+    j = np.arange(dim_forms(n), dtype=np.int64)
+    s = np.repeat(np.arange(n + 1), np.arange(1, n + 2))
+    return np.stack([j, j + s + 1, j + s + 2])

@@ -211,8 +211,8 @@ def _trial_point(p: int, i: int, rng: np.random.Generator) -> tuple[int, int, in
     return tuple(coords)
 
 
-def generic_rank_check(pres: UlrichPresentation, trials: int = 3,
-                       rng: Optional[np.random.Generator] = None) -> GenericRankResult:
+def generic_rank_check(pres: UlrichPresentation, trials: int,
+                       rng: np.random.Generator) -> GenericRankResult:
     """Look for one point of P^2(F_p) where M evaluates to full column rank.
 
     A single witness certifies injectivity of the sheaf map (pointwise rank
@@ -223,7 +223,6 @@ def generic_rank_check(pres: UlrichPresentation, trials: int = 3,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(0) if rng is None else rng
     for i in range(trials):
         point = _trial_point(pres.p, i, rng)
         if rank_dense(pres.evaluate_at(point), pres.p) == pres.a:
@@ -249,7 +248,8 @@ def load(path) -> UlrichPresentation:
         raise PresentationFormatError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # bytes that are not UTF-8, or arrays nested past the parser's depth
         raise PresentationFormatError(f"not valid JSON: {exc}") from exc
     return from_json_dict(doc)
 

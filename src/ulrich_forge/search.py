@@ -31,14 +31,6 @@ SEARCH_FORMAT = "ulrich-search/1"
 LEGACY_WORKERS_CONFIG = {"workers": 1}
 
 
-def _failure_key(cert: UlrichCertificate) -> str:
-    """Histogram key of a failed basic certificate: the witness first, else
-    the first nonzero vanishing (a failed certificate has one of the two)."""
-    if not cert.generic_rank.passed:
-        return "generic_rank"
-    return next(f"h1_t{t}" for t, h1 in cert.vanishings if h1 != 0)
-
-
 @dataclass
 class SearchReport(Shaped):
     """Outcome of one (d, r) search; deterministic given the seed tuple.
@@ -130,7 +122,7 @@ def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
         if cert.passed:
             presentation, certificate = pres, cert
             break
-        key = _failure_key(cert)
+        key = cert.discrepancies()[0]["check"]
         histogram[key] = histogram.get(key, 0) + 1
 
     filename = None

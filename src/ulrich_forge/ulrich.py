@@ -11,8 +11,10 @@ formula the theory predicts for it.  The witness is implied when
 h^1(E(-2d)) = 0, and computed by ranking M at drawn points otherwise.
 
 A certificate stores its inputs and the numbers it computed, nothing else:
-every verdict (a check's ``passed``, ``valid``, ``full_ok``), shape number
-and constant is derived, so no certificate can contradict its own data.
+every shape number and constant is derived, and every verdict (``valid``,
+``passed``, ``full_ok``, the discrepancies, a search's failure key) reads
+one list of checks built from those numbers, so no certificate can
+contradict its own data.
 
 Local freeness is read off the first vanishing, h^1(E(-2d)) = 0, which
 every certificate checks: it makes M have rank a at every point over the
@@ -199,7 +201,7 @@ class CheckResult:
 @dataclass
 class UlrichCertificate(Shaped):
     """Machine-checkable record of the verified vanishings and identities:
-    the inputs and the computed numbers; every verdict is derived."""
+    the inputs and the computed numbers; every verdict reads ``checks``."""
 
     presentation_hash: str
     p: int
@@ -212,38 +214,41 @@ class UlrichCertificate(Shaped):
     full_checks: Optional[list[CheckResult]] = None  # None unless full and valid
 
     @property
-    def valid(self) -> bool:
-        """Exactly the finite criterion: witnessed injectivity plus
-        h^1(E(-t d)) = 0 for t = 2..alpha."""
-        return self.generic_rank.passed and all(h1 == 0 for _, h1 in self.vanishings)
+    def _basic_checks(self) -> list[CheckResult]:
+        """The finite criterion: witnessed injectivity plus h^1(E(-t d)) = 0
+        for t = 2..alpha."""
+        return [CheckResult("generic_rank", "injective", self.generic_rank.status,
+                            "no evaluation point of full column rank found"),
+                *(CheckResult(f"h1_t{t}", 0, h1,
+                              f"first cohomology of the (-{t}d)-twist must vanish")
+                  for t, h1 in self.vanishings)]
 
     @property
-    def full_ok(self) -> Optional[bool]:
-        """None at the basic level; else valid and every full check passed."""
-        if self.level == "basic":
-            return None
-        return self.valid and all(c.passed for c in self.full_checks)
+    def checks(self) -> list[CheckResult]:
+        """Every check run, in order: the basic criterion, then the full
+        profile if it ran."""
+        return self._basic_checks + (self.full_checks or [])
+
+    @property
+    def valid(self) -> bool:
+        return all(c.passed for c in self._basic_checks)
 
     @property
     def passed(self) -> bool:
         """Did every check at the requested level succeed.  A valid
         certificate has h^1(E(-2d)) = 0, which proves local freeness."""
-        return self.valid and self.full_ok is not False
+        return all(c.passed for c in self.checks)
+
+    @property
+    def full_ok(self) -> Optional[bool]:
+        """None at the basic level; else passed (False when the basic
+        criterion failed and the full profile never ran)."""
+        return None if self.level == "basic" else self.passed
 
     def discrepancies(self) -> list[dict]:
-        out = []
-        if not self.generic_rank.passed:
-            out.append({"check": "generic_rank", "expected": "injective",
-                        "computed": self.generic_rank.status,
-                        "note": "no evaluation point of full column rank found"})
-        for t, h1 in self.vanishings:
-            if h1 != 0:
-                out.append({"check": f"vanishing_t{t}", "expected": 0, "computed": h1,
-                            "note": f"first cohomology of the (-{t}d)-twist must vanish"})
-        for chk in self.full_checks or []:
-            if not chk.passed:
-                out.append(chk.to_json_dict())
-        return out
+        """The failing checks, first failure first; search failure
+        histograms are keyed by the first one's name."""
+        return [c.to_json_dict() for c in self.checks if not c.passed]
 
     def to_json_dict(self) -> dict:
         return {

@@ -69,6 +69,19 @@ def test_certify_corrupted_file_exit_3(capsys, tmp_path):
     assert code == 3 and "JSON" in err
 
 
+@pytest.mark.parametrize("command", ["certify", "table"])
+@pytest.mark.parametrize("content", [b"\x80\x81\x82\x83", b"[" * 200_000],
+                         ids=["not_utf8", "deep_nesting"])
+def test_unreadable_presentation_exit_3(capsys, tmp_path, command, content):
+    # a UnicodeDecodeError is a ValueError (exit 2) and a RecursionError
+    # escapes as a traceback (exit 1) unless load maps both to exit 3
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, "--in", str(path))
+    assert code == 3 and err.startswith("error:") and out == ""
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_certify_missing_file_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "certify", "--in", str(tmp_path / "absent.json"))
     assert code == 3

@@ -52,6 +52,15 @@ def test_basis_order_is_graded_lex():
         assert keys == sorted(keys, reverse=True)
 
 
+def test_shift_tables_match_basis():
+    # the closed-form index s(s+1)/2 + e2 against a lookup in basis(n+1)
+    for n in range(-1, 41):
+        index = {e: i for i, e in enumerate(basis(n + 1))}
+        want = [[index[(e0 + (v == 0), e1 + (v == 1), e2 + (v == 2))]
+                 for e0, e1, e2 in basis(n)] for v in range(3)]
+        assert shift_tables(n).tolist() == want
+
+
 def test_mult_matrix_by_x_degree_zero():
     m = mult_block(X, 0)
     assert m.shape == (3, 1)

@@ -1,6 +1,7 @@
 """Numerology, the certifier, and the arithmetic checkers."""
 
 import hashlib
+import importlib
 import json
 import time
 
@@ -23,6 +24,7 @@ from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check, invarian
 from conftest import drop_rank_at, seeded_presentation, variant_cases
 
 F = PrimeField(DEFAULT_PRIME)
+search_module = importlib.import_module("ulrich_forge.search")
 
 
 # --- invariants -------------------------------------------------------------
@@ -231,6 +233,29 @@ def test_certify_full_skips_profile_after_invalid_basic(monkeypatch):
     assert full.discrepancies() == basic.discrepancies()
 
 
+@settings(max_examples=100, deadline=None)
+@given(variant_cases(), st.sampled_from(["basic", "full"]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_verdict_reads_one_list_of_checks(pres, level, seed):
+    # seed_path (0,) is the one a one-trial search certifies its draw with
+    cert = certify(pres, level=level, master_seed=seed, seed_path=(0,))
+    basic = cert.checks[:1 + len(cert.vanishings)]
+    assert [c.name for c in basic] == ["generic_rank",
+                                       *(f"h1_t{t}" for t, _ in cert.vanishings)]
+    assert cert.checks[len(basic):] == (cert.full_checks or [])
+    assert cert.valid == all(c.passed for c in basic)
+    assert cert.passed == (cert.discrepancies() == [])
+    assert cert.discrepancies() == [c.to_json_dict() for c in cert.checks if not c.passed]
+    assert cert.full_ok == (None if level == "basic" else cert.passed)
+    if not cert.valid:
+        # hypothesis rejects function-scoped fixtures, so no monkeypatch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_module, "random_presentation", lambda d, r, rng, p: pres)
+            rep = search_module.search(pres.d, pres.r, trials=1, master_seed=seed,
+                                       p=pres.p).report
+        assert rep.failure_histogram == {cert.discrepancies()[0]["check"]: 1}
+
+
 # --- the generic-rank witness: implied by h^1(E(-2d)) = 0 --------------------
 
 @settings(max_examples=200, deadline=None)
@@ -375,7 +400,7 @@ def test_single_point_rank_drop_fails_at_vanishing_t2(pres_d7r3):
     assert cert.generic_rank.passed
     assert not cert.valid and not cert.passed
     assert cert.vanishings[0][0] == 2 and cert.vanishings[0][1] > 0
-    assert cert.discrepancies()[0]["check"] == "vanishing_t2"
+    assert cert.discrepancies()[0]["check"] == "h1_t2"
 
 
 def test_local_freeness_block_follows_vanishing_t2(pres_d7r3, capsys, tmp_path):
