@@ -12,6 +12,7 @@ embeds its effective configuration, and exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -49,7 +50,11 @@ def _parse_d_list(value: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad degree list {value!r}: {exc}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ulrich-forge`` parser, built on first use and then reused by
+    every ``main`` call in the process; ``build_parser.cache_clear()``
+    resets it."""
     top = argparse.ArgumentParser(
         prog="ulrich-forge",
         description="Construct, certify and analyze Ulrich bundle presentations "
@@ -58,12 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output format (identical numbers either way)")
     sub = top.add_subparsers(dest="command", required=True)
 
+    infile = argparse.ArgumentParser(add_help=False)
+    infile.add_argument("--in", dest="infile", type=Path, required=True, metavar="FILE")
+
     num = sub.add_parser("numerology", help="closed-form invariants for (d, r)")
     num.add_argument("--d", type=int, required=True)
     num.add_argument("--r", type=int, required=True)
 
-    cert = sub.add_parser("certify", help="certify a presentation file")
-    cert.add_argument("--in", dest="infile", type=Path, required=True, metavar="FILE")
+    cert = sub.add_parser("certify", parents=[infile], help="certify a presentation file")
     cert.add_argument("--level", choices=("basic", "full"), default="basic")
     cert.add_argument("--seed", type=int, default=0)
     cert.add_argument("--out", metavar="DIR", type=Path, default=None,
@@ -90,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="D1,D2,...", help="comma-separated degrees")
     swp.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
 
-    tab = sub.add_parser("table", help="cohomology table of a presentation file")
-    tab.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    tab = sub.add_parser("table", parents=[infile],
+                         help="cohomology table of a presentation file")
     tab.add_argument("--from", dest="m_from", type=int, default=None)
     tab.add_argument("--to", dest="m_to", type=int, default=None)
 
@@ -135,9 +142,8 @@ def cmd_certify(args) -> int:
     out_dir = args.out or args.infile.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     cert_path = out_dir / certificate_filename(args.infile.name)
-    cert_path.write_bytes(cert.to_bytes())
-
     doc = cert.to_json_dict()
+    cert_path.write_bytes(canonical_json_bytes(doc))
     doc["certificate_file"] = str(cert_path)
     doc["discrepancies"] = cert.discrepancies()
 
@@ -192,7 +198,7 @@ def cmd_sweep(args) -> int:
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         report_path = args.out / f"sweep_r{rep.r}_p{rep.p}_seed{rep.master_seed}.json"
-        report_path.write_bytes(rep.to_bytes())
+        report_path.write_bytes(canonical_json_bytes(doc))
 
     def render(doc):
         print(f"sweep r={doc['r']} p={doc['p']} seed={doc['master_seed']}")

@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .field import DEFAULT_PRIME
-from .presentation import (Shaped, UlrichPresentation, canonical_json_bytes,
-                           random_presentation, save, shape)
+from .presentation import Shaped, UlrichPresentation, random_presentation, save, shape
 from .ulrich import LEGACY_LF_CONFIG, UlrichCertificate, certificate_filename, certify
 
 SWEEP_FORMAT = "ulrich-sweep/1"
@@ -178,9 +177,6 @@ class SweepReport:
                 for rep in self.results
             ],
         }
-
-    def to_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_json_dict())
 
 
 def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0,

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ulrich_forge.cli import main
+from ulrich_forge.cli import build_parser, main
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.presentation import UlrichPresentation, canonical_json_bytes, save
 
@@ -83,8 +83,13 @@ def test_unreadable_presentation_exit_3(capsys, tmp_path, command, content):
 
 
 def test_certify_missing_file_exit_3(capsys, tmp_path):
-    code, _, err = run(capsys, "certify", "--in", str(tmp_path / "absent.json"))
-    assert code == 3
+    # table declares --in with certify, so both report a missing file alike
+    path = tmp_path / "absent.json"
+    for command in ("certify", "table"):
+        code, out, err = run(capsys, command, "--in", str(path))
+        assert code == 3 and out == ""
+        assert err == (f"error: cannot read {path}: "
+                       f"[Errno 2] No such file or directory: '{path}'\n")
 
 
 def test_certify_zero_column_exit_1(capsys, tmp_path):
@@ -126,6 +131,33 @@ def test_certify_negative_window_pad_exit_2(capsys, tmp_path):
         assert exc.value.code == 2
         assert "--window-pad" in capsys.readouterr().err
     assert not (tmp_path / "d3r2.cert.json").exists()
+
+
+@pytest.mark.parametrize("rejected", [
+    ["certify", "--in", "absent.json", "--window-pad", "3"],
+    ["search", "--d", "3", "--r", "3", "--workers", "2"],
+], ids=["by_argparse", "by_command"])
+def test_parser_is_built_once_and_reused_cleanly(capsys, tmp_path, rejected):
+    path = tmp_path / "d3r2.json"
+    save(seeded_presentation(3, 2), path)
+    # the second call omits --format, so it must print text
+    follow_up = [["--format", "json", "certify", "--in", str(path)],
+                 ["numerology", "--d", "7", "--r", "3"]]
+    build_parser.cache_clear()
+    try:
+        code = main(rejected)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    capsys.readouterr()
+    reused = [run(capsys, *argv) for argv in follow_up]
+    assert build_parser.cache_info().misses == 1
+    build_parser.cache_clear()
+    fresh = [run(capsys, *argv) for argv in follow_up]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0]
+    assert json.loads(reused[0][1])["valid"] is True
+    assert "12 x 9" in reused[1][1]
 
 
 def test_search_cli(capsys, tmp_path):

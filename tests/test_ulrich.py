@@ -14,7 +14,8 @@ from ulrich_forge import cohomology, presentation
 from ulrich_forge.cohomology import bundle_cohomology
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
-from ulrich_forge.presentation import (ParityError, UlrichPresentation, direct_sum,
+from ulrich_forge.presentation import (ParityError, UlrichPresentation,
+                                       canonical_json_bytes, direct_sum,
                                        generic_rank_check, random_presentation, save)
 from ulrich_forge.search import sweep
 from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check, invariants,
@@ -332,7 +333,7 @@ def test_artifact_bytes_are_pinned(pres_d7r3, pres_d3r2):
                                   else valid and all(c["passed"] for c in checks))
     assert [c.valid for c in certs.values()] == [True, True, False]
     report = sweep([3, 5, 7], 3, trials_per_d=5, master_seed=0)
-    assert (hashlib.sha256(report.to_bytes()).hexdigest()
+    assert (hashlib.sha256(canonical_json_bytes(report.to_json_dict())).hexdigest()
             == "cb2c719eb409b46bcaa9bd60546ec362b20263a95a32670c239eaa82f530d607")
 
 
