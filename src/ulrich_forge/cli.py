@@ -45,9 +45,14 @@ def _emit(doc: dict, fmt: str, text_renderer) -> None:
 
 def _parse_d_list(value: str) -> list[int]:
     try:
-        return [int(tok) for tok in value.split(",") if tok.strip() != ""]
+        degrees = [int(tok) for tok in value.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad degree list {value!r}: {exc}")
+    repeated = sorted({d for d in degrees if degrees.count(d) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"bad degree list {value!r}: repeated degree {', '.join(map(str, repeated))}")
+    return degrees
 
 
 @functools.cache

@@ -33,16 +33,28 @@ path's per-column overhead costs more than it saves.  That covers squares
 up to 135 x 135 and every matrix of at most 12288 cells.
 
 The blocked path holds the caller's input and one float64 working copy.
-Every other buffer is a row stripe of at most 2^20 cells (8 MiB), at most
-one leaf (16 columns) wide, or the panel's L^{-1} (at most 256 x 256),
-whatever the size of the matrix; non-consecutive multiplier columns are
-gathered one row stripe at a time.
+Every other buffer is a row stripe, at most one leaf (16 columns) wide,
+or the panel's L^{-1} (at most 256 x 256), whatever the size of the
+matrix; non-consecutive multiplier columns are gathered one row stripe at
+a time.  Its three row-stripe loops (the float64 fill, the update of
+_apply_pivots and the reduction of _reduce_inplace) run through
+_in_stripes: a loop of one 2^20-cell stripe runs inline, a longer one is
+split over T = min(stripes, CPUs of the process's affinity mask) threads
+(numpy drops the GIL in BLAS and ufuncs), and the T threads share the one
+2^20-cell (8 MiB) budget, each taking stripes of 2^20 // T cells.  The
+stripes cover disjoint rows and the multiplier columns they read lie left
+of the columns they update, so every float operation, and the rank, is
+the same for every T.
 
 ``matmul_mod`` is the one integer matrix product mod p: it splits the
 inner dimension so that no int64 partial sum overflows for any p < 2^31.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from typing import Callable
 
 import numpy as np
 
@@ -59,23 +71,64 @@ _PANEL_LEAF = 16
 # near 6000 for thin shapes (180 x 81, 32 x 400, 24 x 520) and near 7500-8000
 # for squares (150 x 150 to 155 x 155).
 _ROWOPS_MAX_AREA = 6144
-# Cells in one row stripe of the blocked path's temporaries (8 MiB).
+# Cells in the row stripes of the blocked path's temporaries (8 MiB), shared
+# by all the threads of one stripe loop.
 _STRIPE_CELLS = 2**20
 
 
-def _stripe_rows(cols: int) -> int:
-    """Rows per stripe of at most _STRIPE_CELLS cells, cols wide; at least one."""
-    return max(1, _STRIPE_CELLS // cols)
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_stripes(body: Callable[[int, int], None], lo: int, hi: int, cols: int) -> None:
+    """Call body(i, j) on row stripes [i, j) that tile rows [lo, hi), cols wide.
+
+    Rows that fit in one stripe of _STRIPE_CELLS cells go to one inline
+    call.  Otherwise T = min(stripes, _cpus()) threads, the caller one of
+    them, share that budget: thread t takes every T-th stripe of
+    _STRIPE_CELLS // T cells from the t-th on, and all are joined before
+    the first exception any of them raised is re-raised here."""
+    rows = max(1, _STRIPE_CELLS // cols)
+    if hi - lo <= rows:
+        body(lo, hi)
+        return
+    threads = min(-(-(hi - lo) // rows), _cpus())
+    rows = max(1, _STRIPE_CELLS // threads // cols)
+    starts = range(lo, hi, rows)
+    errors: list[BaseException] = []
+
+    def work(t: int) -> None:
+        try:
+            for i in starts[t::threads]:
+                body(i, min(i + rows, hi))
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers: list[threading.Thread] = []
+    try:
+        for t in range(1, threads):
+            helper = threading.Thread(target=work, args=(t,))
+            helper.start()
+            helpers.append(helper)
+        work(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _reduce_inplace(a: np.ndarray, p: float) -> None:
-    """Exact in-place reduction of integral float64 values (|x| <= 2^52)
-    to [0, p); larger than one stripe, it goes one row stripe at a time."""
-    if len(a) > 1 and a.size > _STRIPE_CELLS:
-        rows = _stripe_rows(a.size // len(a))
-        for i in range(0, len(a), rows):
-            _reduce_inplace(a[i : i + rows], p)
-        return
+    """Exact in-place reduction of an integral float64 matrix (|x| <= 2^52)
+    to [0, p), in row stripes."""
+    _in_stripes(lambda i, j: _reduce_rows(a[i:j], p), 0, len(a), a.shape[1])
+
+
+def _reduce_rows(a: np.ndarray, p: float) -> None:
+    """_reduce_inplace on one row stripe."""
     q = a * (1.0 / p)
     np.floor(q, out=q)
     q *= p
@@ -108,9 +161,11 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     block = int(min(_DEFAULT_BLOCK, max_block))
     step_growth = block * (p - 1) ** 2  # max magnitude added per block step
     w = np.empty((m, n))
-    rows = _stripe_rows(n)
-    for i in range(0, m, rows):
-        w[i : i + rows] = np.asarray(a[i : i + rows], dtype=np.int64) % p
+
+    def fill(i: int, j: int) -> None:
+        w[i:j] = np.asarray(a[i:j], dtype=np.int64) % p
+
+    _in_stripes(fill, 0, m, n)
     r = c = rank = 0
     slack = float(_FLOAT_EXACT)  # remaining unreduced-accumulation budget
     pf = float(p)
@@ -206,9 +261,11 @@ def _apply_pivots(a: np.ndarray, p: int, r: int, piv_cols: list[int],
         _reduce_inplace(u, pf)
         u = linv @ u
         _reduce_inplace(u, pf)
-        rows = _stripe_rows(max(k, c1 - c0))
-        for i in range(r + k, m, rows):
-            a[i : i + rows, c0:c1] -= a[i : i + rows, sel] @ u
+
+        def update(i: int, j: int) -> None:
+            a[i:j, c0:c1] -= a[i:j, sel] @ u
+
+        _in_stripes(update, r + k, m, max(k, c1 - c0))
 
 
 def _row_echelon(a: np.ndarray, p: int) -> list[int]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 
 import pytest
 
@@ -263,6 +264,37 @@ def test_sweep_cli_empty_degree_list_exit_2(capsys):
     code, out, err = run(capsys, "sweep", "--r", "3", "--d", ",", "--seed", "0")
     assert code == 2
     assert "empty" in err and out == ""
+
+
+def test_sweep_cli_repeated_degree_exit_2(capsys, tmp_path):
+    # a repeated degree would search it twice and report two identical rows
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--r", "3", "--d", "3,5,3", "--seed", "0", "--out", str(tmp_path)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "repeated degree 3" in out.err and out.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_sized_ranks_start_no_thread(capsys, tmp_path, monkeypatch):
+    # every residue and Hom system of these commands is one stripe, so the
+    # rank kernel runs it inline
+    def start(thread):
+        started.append(thread)
+        raise AssertionError("a thread was started")
+
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", start)
+    path = tmp_path / "d7r3.json"
+    save(seeded_presentation(7, 3), path)
+    code, out, _ = run(capsys, "--format", "json", "certify", "--in", str(path),
+                       "--level", "full")
+    assert code == 0 and json.loads(out)["full_ok"] is True
+    code, out, _ = run(capsys, "--format", "json", "sweep", "--r", "3",
+                       "--d", "3,5,7,9,11,13", "--seed", "0", "--trials", "5")
+    assert code == 0 and all(row["success_trial"] is not None
+                             for row in json.loads(out)["results"])
+    assert started == []
 
 
 _SEARCH, _SWEEP = ["search", "--d", "3"], ["sweep", "--d", "3,5"]

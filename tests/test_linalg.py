@@ -2,6 +2,8 @@
 against an independent division-free elimination oracle."""
 
 import copy
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -142,9 +144,13 @@ def test_rank_sparse_profile_against_oracle(n):
 # the blocked path on shapes small enough for the oracle: every shape goes
 # blocked, a 40-column panel is leaves of 16, 16 and 8 columns (32 and 16
 # at p = 4194301, whose block is 32), each leaf starts at a multiple of 8,
-# and a stripe holds at most 24 cells, so most stripes are one row
+# and a stripe holds at most 24 cells, so most stripes are one row and
+# every stripe loop of more than one row is split over the threads
 STRIPED = {"_STRIPE_CELLS": 24, "_ROWOPS_MAX_AREA": 0, "_DEFAULT_BLOCK": 40}
 PRIMES = [7, P, 4194301]
+# stripe loops run serially, on two threads, and on three, which share the
+# stripes unevenly whenever their count is not a multiple of three
+THREADS = [1, 2, 3]
 
 
 @st.composite
@@ -181,11 +187,14 @@ def _kernel_cases(draw, primes=PRIMES):
 @given(_kernel_cases())
 def test_striped_blocked_path_against_oracle(case):
     a, p = case
-    plain = rank_dense(a, p)
-    with pytest.MonkeyPatch.context() as mp:
-        for name, value in STRIPED.items():
-            mp.setattr(linalg, name, value)
-        assert rank_dense(a, p) == plain == division_free_rank(a, p)
+    want = division_free_rank(a, p)
+    assert rank_dense(a, p) == want
+    for threads in THREADS:
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in STRIPED.items():
+                mp.setattr(linalg, name, value)
+            mp.setattr(linalg, "_cpus", lambda: threads)
+            assert rank_dense(a, p) == want, threads
 
 
 def test_striped_slack_reset_large_prime(monkeypatch):
@@ -194,8 +203,39 @@ def test_striped_slack_reset_large_prime(monkeypatch):
     p = 4194301
     rng = np.random.default_rng(9)
     monkeypatch.setattr(linalg, "_STRIPE_CELLS", 1000)
-    for a in (rng.integers(0, p, size=(400, 400)), low_rank(rng, 400, 420, 390, p)):
-        assert rank_dense(a, p) == division_free_rank(a, p)
+    # threads switch every microsecond, so a stripe missed, repeated or
+    # updated before its multipliers are final shows up as a wrong rank
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for a in (rng.integers(0, p, size=(400, 400)), low_rank(rng, 400, 420, 390, p)):
+            want = division_free_rank(a, p)
+            for threads in THREADS:
+                monkeypatch.setattr(linalg, "_cpus", lambda: threads)
+                assert rank_dense(a, p) == want, threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("thread", ["caller", "helper"])
+def test_failing_stripe_raises(monkeypatch, thread):
+    # a stripe that fails on either thread of a split loop fails the rank,
+    # and the other thread is joined first
+    reduce_rows = linalg._reduce_rows
+
+    def failing(a, p):
+        if (threading.current_thread() is threading.main_thread()) == (thread == "caller"):
+            raise MemoryError
+        reduce_rows(a, p)
+
+    for name, value in STRIPED.items():
+        monkeypatch.setattr(linalg, name, value)
+    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
+    monkeypatch.setattr(linalg, "_reduce_rows", failing)
+    running = threading.active_count()
+    with pytest.raises(MemoryError):
+        rank_dense(np.random.default_rng(11).integers(0, P, size=(60, 60)), P)
+    assert threading.active_count() == running
 
 
 # both primes take the row-op loop, where an entry absorbs 131071 and 2
@@ -230,13 +270,19 @@ def test_rank_leaves_input_untouched(shape):
     assert nested == kept
 
 
-@pytest.mark.parametrize("p, gather", [pytest.param(P, False, id=str(P)),
-                                       pytest.param(4194301, False, id="4194301"),
-                                       pytest.param(P, True, id="gather")])
-def test_rank_memory_one_float_copy(monkeypatch, p, gather):
+@pytest.mark.parametrize("p, gather, threads", [
+    pytest.param(P, False, 1, id=str(P)),
+    pytest.param(4194301, False, 1, id="4194301"),
+    pytest.param(P, True, 1, id="gather"),
+    pytest.param(P, False, 2, id=f"{P}-split"),
+    pytest.param(P, True, 2, id="gather-split"),
+])
+def test_rank_memory_one_float_copy(monkeypatch, p, gather, threads):
     # beyond one float64 copy of the matrix, every buffer is a stripe of at
     # most 2^20 cells (8 MiB), a few of them alive at once, a column at most
-    # one 16-column leaf wide, or the panel's 256 x 256 L^{-1}
+    # one 16-column leaf wide, or the panel's 256 x 256 L^{-1}; split over
+    # two threads, each thread's stripes are half as large
+    monkeypatch.setattr(linalg, "_cpus", lambda: threads)
     a = np.random.default_rng(0).integers(0, p, size=(2000, 2000))
     bound = 8 * a.size + 24 * 2**20
     if gather:
