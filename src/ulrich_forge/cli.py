@@ -30,12 +30,6 @@ EXIT_PARAMS = 2
 EXIT_IO = 3
 
 
-def _check_serial(workers: int) -> None:
-    """--workers stays for command-line compatibility and accepts only 1."""
-    if workers != 1:
-        raise ValueError(f"trials run serially; --workers accepts only 1, got {workers}")
-
-
 def _emit(doc: dict, fmt: str, text_renderer) -> None:
     if fmt == "json":
         sys.stdout.write(canonical_json_bytes(doc).decode("ascii"))
@@ -86,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--p", type=int, default=DEFAULT_PRIME)
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--trials", type=int, default=5)
-    shared.add_argument("--workers", type=int, default=1,
+    shared.add_argument("--workers", type=int, choices=(1,), default=1,
                         help="accepted for compatibility; trials run serially")
     shared.add_argument("--out", metavar="DIR", type=Path, default=None)
     shared.add_argument("--timings", action="store_true",
@@ -174,7 +168,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _check_serial(args.workers)
     res = search(args.d, args.r, trials=args.trials, master_seed=args.seed,
                  p=args.p, out_dir=args.out, record_timings=args.timings)
     doc = res.report.to_json_dict()
@@ -195,7 +188,6 @@ def cmd_search(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_serial(args.workers)
     rep = sweep(args.d, args.r, trials_per_d=args.trials, master_seed=args.seed,
                 p=args.p, out_dir=args.out,
                 time_budget_s=args.time_budget, record_timings=args.timings)

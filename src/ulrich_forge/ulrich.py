@@ -1,10 +1,14 @@
 """Ulrich numerology, the finite-vanishing certifier, and arithmetic checkers.
 
 The closed-form side (Chern classes, Hilbert polynomial, endomorphism
-Euler characteristics, moduli dimension inequalities, the line-bundle
-Diophantine system) lives here in exact integer arithmetic, denominators
-cleared by 2 or 4 throughout.  The certifier ties it to the cohomology
-engine: a presentation whose generic-rank witness exists and whose twists
+Euler characteristics, the line-bundle Diophantine system) lives here in
+exact integer arithmetic, denominators cleared by 2 or 4 throughout.  One
+rule, ``stability_margin(d, parts)``, covers every Jordan-Hoelder type of a
+strictly semistable Ulrich bundle: D = h^1(End) of a simple bundle minus the
+dimension of that type's family, which is sum_{i<j} (r_i r_j (d^2-5)/4 - 1)
+> 0 for d >= 3, so a general deformation of a bundle with End = (1, D, 0)
+is stable.  The certifier ties it to the cohomology engine: a
+presentation whose generic-rank witness exists and whose twists
 E(-t d) for t = 2..alpha have vanishing first cohomology presents an
 Ulrich bundle, and the optional full profile re-verifies every dimension
 formula the theory predicts for it.  The witness is implied when
@@ -32,6 +36,7 @@ draw is a witness, and every window twist is implied or has no H^2 block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import ClassVar, Optional
 
@@ -143,29 +148,54 @@ def euler_pairing(d: int, r1: int, r2: int) -> int:
     return chi_x2 // 2
 
 
-def semistable_bound_check(d: int, k: int, case: str) -> bool:
-    """Strict moduli-dimension inequality showing stable bundles dominate
-    strictly semistable ones, evaluated exactly.
+def stability_margin(d: int, parts: tuple[int, ...]) -> int:
+    """D minus the dimension of the strictly semistable Ulrich bundles of
+    Jordan-Hoelder type ``parts``, exactly.
 
-    case "even":     rank 2k from rank 2 + rank 2k-2 extensions;
-    case "odd-even": rank 2k from rank 3 + rank 2k-3 extensions;
-    case "odd-odd":  rank 2k+1 from rank 3 + rank 2k-2 extensions.
-    Extensions of simple E2 by simple E1 form a family of dimension
-    h^1(End E1) + h^1(End E2) - chi(E1^v tensor E2) - 1; the right side is
-    h^1(End) of a simple bundle of the total rank.  A part with no Ulrich
-    bundle at d (rank 3 at even d) raises ParityError.
+    D = h^1_simple(r) = 1 + r^2(d^2-5)/4 is the dimension of the moduli of
+    simple sheaves at a rank-r Ulrich bundle E with End = (1, D, 0), and
+    r = sum(parts).  For stable Ulrich factors G_1..G_m of ranks
+    r_1..r_m the margin is D minus
+
+        family = sum_i h^1_simple(r_i) + sum_{i<j} (1 - chi(G_j, G_i)) - (m - 1),
+
+    which equals sum_{i<j} (r_i r_j (d^2-5)/4 - 1), so it is positive for
+    d >= 3.  The argument, on (P^2, dH) with K = -3H:
+
+    1. Ulrich sheaves are semistable, and the factors G_i of a
+       Jordan-Hoelder filtration 0 = E_0 < E_1 < ... < E_m = E are stable
+       Ulrich sheaves (Casanellas-Hartshorne, "Stable Ulrich bundles",
+       Int. J. Math. 23 (2012), section 2).  No rank-1 Ulrich sheaf exists
+       for d >= 2 (``line_bundle_solutions``), so every r_i >= 2, and r_i
+       is even when d is.
+    2. G_i varies in a family of dimension h^1_simple(r_i): it is simple,
+       and Ext^2(G_i, G_i) = Hom(G_i, G_i(K))^v = 0 because G_i(K) is
+       semistable of smaller slope.
+    3. E_j is an extension of G_j by E_{j-1}.  Along the filtration of
+       E_{j-1}, ext^1(G_j, E_{j-1}) <= sum_{i<j} ext^1(G_j, G_i).  Each
+       term is hom(G_j, G_i) - chi(G_j, G_i) <= 1 - chi(G_j, G_i): the
+       Ext^2 vanishes as in step 2, and a nonzero map of stable sheaves
+       of one reduced Hilbert polynomial is an isomorphism, so hom <= 1.
+    4. Classes that differ by a nonzero scalar give isomorphic extensions,
+       so for fixed E_{j-1} and G_j step j adds at most one dimension less
+       than ext^1(G_j, E_{j-1}), the split extension included: E_{j-1} is
+       Ulrich, so ext^1(G_j, E_{j-1}) >= -chi(G_j, E_{j-1}) > 0.  Steps
+       2-4 summed over j = 2..m give ``family``.
+    5. A valid full certificate with End = (1, D, 0) makes E a smooth point
+       of dimension D.  Near it each of the finitely many types fills
+       family < D dimensions, and being Ulrich is open, so a general
+       deformation of E is a stable Ulrich bundle.
+
+    Raises ValueError for d < 3, fewer than two parts or a part below 2,
+    and ParityError for an odd part at even d.
     """
-    if d < 3:
-        raise ValueError(f"the bound needs d >= 3, got {d}")
-    if k < 2:
-        raise ValueError(f"the bound needs k >= 2, got {k}")
-    parts = {"even": (2, 2 * k - 2), "odd-even": (3, 2 * k - 3), "odd-odd": (3, 2 * k - 2)}
-    if case not in parts:
-        raise ValueError(f"unknown case {case!r}")
-    r1, r2 = parts[case]
-    family = (invariants(d, r1).h1_end_simple + invariants(d, r2).h1_end_simple
-              - euler_pairing(d, r1, r2) - 1)
-    return family < invariants(d, r1 + r2).h1_end_simple
+    if d < 3 or len(parts) < 2 or min(parts) < 2:
+        raise ValueError(f"need d >= 3 and two or more parts, each at least 2 (no rank-1 "
+                         f"Ulrich sheaf exists for d >= 2), got d={d}, parts={parts}")
+    family = (sum(invariants(d, s).h1_end_simple for s in parts)
+              + sum(1 - euler_pairing(d, rj, ri) for ri, rj in combinations(parts, 2))
+              - (len(parts) - 1))
+    return invariants(d, sum(parts)).h1_end_simple - family
 
 
 def veronese_facts(d: int) -> tuple[int, int]:

@@ -1,5 +1,8 @@
 """Shared fixtures: seeded, certified presentations reused across modules."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -83,6 +86,23 @@ def dual_resolution_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, i
     h2_rank = rank_dense(build_map_matrix(pres, d - m - 5, False), pres.p)
     return (b * line_h(0, 1 - d + m) - tau, a * line_h(0, 2 - d + m) - tau,
             b * line_h(2, 1 - d + m) - h2_rank)
+
+
+def jordan_hoelder_types(r: int, d: int) -> list[tuple[int, ...]]:
+    """Every ordered composition of r into two or more parts >= 2, each a
+    rank that has Ulrich bundles at d (an even one when d is even)."""
+    def compositions(n: int):
+        if n == 0:
+            yield ()
+        for s in range(2, n + 1):
+            if s * (d - 1) % 2 == 0:
+                yield from ((s, *rest) for rest in compositions(n - s))
+    return [parts for parts in compositions(r) if len(parts) >= 2]
+
+
+def closed_margin(d: int, parts: tuple[int, ...]) -> Fraction:
+    """sum_{i<j} (r_i r_j (d^2-5)/4 - 1), from the ranks alone."""
+    return Fraction(sum(ri * rj * (d * d - 5) - 4 for ri, rj in combinations(parts, 2)), 4)
 
 
 @pytest.fixture(scope="session")

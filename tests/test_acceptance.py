@@ -15,10 +15,10 @@ from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import direct_sum
 from ulrich_forge.search import presentation_filename, search
 from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check,
-                                 invariants, line_bundle_solutions,
-                                 semistable_bound_check)
+                                 invariants, line_bundle_solutions, stability_margin)
 
-from conftest import dual_resolution_cohomology, linear_span_dimension
+from conftest import (closed_margin, dual_resolution_cohomology, jordan_hoelder_types,
+                      linear_span_dimension)
 
 
 def report(n: int, ok: bool, detail: str):
@@ -160,11 +160,12 @@ def test_criterion_7_numerology_identity_sweeps():
                 continue
             for t in range(-50, 51):
                 hilbert_check(d, r, t)
-    # the odd cases have a rank-3 part, which exists only at odd d
-    bounds_ok = all(
-        semistable_bound_check(d, k, case)
-        for d in range(3, 102) for k in range(2, 51)
-        for case in (("even", "odd-even", "odd-odd") if d % 2 else ("even",)))
+    # every Jordan-Hoelder type of rank r <= 12: D exceeds the family of
+    # strictly semistable bundles by sum_{i<j} (r_i r_j (d^2-5)/4 - 1) > 0
+    types = [(d, parts) for d in range(3, 102) for r in range(4, 13)
+             for parts in jordan_hoelder_types(r, d)]
+    bounds_ok = len(types) == 13_843 and all(
+        stability_margin(d, parts) == closed_margin(d, parts) > 0 for d, parts in types)
     euler_ok = True
     for d in range(2, 51):
         for r in range(1, 21):
@@ -179,8 +180,9 @@ def test_criterion_7_numerology_identity_sweeps():
                 and all(line_bundle_solutions(d) == [] for d in range(2, 1001)))
     elapsed = time.perf_counter() - t0
     report(7, bounds_ok and euler_ok and lines_ok and elapsed <= 10,
-           f"Hilbert agreement, moduli inequalities, pairing consistency and "
-           f"line-bundle emptiness all exact, {elapsed:.1f}s (limit 10s)")
+           f"Hilbert agreement, stability margins of {len(types)} Jordan-Hoelder "
+           f"types, pairing consistency and line-bundle emptiness all exact, "
+           f"{elapsed:.1f}s (limit 10s)")
 
 
 def test_criterion_8_determinism(rank3_desk_sweep, tmp_path):

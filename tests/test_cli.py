@@ -136,7 +136,7 @@ def test_certify_negative_window_pad_exit_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("rejected", [
     ["certify", "--in", "absent.json", "--window-pad", "3"],
-    ["search", "--d", "3", "--r", "3", "--workers", "2"],
+    ["search", "--d", "4", "--r", "3"],
 ], ids=["by_argparse", "by_command"])
 def test_parser_is_built_once_and_reused_cleanly(capsys, tmp_path, rejected):
     path = tmp_path / "d3r2.json"
@@ -309,9 +309,11 @@ _SEARCH, _SWEEP = ["search", "--d", "3"], ["sweep", "--d", "3,5"]
 ])
 def test_workers_other_than_one_exit_2(capsys, tmp_path, command):
     # trials run serially; --workers stays only so that "--workers 1" parses
-    code, out, err = run(capsys, *command, "--r", "3", "--seed", "0", "--out", str(tmp_path))
-    assert code == 2
-    assert "serially" in err and "workers" in err and out == ""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--r", "3", "--seed", "0", "--out", str(tmp_path)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--workers: invalid choice" in out.err and out.out == ""
     assert not any(tmp_path.iterdir())
 
 

@@ -1,4 +1,4 @@
-"""Prime-field moduli, inverses and F_p arithmetic on plain integers."""
+"""Prime-field moduli and inverses."""
 
 import numpy as np
 import pytest
@@ -31,6 +31,9 @@ def test_inverse_identity_cases():
     # (-1)^2 = 1, so p-1 is its own inverse
     assert inverse_mod(DEFAULT_PRIME - 1, DEFAULT_PRIME) == DEFAULT_PRIME - 1
     assert inverse_mod(-1, DEFAULT_PRIME) == DEFAULT_PRIME - 1
+    # a negative argument is reduced first: -3 and 32000 are one residue
+    assert inverse_mod(-3, DEFAULT_PRIME) == inverse_mod(32000, DEFAULT_PRIME)
+    assert 32000 * inverse_mod(32000, DEFAULT_PRIME) % DEFAULT_PRIME == 1
 
 
 def test_inverse_small_field_brute_force():
@@ -48,23 +51,14 @@ def test_inverse_of_zero_raises():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=DEFAULT_PRIME - 1))
-def test_inverse_involution(x):
+@given(st.integers(min_value=1, max_value=DEFAULT_PRIME - 1),
+       st.integers(min_value=1, max_value=DEFAULT_PRIME - 1))
+def test_inverse_involution(x, y):
     inv = inverse_mod(x, DEFAULT_PRIME)
     assert inverse_mod(inv, DEFAULT_PRIME) == x
     assert x * inv % DEFAULT_PRIME == 1
-
-
-def test_element_arithmetic():
-    # F_p elements are integers in [0, p), combined by int64 arithmetic mod p
-    p = DEFAULT_PRIME
-    a, b = np.int64(32000), np.int64(7)
-    assert (a + b) % p == 4
-    assert (a - b) % p == 31993
-    assert (b - a) % p == p - 31993
-    assert (np.int64(0) - 1) % p == p - 1
-    assert a * inverse_mod(int(a), p) % p == 1
-    assert inverse_mod(int(a), p) == inverse_mod(-3, p)
+    # inversion is multiplicative
+    assert inverse_mod(x * y, DEFAULT_PRIME) == inv * inverse_mod(y, DEFAULT_PRIME) % DEFAULT_PRIME
 
 
 def test_mixed_moduli_rejected():
@@ -74,35 +68,3 @@ def test_mixed_moduli_rejected():
         direct_sum(p1, p7)
     with pytest.raises(ValueError, match="mixed moduli"):
         hom_presentations(p1, p7)
-
-
-def test_field_axioms_randomized():
-    # associativity and distributivity over 10^4 random triples
-    rng = np.random.default_rng(11)
-    p = DEFAULT_PRIME
-    a, b, c = rng.integers(0, p, size=(3, 10_000), dtype=np.int64)
-    assert (((a + b) + c) % p == (a + (b + c)) % p).all()
-    assert ((a * b % p) * c % p == a * (b * c % p) % p).all()
-    assert ((a * ((b + c) % p)) % p == (a * b + a * c) % p).all()
-    # inversion is multiplicative, on a subsample of nonzero pairs
-    for x, y in zip(a[::97].tolist(), b[::97].tolist()):
-        if x and y:
-            assert (inverse_mod(x * y, p)
-                    == inverse_mod(x, p) * inverse_mod(y, p) % p)
-
-
-def test_random_element_range_and_determinism():
-    # random coefficients are F_p elements, reproducible from the seed
-    r1 = random_presentation(5, 2, np.random.default_rng(123)).coeff_array
-    r2 = random_presentation(5, 2, np.random.default_rng(123)).coeff_array
-    assert (r1 == r2).all()
-    assert r1.min() >= 0 and r1.max() < DEFAULT_PRIME
-
-
-def test_random_element_uniform_mean():
-    # mean of 10^5 uniform draws within 5 sigma of (p-1)/2
-    n = 100_000
-    rng = np.random.default_rng(2024)
-    draws = rng.integers(0, DEFAULT_PRIME, size=n)
-    sigma_mean = np.sqrt((DEFAULT_PRIME**2 - 1) / 12 / n)
-    assert abs(draws.mean() - (DEFAULT_PRIME - 1) / 2) < 5 * sigma_mean

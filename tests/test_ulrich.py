@@ -19,10 +19,10 @@ from ulrich_forge.presentation import (ParityError, UlrichPresentation,
                                        generic_rank_check, random_presentation, save)
 from ulrich_forge.search import sweep
 from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check, invariants,
-                                 line_bundle_solutions, semistable_bound_check,
-                                 veronese_facts)
+                                 line_bundle_solutions, stability_margin, veronese_facts)
 
-from conftest import drop_rank_at, seeded_presentation, variant_cases
+from conftest import (closed_margin, drop_rank_at, jordan_hoelder_types, seeded_presentation,
+                      variant_cases)
 
 F = PrimeField(DEFAULT_PRIME)
 search_module = importlib.import_module("ulrich_forge.search")
@@ -119,33 +119,55 @@ def test_euler_pairing_parity_error():
         euler_pairing(4, 3, 2)
 
 
-# --- semistable bounds ------------------------------------------------------
+# --- stability margin -------------------------------------------------------
 
-def test_semistable_bounds_base_cases():
-    assert semistable_bound_check(3, 2, "even")
-    assert semistable_bound_check(3, 2, "odd-even")
-    assert semistable_bound_check(3, 2, "odd-odd")
+def test_stability_margin_by_hand():
+    # d = 3, 2 + 2 + 4: D = h^1_simple(8) = 65; the factors give 5 + 5 + 17,
+    # the three pairs 1 - chi = 5, 9, 9, and the two projectivizations -2
+    assert stability_margin(3, (2, 2, 4)) == 65 - (27 + 23 - 2) == 17
+    assert stability_margin(3, (4, 4)) == 15
+    assert stability_margin(4, (2, 2)) == 10
 
 
-def test_semistable_bounds_sweep():
-    for d in range(3, 40):
-        for k in range(2, 12):
-            for case in ("even", "odd-even", "odd-odd"):
-                if d % 2 == 0 and case != "even":
-                    # a rank-3 part: even degrees carry no odd-rank bundle
+def test_stability_margin_every_type():
+    # every ordered composition of r <= 12 into parts >= 2 that have Ulrich
+    # bundles at d, two parts or more
+    types = 0
+    for d in range(3, 42):
+        for r in range(4, 13):
+            for parts in jordan_hoelder_types(r, d):
+                assert stability_margin(d, parts) == closed_margin(d, parts) > 0, (d, parts)
+                types += 1
+    assert types == 5503
+
+
+def test_stability_margin_parent_families():
+    # the three splits once checked by name: 2 + (2k-2), 3 + (2k-3) and
+    # 3 + (2k-2); 3 + 1 holds a rank-1 part, which no Ulrich sheaf has
+    for d in range(3, 102):
+        for k in range(2, 51):
+            for parts in ((2, 2 * k - 2), (3, 2 * k - 3), (3, 2 * k - 2)):
+                if parts == (3, 1):
+                    with pytest.raises(ValueError):
+                        stability_margin(d, parts)
+                elif d % 2 == 0 and parts[0] == 3:
                     with pytest.raises(ParityError):
-                        semistable_bound_check(d, k, case)
+                        stability_margin(d, parts)
                 else:
-                    assert semistable_bound_check(d, k, case) is True, (d, k, case)
+                    assert stability_margin(d, parts) > 0, (d, parts)
 
 
-def test_semistable_bounds_validation():
-    with pytest.raises(ValueError):
-        semistable_bound_check(2, 2, "even")
-    with pytest.raises(ValueError):
-        semistable_bound_check(3, 1, "even")
-    with pytest.raises(ValueError):
-        semistable_bound_check(3, 2, "sideways")
+def test_stability_margin_rejections():
+    # d < 3, fewer than two parts, a part below 2 (3 + 1 included)
+    for d, parts in [(2, (2, 2)), (1, (2, 4)), (3, (4,)), (3, ()),
+                     (3, (3, 1)), (3, (1, 1, 2)), (5, (0, 4)), (5, (-2, 6))]:
+        with pytest.raises(ValueError) as exc:
+            stability_margin(d, parts)
+        assert not isinstance(exc.value, ParityError), (d, parts)
+    # an odd part at even d
+    for d, parts in [(4, (3, 3)), (6, (2, 3, 3)), (8, (3, 5))]:
+        with pytest.raises(ParityError):
+            stability_margin(d, parts)
 
 
 # --- veronese facts ---------------------------------------------------------
