@@ -1,10 +1,11 @@
-"""Prime-field moduli and inverses."""
+"""Prime-field moduli, inverses and F_p arithmetic through the package."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField, inverse_mod, is_prime
+from ulrich_forge.linalg import matmul_mod
 from ulrich_forge.presentation import direct_sum, random_presentation
 from ulrich_forge.cohomology import hom_presentations
 
@@ -31,9 +32,6 @@ def test_inverse_identity_cases():
     # (-1)^2 = 1, so p-1 is its own inverse
     assert inverse_mod(DEFAULT_PRIME - 1, DEFAULT_PRIME) == DEFAULT_PRIME - 1
     assert inverse_mod(-1, DEFAULT_PRIME) == DEFAULT_PRIME - 1
-    # a negative argument is reduced first: -3 and 32000 are one residue
-    assert inverse_mod(-3, DEFAULT_PRIME) == inverse_mod(32000, DEFAULT_PRIME)
-    assert 32000 * inverse_mod(32000, DEFAULT_PRIME) % DEFAULT_PRIME == 1
 
 
 def test_inverse_small_field_brute_force():
@@ -51,14 +49,21 @@ def test_inverse_of_zero_raises():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=DEFAULT_PRIME - 1),
-       st.integers(min_value=1, max_value=DEFAULT_PRIME - 1))
-def test_inverse_involution(x, y):
+@given(st.integers(min_value=1, max_value=DEFAULT_PRIME - 1))
+def test_inverse_involution(x):
     inv = inverse_mod(x, DEFAULT_PRIME)
     assert inverse_mod(inv, DEFAULT_PRIME) == x
     assert x * inv % DEFAULT_PRIME == 1
-    # inversion is multiplicative
-    assert inverse_mod(x * y, DEFAULT_PRIME) == inv * inverse_mod(y, DEFAULT_PRIME) % DEFAULT_PRIME
+
+
+def test_element_arithmetic():
+    # F_p elements are integers in [0, p); inverse_mod and matmul_mod
+    # reduce their arguments first, so -3 and 32000 are one element
+    p = DEFAULT_PRIME
+    assert inverse_mod(-3, p) == inverse_mod(32000, p)
+    assert 32000 * inverse_mod(32000, p) % p == 1
+    assert matmul_mod([[32000]], [[7]], p).tolist() == [[32000 * 7 % p]]
+    assert matmul_mod([[32000, 7]], [[1], [1]], p).tolist() == [[4]]
 
 
 def test_mixed_moduli_rejected():
@@ -68,3 +73,19 @@ def test_mixed_moduli_rejected():
         direct_sum(p1, p7)
     with pytest.raises(ValueError, match="mixed moduli"):
         hom_presentations(p1, p7)
+
+
+def test_field_axioms_randomized():
+    # matmul_mod is associative and distributes over addition mod p; at
+    # p = 2^31 - 1 its inner dimension is cut into chunks
+    rng = np.random.default_rng(11)
+    for p in (DEFAULT_PRIME, 2**31 - 1):
+        a, b, c = rng.integers(0, p, size=(3, 12, 12), dtype=np.int64)
+        assert (matmul_mod(matmul_mod(a, b, p), c, p)
+                == matmul_mod(a, matmul_mod(b, c, p), p)).all()
+        assert (matmul_mod(a, (b + c) % p, p)
+                == (matmul_mod(a, b, p) + matmul_mod(a, c, p)) % p).all()
+        # inversion is multiplicative, on nonzero pairs
+        for x, y in zip(a[0].tolist(), b[0].tolist()):
+            if x and y:
+                assert inverse_mod(x * y, p) == inverse_mod(x, p) * inverse_mod(y, p) % p
