@@ -32,19 +32,31 @@ average k(3L - k)/6 for short side k and long side L: there the blocked
 path's per-column overhead costs more than it saves.  That covers squares
 up to 135 x 135 and every matrix of at most 12288 cells.
 
-The blocked path holds the caller's input and one float64 working copy.
-Every other buffer is a row stripe, at most one leaf (16 columns) wide,
-or the panel's L^{-1} (at most 256 x 256), whatever the size of the
-matrix; non-consecutive multiplier columns are gathered one row stripe at
-a time.  Its three row-stripe loops (the float64 fill, the update of
-_apply_pivots and the reduction of _reduce_inplace) run through
-_in_stripes: a loop of one 2^20-cell stripe runs inline, a longer one is
-split over T = min(stripes, CPUs of the process's affinity mask) threads
-(numpy drops the GIL in BLAS and ufuncs), and the T threads share the one
-2^20-cell (8 MiB) budget, each taking stripes of 2^20 // T cells.  The
-stripes cover disjoint rows and the multiplier columns they read lie left
-of the columns they update, so every float operation, and the rank, is
-the same for every T.
+The blocked path holds the caller's input, one float64 working copy and
+one pair of stripe buffers per thread, allocated once per rank; every
+other buffer is a single row, a block at most one leaf (16 columns) wide,
+or a panel's L^{-1} (at most 256 x 256), whatever the size of the matrix.
+Non-consecutive multiplier columns are gathered into one buffer of the
+pair and each stripe's products go into the other, so helper threads
+allocate no stripe of their own; u needs no buffer, as it overwrites its
+pivot rows in place.  A matrix of at most 2^20 cells is eliminated on the
+calling thread alone.  A larger one gets T threads, the CPUs of the
+process's affinity mask, which share the 2^20-cell (8 MiB) stripe budget:
+each buffer holds 2^20 // T cells.  Stripe loops (the float64 fill, the
+update of _apply_pivots, the reduction of _reduce_inplace) run through
+_in_stripes: a loop of one stripe runs inline, a longer one is split over
+min(stripes, T) threads that take stripes from one queue (numpy drops the
+GIL in BLAS and ufuncs).  Panels are factored on the calling thread with a
+look-ahead of depth one.  Once panel k is factored, its pivots are applied
+first to the next panel's columns.  Then the helper threads apply them to
+the columns right of it, while the caller factors panel k + 1 and
+afterwards takes the stripes that are left.  A panel swaps rows only
+within its own columns, so no row moves under the concurrent update; its
+swaps are replayed on the columns right of it after the join.  The columns
+left of it hold only dead multipliers and are never swapped.  The stripes
+cover disjoint rows, the multiplier columns they read lie left of the
+columns they update, and every product is exact, so every value computed,
+hence every pivot and the rank, is the same for every T.
 
 ``matmul_mod`` is the one integer matrix product mod p: it splits the
 inner dimension so that no int64 partial sum overflows for any p < 2^31.
@@ -52,9 +64,11 @@ inner dimension so that no int64 partial sum overflows for any p < 2^31.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
-from typing import Callable
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
@@ -71,8 +85,8 @@ _PANEL_LEAF = 16
 # near 6000 for thin shapes (180 x 81, 32 x 400, 24 x 520) and near 7500-8000
 # for squares (150 x 150 to 155 x 155).
 _ROWOPS_MAX_AREA = 6144
-# Cells in the row stripes of the blocked path's temporaries (8 MiB), shared
-# by all the threads of one stripe loop.
+# Cells in the stripe buffers of the blocked path (8 MiB), shared by all the
+# threads of one rank.
 _STRIPE_CELLS = 2**20
 
 
@@ -83,27 +97,41 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_stripes(body: Callable[[int, int], None], lo: int, hi: int, cols: int) -> None:
-    """Call body(i, j) on row stripes [i, j) that tile rows [lo, hi), cols wide.
+def _in_stripes(body: Callable[[int, int, np.ndarray], None], lo: int, hi: int, cols: int,
+                scratch: np.ndarray, own: Callable[[], Any] | None = None) -> Any:
+    """Call body(i, j, buf) on row stripes [i, j) that tile rows [lo, hi),
+    cols wide; then, or meanwhile, run own() if given and return its result.
 
-    Rows that fit in one stripe of _STRIPE_CELLS cells go to one inline
-    call.  Otherwise T = min(stripes, _cpus()) threads, the caller one of
-    them, share that budget: thread t takes every T-th stripe of
-    _STRIPE_CELLS // T cells from the t-th on, and all are joined before
-    the first exception any of them raised is re-raised here."""
-    rows = max(1, _STRIPE_CELLS // cols)
-    if hi - lo <= rows:
-        body(lo, hi)
-        return
-    threads = min(-(-(hi - lo) // rows), _cpus())
-    rows = max(1, _STRIPE_CELLS // threads // cols)
-    starts = range(lo, hi, rows)
+    scratch holds one pair of stripe buffers per thread, the caller's
+    first, each of scratch.shape[2] cells; a stripe has as many rows as
+    fit in one buffer (at least one) and gets its thread's pair as buf.
+    T = min(stripes, len(scratch)) threads take the stripes from one queue.
+    With T = 1 the caller runs them all and then own().  Otherwise T - 1
+    helper threads start at once, and the caller runs own() first and
+    then takes the stripes that are left.  After an exception no stripe
+    is started; all threads are joined before the first exception any of
+    them raised is re-raised here."""
+    rows = max(1, scratch.shape[2] // cols)
+    threads = min(-(-(hi - lo) // rows), len(scratch))
+    if threads <= 1:
+        for i in range(lo, hi, rows):
+            body(i, min(i + rows, hi), scratch[0])
+        return own() if own else None
+    starts = iter(range(lo, hi, rows))
+    lock = threading.Lock()
+    done: list[Any] = []
     errors: list[BaseException] = []
 
-    def work(t: int) -> None:
+    def work(t: int, first: Callable[[], Any] | None = None) -> None:
         try:
-            for i in starts[t::threads]:
-                body(i, min(i + rows, hi))
+            if first is not None:
+                done.append(first())
+            while not errors:
+                with lock:
+                    i = next(starts, None)
+                if i is None:
+                    return
+                body(i, min(i + rows, hi), scratch[t])
         except BaseException as exc:
             errors.append(exc)
 
@@ -113,28 +141,42 @@ def _in_stripes(body: Callable[[int, int], None], lo: int, hi: int, cols: int) -
             helper = threading.Thread(target=work, args=(t,))
             helper.start()
             helpers.append(helper)
-        work(0)
+        work(0, own)
     finally:
         for helper in helpers:
             helper.join()
     if errors:
         raise errors[0]
+    return done[0] if done else None
 
 
-def _reduce_inplace(a: np.ndarray, p: float) -> None:
+def _buffer(flat: np.ndarray, *shape: int) -> np.ndarray:
+    """The first cells of a stripe buffer as an array of this shape, or a
+    new array where they do not fit (a single row wider than the buffer)."""
+    size = math.prod(shape)
+    return flat[:size].reshape(shape) if size <= flat.size else np.empty(shape)
+
+
+def _reduce_inplace(a: np.ndarray, p: float, scratch: np.ndarray) -> None:
     """Exact in-place reduction of an integral float64 matrix (|x| <= 2^52)
     to [0, p), in row stripes."""
-    _in_stripes(lambda i, j: _reduce_rows(a[i:j], p), 0, len(a), a.shape[1])
+
+    def reduce(i: int, j: int, buf: np.ndarray) -> None:
+        a[i:j] = _residues(a[i:j], p, _buffer(buf[0], j - i, a.shape[1]))
+
+    _in_stripes(reduce, 0, len(a), a.shape[1], scratch)
 
 
-def _reduce_rows(a: np.ndarray, p: float) -> None:
-    """_reduce_inplace on one row stripe."""
-    q = a * (1.0 / p)
+def _residues(a: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """a mod p, exactly, computed in out (which is not a) and returned.  a
+    is only read, so a strided leaf of a few columns costs few passes."""
+    q = np.multiply(a, 1.0 / p, out=out)
     np.floor(q, out=q)
     q *= p
-    a -= q
-    np.add(a, p, out=a, where=a < 0)
-    np.subtract(a, p, out=a, where=a >= p)
+    np.subtract(a, q, out=q)
+    np.add(q, p, out=q, where=q < 0)
+    np.subtract(q, p, out=q, where=q >= p)
+    return q
 
 
 def rank_dense(a: np.ndarray, p: int) -> int:
@@ -142,9 +184,11 @@ def rank_dense(a: np.ndarray, p: int) -> int:
 
     The working matrix is one float64 copy holding exact integers, filled
     in row stripes; the input is never modified.  Each panel is eliminated
-    leaf by leaf and its pivots are applied to the trailing submatrix, which
-    accumulates GEMM updates unreduced until the 2^52 exactness budget
-    would be exceeded.
+    leaf by leaf on the calling thread, and its pivots are applied to the
+    trailing submatrix, which accumulates GEMM updates unreduced until the
+    2^52 exactness budget would be exceeded.  The update of the next
+    panel's columns comes first; the rest of it runs on the helper threads
+    while the caller eliminates the next panel.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -160,112 +204,159 @@ def rank_dense(a: np.ndarray, p: int) -> int:
         return len(_row_echelon(w, p))
     block = int(min(_DEFAULT_BLOCK, max_block))
     step_growth = block * (p - 1) ** 2  # max magnitude added per block step
-    w = np.empty((m, n))
+    # the working copy and each thread's pair of stripe buffers, in one
+    # allocation that the allocator can reuse from one rank to the next; a
+    # pair holds no more cells than the matrix
+    threads = 1 if m * n <= _STRIPE_CELLS else _cpus()
+    cells = max(1, min(m * n // 2, _STRIPE_CELLS // threads))
+    mem = np.empty(m * n + threads * 2 * cells)
+    w = mem[: m * n].reshape(m, n)
+    scratch = mem[m * n :].reshape(threads, 2, cells)
 
-    def fill(i: int, j: int) -> None:
-        w[i:j] = np.asarray(a[i:j], dtype=np.int64) % p
+    def fill(i: int, j: int, buf: np.ndarray) -> None:
+        np.remainder(np.asarray(a[i:j], dtype=np.int64), p, out=w[i:j])
 
-    _in_stripes(fill, 0, m, n)
+    _in_stripes(fill, 0, m, n, scratch)
     r = c = rank = 0
     slack = float(_FLOAT_EXACT)  # remaining unreduced-accumulation budget
     pf = float(p)
+    lead: tuple[int, list[int], np.ndarray] | None = None  # the last panel
     while r < m and c < n:
         cb = min(block, n - c)
-        piv_cols, linv = _eliminate_panel(w, p, r, c, cb)
-        k = len(piv_cols)
+        panel = partial(_eliminate_panel, w, p, r, c, cb, scratch[:1])
+        if lead:  # the last panel's update: this panel's columns, then the rest
+            _apply_pivots(w, p, *lead, c, c + cb, scratch)
+            piv, linv, swaps = _apply_pivots(w, p, *lead, c + cb, n, scratch, own=panel)
+        else:
+            piv, linv, swaps = panel()
+        if c + cb < n:  # the panel swapped rows in its own columns only
+            for x, y in swaps:
+                _swap(w[:, c + cb :], x, y)
+        k = len(piv)
         rank += k
+        lead = None
         if k and c + cb < n and r + k < m:
             if slack < 2 * step_growth + p:
-                _reduce_inplace(w[r:m, c + cb : n], pf)
+                _reduce_inplace(w[r:m, c + cb : n], pf, scratch)
                 slack = float(_FLOAT_EXACT)
-            _apply_pivots(w, p, r, piv_cols, linv, c + cb, n)
             slack -= step_growth
+            lead = (r, piv, linv)
         r += k
         c += cb
     return rank
 
 
-def _eliminate_panel(a: np.ndarray, p: int, r: int, c: int,
-                     cb: int) -> tuple[list[int], np.ndarray]:
+def _eliminate_panel(a: np.ndarray, p: int, r: int, c: int, cb: int,
+                     scratch: np.ndarray) -> tuple[list[int], np.ndarray, list[tuple[int, int]]]:
     """Eliminate columns c..c+cb below row r in place, left-looking, from
-    entries of magnitude at most 2^52 - S.  Returns the pivot columns and
-    the inverse mod p of the pivots' unit lower triangle L.
+    entries of magnitude at most 2^52 - S.  Returns the pivot columns, the
+    inverse mod p of the pivots' unit lower triangle L, and the row swaps,
+    in order, which it made in these columns only.
 
     Multipliers are stored in the eliminated positions.  Each leaf of
     _PANEL_LEAF columns takes the panel's earlier pivots (_apply_pivots)
     and is reduced; each of its columns then takes a GEMV with the leaf's
     own earlier pivots, is reduced, and is searched for a pivot.  A pivot
     appends the row -(l L^{-1}) mod p and a unit diagonal to L^{-1}, where
-    l holds its row's stored multipliers.  Pivot rows are never updated
-    in place; their stale values are read only through L^{-1}.
+    l holds its row's stored multipliers.  The elimination never updates
+    a pivot row; _apply_pivots reads its stale values once, through
+    L^{-1}, and leaves u in their place.
     """
     m = a.shape[0]
     pf = float(p)
     piv: list[int] = []
+    swaps: list[tuple[int, int]] = []
     linv = np.zeros((min(cb, m - r), min(cb, m - r)))
+    buf = scratch[0, 0]  # free once a leaf is up to date
     for j0 in range(c, c + cb, _PANEL_LEAF):
         j1, t0 = min(c + cb, j0 + _PANEL_LEAF), len(piv)
         if t0:
-            _apply_pivots(a, p, r, piv, linv[:t0, :t0], j0, j1)
-        _reduce_inplace(a[r + t0 : m, j0:j1], pf)
+            _apply_pivots(a, p, r, piv, linv[:t0, :t0], j0, j1, scratch)
+        _reduce_inplace(a[r + t0 : m, j0:j1], pf, scratch)
         for j in range(j0, j1):
             t = len(piv)
             rr = r + t
             col = a[rr:m, j]
             if t > t0:  # up to date with the leaf's own pivots
                 v = linv[t0:t, t0:t] @ a[r + t0 : rr, j] % pf
-                col = col - a[rr:m, _columns(piv[t0:])] @ v
+                col = col - _gather(a[rr:m], piv[t0:], buf) @ v
             col = col.astype(np.int64) % p  # exact: every |entry| <= 2^52
             i = int((col != 0).argmax())  # the first nonzero, if any
             if not col[i]:
                 continue
             inv = inverse_mod(int(col[i]), p)
             if i:
-                a[[rr, rr + i], :] = a[[rr + i, rr], :]
+                _swap(a[:, c : c + cb], rr, rr + i)
+                swaps.append((rr, rr + i))
                 col[i] = col[0]
             a[rr + 1 : m, j] = col[1:] * inv % p
             if t:
-                linv[t, :t] = -(a[rr, _columns(piv)] @ linv[:t, :t]) % pf
+                linv[t, :t] = -(_gather(a[rr], piv, buf) @ linv[:t, :t]) % pf
             linv[t, t] = 1.0
             piv.append(j)
             if rr + 1 == m:
-                return piv, linv
-    return piv, linv[: len(piv), : len(piv)]
+                return piv, linv, swaps
+    return piv, linv[: len(piv), : len(piv)], swaps
 
 
-def _columns(cols: list[int]) -> slice | list[int]:
-    """Index for columns cols (increasing): a slice, so a view, when they
-    are consecutive, else the list itself, so a gather."""
-    return slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] == len(cols) - 1 else cols
+def _swap(a: np.ndarray, x: int, y: int) -> None:
+    """Swap rows x and y of a in place."""
+    row = a[x].copy()
+    a[x] = a[y]
+    a[y] = row
 
 
-def _apply_pivots(a: np.ndarray, p: int, r: int, piv_cols: list[int],
-                  linv: np.ndarray, s0: int, s1: int) -> None:
-    """Apply the k pivots of rows r..r+k (multipliers stored at piv_cols,
-    unit lower triangle inverted in linv) to columns [s0, s1) of every row
-    below row r+k; the result is left unreduced.
+def _gather(a: np.ndarray, cols: list[int], buf: np.ndarray) -> np.ndarray:
+    """Columns cols (increasing, on the last axis) of a: a view when they
+    are consecutive, else a copy in buf."""
+    if cols[-1] - cols[0] == len(cols) - 1:
+        return a[..., cols[0] : cols[-1] + 1]
+    return np.take(a, cols, axis=-1, out=_buffer(buf, *a.shape[:-1], len(cols)), mode="clip")
 
-    Pivot rows are forward-substituted transiently, L^{-1} u in one GEMM;
-    their stale stored values in these columns are never read again.  The
-    update runs within column blocks whose k final pivot rows fit in one
-    stripe, in row stripes sized so that the stripe's k multiplier columns
-    (gathered when not consecutive) and its product each fit in one."""
-    m = a.shape[0]
+
+def _apply_pivots(a: np.ndarray, p: int, r: int, piv_cols: list[int], linv: np.ndarray,
+                  s0: int, s1: int, scratch: np.ndarray,
+                  own: Callable[[], Any] | None = None) -> Any:
+    """Apply the k pivots of rows r..r+k (multipliers L21 stored at
+    piv_cols, unit lower triangle inverted in linv) to columns [s0, s1) of
+    every row below row r+k, through _in_stripes with own, and return
+    own's result; the update is left unreduced.
+
+    The first stripe forward-substitutes the pivot rows in place, one
+    column block at a time, u = L^{-1} times their values reduced mod p,
+    then reduced again, while the other threads wait for it: every stripe
+    then reads u there, and nothing reads those stored values again.  Each
+    row stripe then gathers its multiplier columns once, into its first
+    buffer when they are not consecutive, and takes one GEMM per column
+    block into its second; stripe rows and block width are sized so that
+    both fit."""
     k = len(piv_cols)
     pf = float(p)
-    sel = _columns(piv_cols)
-    width = max(1, _STRIPE_CELLS // k)
-    for c0 in range(s0, s1, width):
-        c1 = min(s1, c0 + width)
-        u = a[r : r + k, c0:c1].copy()
-        _reduce_inplace(u, pf)
-        u = linv @ u
-        _reduce_inplace(u, pf)
+    width = max(1, scratch.shape[2] // k)
+    blocks = range(s0, s1, width)
+    lock = threading.Lock()
+    solved = False
 
-        def update(i: int, j: int) -> None:
-            a[i:j, c0:c1] -= a[i:j, sel] @ u
+    def update(i: int, j: int, buf: np.ndarray) -> None:
+        nonlocal solved
+        with lock:
+            if not solved:
+                for c0 in blocks:
+                    u = a[r : r + k, c0 : min(s1, c0 + width)]
+                    x, y = _buffer(buf[0], *u.shape), _buffer(buf[1], *u.shape)
+                    np.copyto(x, u)
+                    np.matmul(linv, _residues(x, pf, y), out=x)
+                    u[...] = _residues(x, pf, y)
+                solved = True
+        l21 = _gather(a[i:j], piv_cols, buf[0])
+        for c0 in blocks:
+            c1 = min(s1, c0 + width)
+            a[i:j, c0:c1] -= np.matmul(l21, a[r : r + k, c0:c1],
+                                       out=_buffer(buf[1], j - i, c1 - c0))
 
-        _in_stripes(update, r + k, m, max(k, c1 - c0))
+    # an empty column range has no rows to update
+    hi = a.shape[0] if s1 > s0 else r + k
+    return _in_stripes(update, r + k, hi, max(k, min(width, s1 - s0)), scratch, own)
 
 
 def _row_echelon(a: np.ndarray, p: int) -> list[int]:

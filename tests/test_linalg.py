@@ -83,6 +83,16 @@ def low_rank(rng, m: int, n: int, k: int, p: int) -> np.ndarray:
     return matmul_mod(rng.integers(0, p, size=(m, k)), rng.integers(0, p, size=(k, n)), p)
 
 
+def last_row_pivots(rng, n: int, p: int) -> np.ndarray:
+    """An upper-triangular matrix with nonzero diagonal, rows rotated up by
+    one (its first row last): every pivot lies in the last row, so every
+    pivot but the last swaps rows, and the rank is n."""
+    a = rng.integers(1, p, size=(n, n))
+    for i in range(n - 1):
+        a[i, : i + 1] = 0
+    return a
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_rank_randomized_against_oracle(seed):
     rng = np.random.default_rng(seed)
@@ -208,7 +218,8 @@ def test_striped_slack_reset_large_prime(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for a in (rng.integers(0, p, size=(400, 400)), low_rank(rng, 400, 420, 390, p)):
+        for a in (rng.integers(0, p, size=(400, 400)), low_rank(rng, 400, 420, 390, p),
+                  last_row_pivots(rng, 400, p)):
             want = division_free_rank(a, p)
             for threads in THREADS:
                 monkeypatch.setattr(linalg, "_cpus", lambda: threads)
@@ -217,25 +228,97 @@ def test_striped_slack_reset_large_prime(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("thread", ["caller", "helper"])
+def deep_pivots_from(rng, panel: int, p: int) -> np.ndarray:
+    """150 x 130, rank 110 (under STRIPED: 40-column panels 0 to 3): 110
+    generic rows, the first 40 * panel of them on top, then 20 zero rows,
+    then the rest, then 20 random combinations of all 110.  Every pivot from
+    panel `panel` on is found 20 rows deep, and a row that misses an update
+    or takes one twice leaves a combination nonzero, raising the rank."""
+    rows = rng.integers(0, p, size=(110, 130))
+    top = 40 * panel
+    return np.vstack([rows[:top], np.zeros((20, 130), dtype=np.int64), rows[top:],
+                      matmul_mod(rng.integers(0, p, size=(20, 110)), rows, p)])
+
+
+# panels 1 and 2 are factored while the helpers update the columns right of them
+@pytest.mark.parametrize("case", ["last_row_pivots", "deep_pivot_0", "deep_pivot_1",
+                                  "deep_pivot_2"])
+def test_striped_swaps_against_oracle(monkeypatch, case):
+    # a panel swaps rows in its own columns while the helpers update the
+    # columns right of it; a swap made across those columns, or not
+    # replayed there after the join, shows up as a wrong rank
+    rng = np.random.default_rng(12)
+    if case == "last_row_pivots":
+        a, want = last_row_pivots(rng, 130, P), 130
+    else:
+        a, want = deep_pivots_from(rng, int(case[-1]), P), 110
+    assert division_free_rank(a, P) == want
+    for name, value in STRIPED.items():
+        monkeypatch.setattr(linalg, name, value)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in THREADS:
+            monkeypatch.setattr(linalg, "_cpus", lambda: threads)
+            assert rank_dense(a, P) == want, threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("thread", ["caller", "helper", "helper_during_panel", "panel"])
 def test_failing_stripe_raises(monkeypatch, thread):
     # a stripe that fails on either thread of a split loop fails the rank,
-    # and the other thread is joined first
-    reduce_rows = linalg._reduce_rows
-
-    def failing(a, p):
-        if (threading.current_thread() is threading.main_thread()) == (thread == "caller"):
-            raise MemoryError
-        reduce_rows(a, p)
-
+    # and so do a helper's stripe that fails while the caller factors the
+    # next panel and a panel that fails while the helpers update; the
+    # other thread is joined first
     for name, value in STRIPED.items():
         monkeypatch.setattr(linalg, name, value)
     monkeypatch.setattr(linalg, "_cpus", lambda: 2)
-    monkeypatch.setattr(linalg, "_reduce_rows", failing)
+    if thread in ("caller", "helper"):
+        residues = linalg._residues
+
+        def failing(a, p, out):
+            if (threading.current_thread() is threading.main_thread()) == (thread == "caller"):
+                raise MemoryError
+            return residues(a, p, out)
+
+        monkeypatch.setattr(linalg, "_residues", failing)
+    else:
+        in_stripes = linalg._in_stripes
+        lookaheads = []
+
+        def lookahead(body, lo, hi, cols, scratch, own=None):
+            if own is None:
+                return in_stripes(body, lo, hi, cols, scratch)
+            lookaheads.append(hi - lo)
+            panel_started, helper_started, failed = (threading.Event() for _ in range(3))
+
+            def stripe(i, j, buf):
+                if threading.current_thread() is not threading.main_thread():
+                    helper_started.set()
+                    if thread == "helper_during_panel":
+                        assert panel_started.wait(10)
+                        failed.set()
+                        raise MemoryError
+                body(i, j, buf)
+
+            def panel():
+                panel_started.set()
+                assert helper_started.wait(10)
+                if thread == "panel":
+                    raise MemoryError
+                assert failed.wait(10)
+                return own()
+
+            return in_stripes(stripe, lo, hi, cols, scratch, panel)
+
+        monkeypatch.setattr(linalg, "_in_stripes", lookahead)
     running = threading.active_count()
     with pytest.raises(MemoryError):
-        rank_dense(np.random.default_rng(11).integers(0, P, size=(60, 60)), P)
+        rank_dense(np.random.default_rng(11).integers(0, P, size=(120, 120)), P)
     assert threading.active_count() == running
+    if thread not in ("caller", "helper"):
+        assert lookaheads == [80]  # the first look-ahead, of panel 1, failed
 
 
 # both primes take the row-op loop, where an entry absorbs 131071 and 2
