@@ -17,7 +17,7 @@ from .presentation import (UlrichPresentation, direct_sum, generic_rank_check,
 from .search import search, sweep
 from .ulrich import (UlrichCertificate, certify, euler_pairing, hilbert_check,
                      invariants, line_bundle_solutions, stability_margin,
-                     veronese_facts)
+                     ulrich_cohomology, veronese_facts)
 
 __all__ = [
     "DEFAULT_PRIME", "PrimeField", "UlrichCertificate", "UlrichPresentation",
@@ -25,6 +25,6 @@ __all__ = [
     "end_cohomology", "euler_pairing", "generic_rank_check", "hilbert_check",
     "hom_presentations", "invariants", "line_bundle_solutions", "line_h",
     "load", "omega_table", "random_presentation", "save", "search",
-    "shape", "stability_margin", "sweep",
+    "shape", "stability_margin", "sweep", "ulrich_cohomology",
     "veronese_facts", "__version__",
 ]

@@ -10,9 +10,11 @@ dimension of that type's family, which is sum_{i<j} (r_i r_j (d^2-5)/4 - 1)
 is stable.  The certifier ties it to the cohomology engine: a
 presentation whose generic-rank witness exists and whose twists
 E(-t d) for t = 2..alpha have vanishing first cohomology presents an
-Ulrich bundle, and the optional full profile re-verifies every dimension
-formula the theory predicts for it.  The witness is implied when
-h^1(E(-2d)) = 0, and computed by ranking M at drawn points otherwise.
+Ulrich bundle, and the optional full profile re-verifies the theory's
+dimensions: every expectation but End's is the one closed form
+``ulrich_cohomology(d, r, m)``, read for the twisted dual E^v(3d-3) at the
+same m.  The witness is implied when h^1(E(-2d)) = 0, and computed by
+ranking M at drawn points otherwise.
 
 A certificate stores its inputs and the numbers it computed, nothing else:
 every shape number and constant is derived, and every verdict (``valid``,
@@ -111,6 +113,22 @@ def hilbert_check(d: int, r: int, t: int) -> int:
             f"Hilbert polynomial mismatch at (d={d}, r={r}, t={t}): "
             f"resolution gives {from_resolution}, closed form {closed}")
     return closed
+
+
+def ulrich_cohomology(d: int, r: int, m: int) -> tuple[int, int, int]:
+    """(h^0, h^1, h^2) of E(m) for every rank-r Ulrich bundle E on (P^2, dH).
+
+    With chi = chi(E(m)) = r(m+d)(m+2d)/2: h^0 = chi for m >= -d, h^1 = -chi
+    for -2d <= m <= -d, h^2 = chi for m <= -2d, and the rest vanish.  For
+    m >= -d, H^2(O(d-2+m)) = 0, so 0 -> O(d-2)^a -> O(d-1)^b -> E -> 0
+    gives h^1 = h^2 = 0; for m <= -d, h^0(E(m)) <= h^0(E(-d)) = 0.  The
+    twisted dual F = E^v(3d-3) is Ulrich of rank r, and Serre duality
+    h^i(E(m)) = h^{2-i}(F(-m-3d)) turns both steps for F into m <= -2d.
+    F(m) has the same triple, so a certificate reads the dual at 3d-3+m.
+    """
+    shape(d, r)             # raises ParityError for an impossible (d, r)
+    chi = r * (m + d) * (m + 2 * d) // 2
+    return (chi, 0, 0) if m >= -d else (0, 0, chi) if m <= -2 * d else (0, -chi, 0)
 
 
 def line_bundle_solutions(d: int) -> list[int]:
@@ -328,7 +346,9 @@ def certify(pres: UlrichPresentation, level: str = "basic",
     h^1(E(td)) = 0 for t in the fixed range [-alpha-3, 3], Hilbert values,
     second cohomology at t = -3, -4, the cotangent-twist table,
     endomorphism cohomology, and the Ulrich profile of the twisted dual.
-    An invalid basic certificate gets full_checks None and full_ok False.
+    Every expected value but End's is ulrich_cohomology(d, r, m), the dual's
+    read at the same m.  An invalid basic certificate gets full_checks None
+    and full_ok False.
     Failures are recorded, never raised.
 
     Local freeness is not checked separately.  h^1(E(-2d)) = dim
@@ -358,68 +378,46 @@ def certify(pres: UlrichPresentation, level: str = "basic",
 
 def _full_profile_checks(pres: UlrichPresentation) -> list[CheckResult]:
     d, r = pres.d, pres.r
-    alpha = pres.alpha
-    inv = invariants(d, r)
     checks: list[CheckResult] = []
 
+    def twist(name: str, m: int, qs: tuple[int, ...], note: str, dual: bool = False) -> None:
+        """Check h^q of E(m), or of the twisted dual E^v(3d-3+m), for q in qs."""
+        got = dual_cohomology(pres, 3 * d - 3 + m) if dual else bundle_cohomology(pres, m)
+        want = ulrich_cohomology(d, r, m)
+        checks.extend(CheckResult(name.format(q=q), want[q], got[q], note) for q in qs)
+
     # dimension ladder at the three smallest interesting twists
-    ladder = [
-        (-d, (0, 0, 0), "all cohomology of the (-1)-twist vanishes"),
-        (1 - d, (r * (d + 1) // 2, 0, 0), "sections jump to r(d+1)/2 one step up"),
-        (2 - d, (r * (d + 2), 0, None), "sections reach r(d+2) two steps up"),
-    ]
-    for m, expected, note in ladder:
-        got = bundle_cohomology(pres, m)
-        for q in range(3):
-            if expected[q] is None:
-                continue
-            checks.append(CheckResult(
-                name=f"ladder_h{q}_m{m}", expected=expected[q], computed=got[q],
-                note=note))
-
-    # no intermediate cohomology across the finite window
-    for t in range(-alpha - LEGACY_CERT_CONFIG["acm_window_pad"], 4):
-        checks.append(CheckResult(
-            name=f"acm_h1_t{t}", expected=0, computed=bundle_cohomology(pres, t * d)[1],
-            note="no intermediate cohomology at any polarization twist"))
-
-    # Hilbert values through sections
+    twist(f"ladder_h{{q}}_m{-d}", -d, (0, 1, 2), "all cohomology of the (-1)-twist vanishes")
+    twist(f"ladder_h{{q}}_m{1 - d}", 1 - d, (0, 1, 2), "sections jump to r(d+1)/2 one step up")
+    twist(f"ladder_h{{q}}_m{2 - d}", 2 - d, (0, 1), "sections reach r(d+2) two steps up")
+    for t in range(-pres.alpha - LEGACY_CERT_CONFIG["acm_window_pad"], 4):
+        twist(f"acm_h1_t{t}", t * d, (1,),
+              "no intermediate cohomology at any polarization twist")
     for t in range(0, 3):
-        checks.append(CheckResult(
-            name=f"sections_t{t}", expected=inv.hilbert(t),
-            computed=bundle_cohomology(pres, t * d)[0],
-            note="global sections match the Hilbert polynomial"))
-
-    # second cohomology at strongly negative twists (Serre-dual sections)
+        twist(f"sections_t{t}", t * d, (0,), "global sections match the Hilbert polynomial")
     for t in (-3, -4):
-        checks.append(CheckResult(
-            name=f"h2_t{t}", expected=inv.hilbert(t),
-            computed=bundle_cohomology(pres, t * d)[2],
-            note="second cohomology carries the whole Euler characteristic"))
+        twist(f"h2_t{t}", t * d, (2,),
+              "second cohomology carries the whole Euler characteristic")
 
-    # cotangent-twist table
+    # cotangent-twist table: plain twists -d and 1-d around the column (a, 0, 0)
+    cols = ulrich_cohomology(d, r, -d), (pres.a, 0, 0), ulrich_cohomology(d, r, 1 - d)
     checks.append(CheckResult(
-        name="omega_table", expected=[[0, pres.a, pres.b], [0, 0, 0], [0, 0, 0]],
+        name="omega_table", expected=[[col[q] for col in cols] for q in range(3)],
         computed=omega_table(pres),
         note="the spectral-sequence table must have one nonzero row"))
 
     # endomorphism cohomology of a simple bundle
     checks.append(CheckResult(
-        name="end_cohomology", expected=[1, inv.h1_end_simple, 0],
+        name="end_cohomology", expected=[1, invariants(d, r).h1_end_simple, 0],
         computed=list(end_cohomology(pres)),
         note="simplicity and the deformation-space dimension"))
 
-    # the twisted dual is again Ulrich
-    shift = 3 * d - 3
-    checks.append(CheckResult(
-        name="dual_h0_m-d", expected=0, computed=dual_cohomology(pres, shift - d)[0],
-        note="the twisted dual has no sections in its (-1)-twist"))
-    checks.append(CheckResult(
-        name="dual_h0_m0", expected=d * d * r, computed=dual_cohomology(pres, shift)[0],
-        note="the twisted dual has the Ulrich section count"))
+    # the twisted dual is again Ulrich of rank r, so it has the same table
+    twist("dual_h0_m-d", -d, (0,), "the twisted dual has no sections in its (-1)-twist",
+          dual=True)
+    twist("dual_h0_m0", 0, (0,), "the twisted dual has the Ulrich section count", dual=True)
     for t in range(-2, 3):
-        checks.append(CheckResult(
-            name=f"dual_h1_t{t}", expected=0, computed=dual_cohomology(pres, shift + t * d)[1],
-            note="the twisted dual has no intermediate cohomology"))
+        twist(f"dual_h1_t{t}", t * d, (1,), "the twisted dual has no intermediate cohomology",
+              dual=True)
 
     return checks

@@ -9,6 +9,7 @@ import pytest
 from ulrich_forge.cli import build_parser, main
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.presentation import UlrichPresentation, canonical_json_bytes, save
+from ulrich_forge.ulrich import ulrich_cohomology
 
 from conftest import seeded_presentation
 
@@ -342,16 +343,14 @@ def test_table_cli(capsys, tmp_path):
                        "--from", "-21", "--to", "3")
     assert code == 0
     doc = json.loads(out)
-    rows = {row["m"]: row for row in doc["twists"]}
-    assert set(rows) == set(range(-21, 4))
-    # the vanishing column at polarization multiples
-    for t in (-3, -2, -1, 0):
-        assert rows[7 * t]["h1"] == 0
-    assert doc["omega_table"][0] == [0, 9, 12]
-    assert all(v == 0 for v in doc["omega_table"][1] + doc["omega_table"][2])
-    # chi column is consistent
+    assert [row["m"] for row in doc["twists"]] == list(range(-21, 4))
+    # the presentation is Ulrich, so every row is the closed form
     for row in doc["twists"]:
+        assert (row["h0"], row["h1"], row["h2"]) == ulrich_cohomology(7, 3, row["m"]), row
         assert row["chi"] == row["h0"] - row["h1"] + row["h2"]
+    # the plain twists -d and 1-d around the column (a, 0, 0)
+    cols = ulrich_cohomology(7, 3, -7), (pres.a, 0, 0), ulrich_cohomology(7, 3, -6)
+    assert doc["omega_table"] == [[col[q] for col in cols] for q in range(3)]
 
 
 def test_table_text_marks_multiples(capsys, tmp_path):

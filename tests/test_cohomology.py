@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ulrich_forge import cohomology
 from ulrich_forge.cohomology import (_PIVOT_POINTS, _mult_rank, _pivot_pencil,
@@ -13,7 +13,7 @@ from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.poly import dim_forms
 from ulrich_forge.presentation import UlrichPresentation, direct_sum, random_presentation
-from ulrich_forge.ulrich import certify
+from ulrich_forge.ulrich import certify, ulrich_cohomology
 
 from conftest import (VARIANT_KINDS, dual_resolution_cohomology, seeded_presentation,
                       variant, variant_cases)
@@ -94,6 +94,24 @@ def test_h1_nonzero_off_polarization_multiples(pres_d7r3):
     vals = [bundle_cohomology(pres_d7r3, m)[1] for m in range(-21, 4)]
     assert any(v != 0 for v in vals)
     assert all(bundle_cohomology(pres_d7r3, 7 * t)[1] == 0 for t in range(-3, 1))
+
+
+# the explicit examples are the pres_d3r2, pres_d5r2 and pres_d7r3 fixtures
+@settings(max_examples=300, deadline=None)
+@given(variant_cases())
+@example(seeded_presentation(3, 2))
+@example(seeded_presentation(5, 2))
+@example(seeded_presentation(7, 3))
+def test_valid_presentations_have_the_ulrich_table(pres):
+    # a valid presentation is Ulrich, so E(m) and the twisted dual
+    # E^v(3d-3+m) both read ulrich_cohomology(d, r, m); [-6d, 3d] is closed
+    # under m -> -3d-m and holds every twist of the full profile for r <= 4
+    assume(certify(pres).valid)
+    d = pres.d
+    for m in range(-6 * d, 3 * d + 1):
+        want = ulrich_cohomology(d, pres.r, m)
+        assert bundle_cohomology(pres, m) == want, m
+        assert dual_cohomology(pres, 3 * d - 3 + m) == want, m
 
 
 # --- the z-slice rank kernel against the dense oracle ------------------------

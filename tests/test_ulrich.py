@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ulrich_forge.cli import main
 from ulrich_forge import cohomology, presentation
-from ulrich_forge.cohomology import bundle_cohomology
+from ulrich_forge.cohomology import bundle_cohomology, chi_line
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import (ParityError, UlrichPresentation,
@@ -19,7 +19,8 @@ from ulrich_forge.presentation import (ParityError, UlrichPresentation,
                                        generic_rank_check, random_presentation, save)
 from ulrich_forge.search import sweep
 from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check, invariants,
-                                 line_bundle_solutions, stability_margin, veronese_facts)
+                                 line_bundle_solutions, stability_margin, ulrich_cohomology,
+                                 veronese_facts)
 
 from conftest import (closed_margin, drop_rank_at, jordan_hoelder_types, seeded_presentation,
                       variant_cases)
@@ -82,6 +83,35 @@ def test_hilbert_check_sweep_small():
                 continue
             for t in range(-10, 11):
                 hilbert_check(d, r, t)
+
+
+# --- the closed form of every twist -----------------------------------------
+
+def test_ulrich_cohomology_ladder_d3r2():
+    # (-d) all zero; (1-d) has r(d+1)/2 sections; (2-d) has r(d+2) sections
+    assert [ulrich_cohomology(3, 2, m) for m in (-3, -2, -1)] == [(0, 0, 0), (4, 0, 0),
+                                                                   (10, 0, 0)]
+    with pytest.raises(ParityError):
+        ulrich_cohomology(4, 3, 0)
+
+
+def test_ulrich_cohomology_matches_the_resolution():
+    for d in range(1, 42):
+        for r in range(1, 7):
+            if r * (d - 1) % 2:
+                continue
+            inv = invariants(d, r)
+            for m in range(-5 * d, 2 * d + 1):
+                h = ulrich_cohomology(d, r, m)
+                chi = inv.b * chi_line(d - 1 + m) - inv.a * chi_line(d - 2 + m)
+                assert h[0] - h[1] + h[2] == chi, (d, r, m)
+                # natural cohomology: at most one entry is nonzero
+                assert sum(v != 0 for v in h) <= 1 and min(h) >= 0, (d, r, m)
+                if m % d == 0:
+                    assert chi == inv.hilbert(m // d), (d, r, m)
+            # h^1 starts and ends at a just inside (-2d, -d)
+            assert ulrich_cohomology(d, r, -d - 1)[1] == inv.a
+            assert ulrich_cohomology(d, r, 1 - 2 * d)[1] == inv.a
 
 
 # --- line bundles -----------------------------------------------------------
