@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import matmul_mod, rank_dense, rref
+from .linalg import matmul_mod, null_space, rank_dense, rref
 from .poly import dim_forms, shift_tables
 from .presentation import UlrichPresentation
 
@@ -164,13 +164,9 @@ def _pivot_pencil(pres: UlrichPresentation):
             break
     else:
         return None
-    free = np.flatnonzero(np.bincount(pivots, minlength=b) == 0)
-    blocks = []
-    for v in (1, 2):
-        part = reduced[:, v * b : (v + 1) * b]
-        head = part[:, pivots]
-        blocks += [head, (part[:, free] - matmul_mod(head, reduced[:, free], p)) % p]
-    return tuple(blocks)
+    null = null_space(reduced[:, :b], pivots, p).T
+    x, y = reduced[:, b : 2 * b], reduced[:, 2 * b :]
+    return x[:, pivots], matmul_mod(x, null, p), y[:, pivots], matmul_mod(y, null, p)
 
 
 def _residue(pencil, n: int, p: int) -> np.ndarray:
@@ -281,11 +277,8 @@ def hom_presentations(p1: UlrichPresentation, p2: UlrichPresentation) -> int:
         raise ValueError("hom_presentations needs equal polarization degrees")
     p, a1, b1, a2, b2 = p1.p, p1.a, p1.b, p2.a, p2.b
     reduced, pivots = rref(p1.coeff_array.reshape(b1, 3 * a1), p)
-    free = np.flatnonzero(np.bincount(pivots, minlength=3 * a1) == 0)
-    k = free.size
-    null = np.zeros((k, 3 * a1), dtype=np.int64)     # columns (j1, v)
-    null[np.arange(k), free] = 1
-    null[:, pivots] = -reduced[:, free].T % p
+    null = null_space(reduced, pivots, p)     # columns (j1, v)
+    k = len(null)
     # (M2 R)[i2] . w = sum_{j2, j1} R[j2, j1] sum_v c2[i2, j2, v] w[j1, v]
     w = null.reshape(k, a1, 3).transpose(2, 0, 1).reshape(3, k * a1)
     sys = matmul_mod(p2.coeff_array.reshape(b2 * a2, 3), w, p)

@@ -5,15 +5,15 @@ package reduces to the rank of an explicit matrix over F_p.  Matrices are
 plain numpy arrays; the modulus is passed alongside.
 
 The dense elimination is blocked, with delayed reduction in float64 (the
-FFLAS-FFPACK design).  A panel of up to 256 columns is eliminated
-left-looking, one 16-column leaf at a time.  The leaf is brought up to
-date with the panel's earlier pivots by one GEMM pair (u = L^{-1} times
-the pivot rows, then the rows below minus L21 u) and reduced mod p; each
-of its columns then takes one GEMV with the leaf's own earlier pivots and
-is reduced, in int64, before its pivot search.  Multipliers are stored in
-the eliminated positions, and each pivot appends its row -(l L^{-1}) mod p
-to the panel's running unit-lower inverse L^{-1}.  The panel hands L^{-1}
-to the trailing update, the same GEMM pair over every later column.
+FFLAS-FFPACK design), and left-looking by one rule: columns catch up with
+the pivots they have not yet seen, by one GEMM pair (u = L^{-1} times the
+pivot rows, then the rows below minus L21 u), before they are eliminated.
+A panel of up to 256 columns is eliminated one 16-column leaf at a time:
+the leaf catches up with the panel's earlier pivots and is reduced mod p;
+each of its columns then takes one GEMV with the leaf's own earlier pivots
+and is reduced, in int64, before its pivot search.  Multipliers are stored
+in the eliminated positions; each pivot appends its row -(l L^{-1}) mod p
+to the panel's unit-lower inverse L^{-1}, which later columns catch up by.
 
 The float path is exact because no magnitude exceeds 2^52.  The block B
 satisfies 8 B (p - 1)^2 <= 2^52, and every product is taken of reduced
@@ -44,19 +44,20 @@ calling thread alone.  A larger one gets T threads, the CPUs of the
 process's affinity mask, which share the 2^20-cell (8 MiB) stripe budget:
 each buffer holds 2^20 // T cells.  Stripe loops (the float64 fill, the
 update of _apply_pivots, the reduction of _reduce_inplace) run through
-_in_stripes: a loop of one stripe runs inline, a longer one is split over
-min(stripes, T) threads that take stripes from one queue (numpy drops the
-GIL in BLAS and ufuncs).  Panels are factored on the calling thread with a
-look-ahead of depth one.  Once panel k is factored, its pivots are applied
-first to the next panel's columns.  Then the helper threads apply them to
-the columns right of it, while the caller factors panel k + 1 and
-afterwards takes the stripes that are left.  A panel swaps rows only
-within its own columns, so no row moves under the concurrent update; its
-swaps are replayed on the columns right of it after the join.  The columns
-left of it hold only dead multipliers and are never swapped.  The stripes
-cover disjoint rows, the multiplier columns they read lie left of the
-columns they update, and every product is exact, so every value computed,
-hence every pivot and the rank, is the same for every T.
+_in_stripes, which hands the stripes, and a panel run alongside them as
+one more task, to at most T threads taking stripes from one queue (numpy
+drops the GIL in BLAS and ufuncs); a lone stripe with no panel runs
+inline.  Panels are factored on the calling thread with a look-ahead of
+depth one: a panel first catches up with the last panel's pivots on its
+own columns, then leaf by leaf with its own, while the helper threads
+apply the last panel's pivots to the columns right of it; the caller then
+takes the stripes that are left.  A panel swaps rows only within its own
+columns, so no row moves under the concurrent update; its swaps are
+replayed on the columns right of it after the join, and the columns left
+of it, dead multipliers, are never swapped.  The stripes cover disjoint
+rows, the catch-up and the update disjoint columns, the multiplier columns
+they read lie left of the columns they update, and every product is exact,
+so every value, hence every pivot and the rank, is the same for every T.
 
 ``matmul_mod`` is the one integer matrix product mod p: it splits the
 inner dimension so that no int64 partial sum overflows for any p < 2^31.
@@ -105,14 +106,14 @@ def _in_stripes(body: Callable[[int, int, np.ndarray], None], lo: int, hi: int, 
     scratch holds one pair of stripe buffers per thread, the caller's
     first, each of scratch.shape[2] cells; a stripe has as many rows as
     fit in one buffer (at least one) and gets its thread's pair as buf.
-    T = min(stripes, len(scratch)) threads take the stripes from one queue.
-    With T = 1 the caller runs them all and then own().  Otherwise T - 1
-    helper threads start at once, and the caller runs own() first and
-    then takes the stripes that are left.  After an exception no stripe
-    is started; all threads are joined before the first exception any of
-    them raised is re-raised here."""
+    T = min(stripes + 1 if own else stripes, len(scratch)) threads take
+    the stripes from one queue.  With T = 1 the caller runs them all and
+    then own().  Otherwise T - 1 helper threads start at once, and the
+    caller runs own() first and then takes the stripes that are left.
+    After an exception no stripe is started; all threads are joined before
+    the first exception any of them raised is re-raised here."""
     rows = max(1, scratch.shape[2] // cols)
-    threads = min(-(-(hi - lo) // rows), len(scratch))
+    threads = min(-(-(hi - lo) // rows) + (own is not None), len(scratch))
     if threads <= 1:
         for i in range(lo, hi, rows):
             body(i, min(i + rows, hi), scratch[0])
@@ -186,16 +187,14 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     in row stripes; the input is never modified.  Each panel is eliminated
     leaf by leaf on the calling thread, and its pivots are applied to the
     trailing submatrix, which accumulates GEMM updates unreduced until the
-    2^52 exactness budget would be exceeded.  The update of the next
-    panel's columns comes first; the rest of it runs on the helper threads
-    while the caller eliminates the next panel.
+    2^52 exactness budget would be exceeded.  The next panel applies them
+    to its own columns before its first leaf, while the helper threads
+    apply them to the columns right of it: one update call per panel.
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("rank_dense expects a 2-d array")
     m, n = a.shape
-    if m == 0 or n == 0:
-        return 0
     max_block = _FLOAT_EXACT // (8 * (p - 1) ** 2)
     k, long_side = min(m, n), max(m, n)
     if max_block < 8 or k * (3 * long_side - k) <= 6 * _ROWOPS_MAX_AREA:
@@ -217,23 +216,19 @@ def rank_dense(a: np.ndarray, p: int) -> int:
         np.remainder(np.asarray(a[i:j], dtype=np.int64), p, out=w[i:j])
 
     _in_stripes(fill, 0, m, n, scratch)
-    r = c = rank = 0
+    r = c = 0
     slack = float(_FLOAT_EXACT)  # remaining unreduced-accumulation budget
     pf = float(p)
     lead: tuple[int, list[int], np.ndarray] | None = None  # the last panel
     while r < m and c < n:
         cb = min(block, n - c)
-        panel = partial(_eliminate_panel, w, p, r, c, cb, scratch[:1])
-        if lead:  # the last panel's update: this panel's columns, then the rest
-            _apply_pivots(w, p, *lead, c, c + cb, scratch)
-            piv, linv, swaps = _apply_pivots(w, p, *lead, c + cb, n, scratch, own=panel)
-        else:
-            piv, linv, swaps = panel()
+        panel = partial(_eliminate_panel, w, p, r, c, cb, scratch[:1], lead)
+        piv, linv, swaps = (_apply_pivots(w, p, *lead, c + cb, n, scratch, own=panel)
+                            if lead else panel())
         if c + cb < n:  # the panel swapped rows in its own columns only
             for x, y in swaps:
-                _swap(w[:, c + cb :], x, y)
+                w[[x, y], c + cb :] = w[[y, x], c + cb :]
         k = len(piv)
-        rank += k
         lead = None
         if k and c + cb < n and r + k < m:
             if slack < 2 * step_growth + p:
@@ -243,24 +238,26 @@ def rank_dense(a: np.ndarray, p: int) -> int:
             lead = (r, piv, linv)
         r += k
         c += cb
-    return rank
+    return r
 
 
-def _eliminate_panel(a: np.ndarray, p: int, r: int, c: int, cb: int,
-                     scratch: np.ndarray) -> tuple[list[int], np.ndarray, list[tuple[int, int]]]:
+def _eliminate_panel(a: np.ndarray, p: int, r: int, c: int, cb: int, scratch: np.ndarray,
+                     lead: tuple[int, list[int], np.ndarray] | None
+                     ) -> tuple[list[int], np.ndarray, list[tuple[int, int]]]:
     """Eliminate columns c..c+cb below row r in place, left-looking, from
-    entries of magnitude at most 2^52 - S.  Returns the pivot columns, the
-    inverse mod p of the pivots' unit lower triangle L, and the row swaps,
-    in order, which it made in these columns only.
+    entries of magnitude at most 2^52 - S once up to date.  Returns the
+    pivot columns, the inverse mod p of the pivots' unit lower triangle L,
+    and the row swaps, in order, which it made in these columns only.
 
-    Multipliers are stored in the eliminated positions.  Each leaf of
-    _PANEL_LEAF columns takes the panel's earlier pivots (_apply_pivots)
+    These columns first take lead, the last panel's (r, pivot columns,
+    L^{-1}), by _apply_pivots on scratch, the caller's stripe pair.  Then
+    each leaf of _PANEL_LEAF columns takes the panel's earlier pivots alike
     and is reduced; each of its columns then takes a GEMV with the leaf's
     own earlier pivots, is reduced, and is searched for a pivot.  A pivot
     appends the row -(l L^{-1}) mod p and a unit diagonal to L^{-1}, where
-    l holds its row's stored multipliers.  The elimination never updates
-    a pivot row; _apply_pivots reads its stale values once, through
-    L^{-1}, and leaves u in their place.
+    l holds its row's stored multipliers, kept in the eliminated positions.
+    The elimination never updates a pivot row; _apply_pivots reads its
+    stale values once, through L^{-1}, and leaves u in their place.
     """
     m = a.shape[0]
     pf = float(p)
@@ -268,6 +265,8 @@ def _eliminate_panel(a: np.ndarray, p: int, r: int, c: int, cb: int,
     swaps: list[tuple[int, int]] = []
     linv = np.zeros((min(cb, m - r), min(cb, m - r)))
     buf = scratch[0, 0]  # free once a leaf is up to date
+    if lead:
+        _apply_pivots(a, p, *lead, c, c + cb, scratch)
     for j0 in range(c, c + cb, _PANEL_LEAF):
         j1, t0 = min(c + cb, j0 + _PANEL_LEAF), len(piv)
         if t0:
@@ -286,7 +285,7 @@ def _eliminate_panel(a: np.ndarray, p: int, r: int, c: int, cb: int,
                 continue
             inv = inverse_mod(int(col[i]), p)
             if i:
-                _swap(a[:, c : c + cb], rr, rr + i)
+                a[[rr, rr + i], c : c + cb] = a[[rr + i, rr], c : c + cb]
                 swaps.append((rr, rr + i))
                 col[i] = col[0]
             a[rr + 1 : m, j] = col[1:] * inv % p
@@ -297,13 +296,6 @@ def _eliminate_panel(a: np.ndarray, p: int, r: int, c: int, cb: int,
             if rr + 1 == m:
                 return piv, linv, swaps
     return piv, linv[: len(piv), : len(piv)], swaps
-
-
-def _swap(a: np.ndarray, x: int, y: int) -> None:
-    """Swap rows x and y of a in place."""
-    row = a[x].copy()
-    a[x] = a[y]
-    a[y] = row
 
 
 def _gather(a: np.ndarray, cols: list[int], buf: np.ndarray) -> np.ndarray:
@@ -372,6 +364,8 @@ def _row_echelon(a: np.ndarray, p: int) -> list[int]:
     r = 0
     limit = (2**63 - p) // (p - 1) ** 2
     for j in range(n):
+        if r == m:
+            break
         col = a[r:m, j]
         col %= p
         nz = col.nonzero()[0]
@@ -388,8 +382,6 @@ def _row_echelon(a: np.ndarray, p: int) -> list[int]:
             a[r + 1 : m, j:] -= f[:, None] * a[r, j:]
         pivots.append(j)
         r += 1
-        if r == m:
-            break
     return pivots
 
 
@@ -409,6 +401,16 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[: len(pivots)], pivots
 
 
+def null_space(reduced: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """The null space of rref's (R, pivots): one row per free column f, with
+    1 at f, 0 at the other free columns and -R[:, f] mod p at the pivots."""
+    free = np.flatnonzero(np.bincount(pivots, minlength=reduced.shape[1]) == 0)
+    null = np.zeros((free.size, reduced.shape[1]), dtype=np.int64)
+    null[np.arange(free.size), free] = 1
+    null[:, pivots] = -reduced[:, free].T % p
+    return null
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p, exact for int64 operands with entries in [0, p).
 
@@ -419,10 +421,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     chunk = (2**63 - p) // (p - 1) ** 2
-    k = a.shape[-1]
-    if k <= chunk:
-        return (a @ b) % p
     out = (a[..., :chunk] @ b[:chunk]) % p
-    for s in range(chunk, k, chunk):
+    for s in range(chunk, a.shape[-1], chunk):
         out = (out + a[..., s : s + chunk] @ b[s : s + chunk]) % p
     return out

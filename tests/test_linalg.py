@@ -13,24 +13,12 @@ from hypothesis import given, settings, strategies as st
 from ulrich_forge import linalg
 from ulrich_forge.cohomology import build_map_matrix
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
-from ulrich_forge.linalg import matmul_mod, rank_dense, rref
+from ulrich_forge.linalg import matmul_mod, null_space, rank_dense, rref
 from ulrich_forge.poly import dim_forms
 from ulrich_forge.presentation import UlrichPresentation
 
 P = DEFAULT_PRIME
 F = PrimeField(P)
-
-
-def null_vectors(red: np.ndarray, pivots: list[int], n: int, p: int) -> list[np.ndarray]:
-    """One null vector per free column, read off a reduced row-echelon form."""
-    out = []
-    for f in (j for j in range(n) if j not in pivots):
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for i, pj in enumerate(pivots):
-            v[pj] = (-int(red[i, f])) % p
-        out.append(v)
-    return out
 
 
 def division_free_rank(a: np.ndarray, p: int) -> int:
@@ -265,12 +253,15 @@ def test_striped_swaps_against_oracle(monkeypatch, case):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("thread", ["caller", "helper", "helper_during_panel", "panel"])
+@pytest.mark.parametrize("thread", ["caller", "helper", "helper_during_panel", "panel",
+                                    "catch_up"])
 def test_failing_stripe_raises(monkeypatch, thread):
     # a stripe that fails on either thread of a split loop fails the rank,
     # and so do a helper's stripe that fails while the caller factors the
-    # next panel and a panel that fails while the helpers update; the
-    # other thread is joined first
+    # next panel, a panel that fails while the helpers update, and a
+    # panel's catch-up with the last panel's pivots on its own columns that
+    # fails while a helper updates the columns right of it; the other
+    # thread is joined first
     for name, value in STRIPED.items():
         monkeypatch.setattr(linalg, name, value)
     monkeypatch.setattr(linalg, "_cpus", lambda: 2)
@@ -286,12 +277,12 @@ def test_failing_stripe_raises(monkeypatch, thread):
     else:
         in_stripes = linalg._in_stripes
         lookaheads = []
+        panel_started, helper_started, failed = (threading.Event() for _ in range(3))
 
         def lookahead(body, lo, hi, cols, scratch, own=None):
             if own is None:
                 return in_stripes(body, lo, hi, cols, scratch)
             lookaheads.append(hi - lo)
-            panel_started, helper_started, failed = (threading.Event() for _ in range(3))
 
             def stripe(i, j, buf):
                 if threading.current_thread() is not threading.main_thread():
@@ -307,18 +298,66 @@ def test_failing_stripe_raises(monkeypatch, thread):
                 assert helper_started.wait(10)
                 if thread == "panel":
                     raise MemoryError
-                assert failed.wait(10)
+                if thread == "helper_during_panel":
+                    assert failed.wait(10)
                 return own()
 
             return in_stripes(stripe, lo, hi, cols, scratch, panel)
 
         monkeypatch.setattr(linalg, "_in_stripes", lookahead)
+    if thread == "catch_up":
+        apply_pivots = linalg._apply_pivots
+
+        def catch_up(*args, own=None):
+            # the look-ahead panel's first update is its catch-up, on its
+            # own columns 40..80
+            if own is None and panel_started.is_set():
+                assert args[5:7] == (40, 80)
+                raise MemoryError
+            return apply_pivots(*args, own=own)
+
+        monkeypatch.setattr(linalg, "_apply_pivots", catch_up)
     running = threading.active_count()
     with pytest.raises(MemoryError):
         rank_dense(np.random.default_rng(11).integers(0, P, size=(120, 120)), P)
     assert threading.active_count() == running
     if thread not in ("caller", "helper"):
         assert lookaheads == [80]  # the first look-ahead, of panel 1, failed
+
+
+def test_one_stripe_lookahead_runs_beside_the_panel(monkeypatch):
+    # under STRIPED a look-ahead stripe is one row; the last look-ahead of
+    # this 81 x 160 matrix updates the one row left, and a helper takes it
+    # while the caller factors the panel; on one CPU no thread starts
+    for name, value in STRIPED.items():
+        monkeypatch.setattr(linalg, name, value)
+    in_stripes = linalg._in_stripes
+    lookaheads = []
+
+    def lookahead(body, lo, hi, cols, scratch, own=None):
+        if own is None:
+            return in_stripes(body, lo, hi, cols, scratch)
+        on_main = []
+        lookaheads.append((hi - lo, on_main))
+
+        def stripe(i, j, buf):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            body(i, j, buf)
+
+        return in_stripes(stripe, lo, hi, cols, scratch, own)
+
+    monkeypatch.setattr(linalg, "_in_stripes", lookahead)
+    a = np.random.default_rng(13).integers(0, P, size=(81, 160))
+    want = division_free_rank(a, P)
+    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
+    assert rank_dense(a, P) == want
+    assert [rows for rows, _ in lookaheads] == [41, 1]
+    assert lookaheads[-1][1] == [False]
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", started.append)
+    monkeypatch.setattr(linalg, "_cpus", lambda: 1)
+    assert rank_dense(a, P) == want
+    assert started == []
 
 
 # both primes take the row-op loop, where an entry absorbs 131071 and 2
@@ -389,14 +428,13 @@ def test_rank_memory_one_float_copy(monkeypatch, p, gather, threads):
 def test_kernel_identity_empty():
     red, pivots = rref(np.eye(4, dtype=np.int64), P)
     assert pivots == [0, 1, 2, 3]
-    assert null_vectors(red, pivots, 4, P) == []
+    assert null_space(red, pivots, P).shape == (0, 4)
 
 
 def test_kernel_zero_matrix_full():
     red, pivots = rref(np.zeros((3, 3), dtype=np.int64), P)
     assert pivots == [] and red.shape == (0, 3)
-    vecs = null_vectors(red, pivots, 3, P)
-    assert rank_dense(np.stack(vecs), P) == 3
+    assert rank_dense(null_space(red, pivots, P), P) == 3
 
 
 def test_kernel_of_injective_multiplication():
@@ -416,10 +454,9 @@ def test_kernel_vectors_annihilate():
         k = int(rng.integers(1, min(m, n) + 1))
         a = (rng.integers(0, P, size=(m, k)) @ rng.integers(0, P, size=(k, n))) % P
         red, pivots = rref(a, P)
-        vecs = null_vectors(red, pivots, n, P)
-        assert len(vecs) == n - rank_dense(a, P)
-        for v in vecs:
-            assert not ((a @ v) % P).any()
+        null = null_space(red, pivots, P)
+        assert len(null) == n - rank_dense(a, P)
+        assert not ((a @ null.T) % P).any()
 
 
 def test_solve_identity():
@@ -516,6 +553,21 @@ def test_rref_matches_gauss_jordan_oracle(case):
     red, pivots = rref(a, p)
     assert pivots == want_pivots
     assert red.tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rref_cases())
+def test_null_space_of_rref(case):
+    # one row per free column, each annihilating a, reduced, and the free
+    # columns hold an identity
+    a, p = case
+    red, pivots = rref(a, p)
+    null = null_space(red, pivots, p)
+    free = [j for j in range(a.shape[1]) if j not in pivots]
+    assert null.shape == (a.shape[1] - rank_dense(a, p), a.shape[1])
+    assert ((null >= 0) & (null < p)).all()
+    assert (null[:, free] == np.eye(len(free), dtype=np.int64)).all()
+    assert not matmul_mod(a, null.T, p).any()
 
 
 def test_matrix_container_validation():
