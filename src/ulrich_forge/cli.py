@@ -5,7 +5,7 @@ embeds its effective configuration, and exit codes are a stable contract:
 
     0  success
     1  certification failure (a check failed or a search found nothing)
-    2  invalid parameters
+    2  invalid parameters, or too large for the available memory
     3  I/O or parse failure
 """
 
@@ -265,14 +265,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PresentationFormatError as exc:
+    except (PresentationFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ParityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParityError, ValueError, MemoryError) as exc:
+        # a MemoryError means parameters too large for the available memory
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_PARAMS
 
 

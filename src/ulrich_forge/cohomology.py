@@ -32,7 +32,9 @@ changes no rank, and it makes M(lam) the z-coefficient of M.  Then:
   is a*dim(n) plus the rank of that a(n+2) x r*dim(n) residue.
 
 Without a pivot point (small p, or M not generically injective) the rank
-is that of the full matrix.
+is that of the full matrix, the dense model: build_map_matrix writes each
+variable's coefficients into every block in one placement through the
+shift tables, and its transposed layout is the direct layout of M^T.
 
 Most transposed ranks need no matrix at all.  The transposed map at
 degree n is M^T: S_n^b -> S_{n+1}^a, with b*dim(n) columns and
@@ -88,28 +90,18 @@ def build_map_matrix(pres: UlrichPresentation, n: int, transpose: bool = False) 
     degree-n forms to degree-(n+1) forms.
 
     Direct layout: block (i, j) = M_ij, mapping component j of a to
-    component i of b (the sigma maps).  Transposed layout: block (j, i) =
-    M_ij, from b components to a components (the mu maps).
+    component i of b (the sigma maps).  Transposed layout: the direct
+    layout of M^T, block (j, i) = M_ij, from b components to a components
+    (the mu maps).  Column u of every block has the coefficient of x_v at
+    the row of x_v * u, one placement per variable.
     """
-    rows_per = dim_forms(n + 1)
-    cols_per = dim_forms(n)
-    row_blocks, col_blocks = (pres.a, pres.b) if transpose else (pres.b, pres.a)
-    out = np.zeros((row_blocks * rows_per, col_blocks * cols_per), dtype=np.int64)
-    if rows_per == 0 or cols_per == 0:
-        return out
+    coeffs = pres.coeff_array.transpose(1, 0, 2) if transpose else pres.coeff_array
+    rows, cols = coeffs.shape[:2]
     sh = shift_tables(n)
-    ar = np.arange(cols_per)
-    coeffs = pres.coeff_array
-    for i in range(pres.b):
-        for j in range(pres.a):
-            rb, cb = (j, i) if transpose else (i, j)
-            base_r = rb * rows_per
-            base_c = cb * cols_per
-            for v in range(3):
-                c = int(coeffs[i, j, v])
-                if c:
-                    out[base_r + sh[v], base_c + ar] = c
-    return out
+    out = np.zeros((rows, dim_forms(n + 1), cols, dim_forms(n)), dtype=np.int64)
+    for v in range(3):
+        out[:, sh[v], :, np.arange(sh.shape[1])] = coeffs[:, :, v]
+    return out.reshape(rows * dim_forms(n + 1), cols * dim_forms(n))
 
 
 # Pivot-point candidates, in the order tried: the coordinate points, then
@@ -149,8 +141,10 @@ def _slice_rank(pres: UlrichPresentation, n: int, transpose: bool) -> int:
 
 def _pivot_pencil(pres: UlrichPresentation):
     """N = M^T as [x*X0 + y*Y0 + z*I | x*X1 + y*Y1] after a coordinate
-    change and scalar row and column operations; returns (X0, X1, Y0, Y1),
-    or None when no point of _PIVOT_POINTS has rank M(point) = a."""
+    change and scalar row and column operations; returns the pencil in the
+    form _residue reads it, (T, W_0): T = [X0; Y0] stacked (2a x a) and
+    W_0 = x*X1 + y*Y1 as an (a, power of y, r) array.  None when no point
+    of _PIVOT_POINTS has rank M(point) = a."""
     p, b = pres.p, pres.b
     for point in _PIVOT_POINTS:
         lam = np.array(point, dtype=np.int64) % p
@@ -166,18 +160,18 @@ def _pivot_pencil(pres: UlrichPresentation):
         return None
     null = null_space(reduced[:, :b], pivots, p).T
     x, y = reduced[:, b : 2 * b], reduced[:, 2 * b :]
-    return x[:, pivots], matmul_mod(x, null, p), y[:, pivots], matmul_mod(y, null, p)
+    return (np.concatenate([x[:, pivots], y[:, pivots]]),
+            np.stack([matmul_mod(x, null, p), matmul_mod(y, null, p)], axis=1))
 
 
 def _residue(pencil, n: int, p: int) -> np.ndarray:
     """Images in k[x,y]_{n+1}^a, where z acts as T = -(x*X0 + y*Y0), of the
     last r*dim(n) source columns: the shifts x^al y^be W_g (al + be = n - g)
-    of W_0 = x*X1 + y*Y1, W_{g+1} = T W_g.  Rows are (component, power of y).
-    Entries lie in [0, p) with p < 2^31, so the matrix is int32."""
-    x0, x1, y0, y1 = pencil
-    a, r = x1.shape
-    t = np.concatenate([x0, y0])
-    w = np.stack([x1, y1], axis=1)          # (a, y-power, r)
+    of W_0 = x*X1 + y*Y1, W_{g+1} = T W_g, from the pencil (T, W_0) of
+    _pivot_pencil.  Rows are (component, power of y).  Entries lie in
+    [0, p) with p < 2^31, so the matrix is int32."""
+    t, w = pencil
+    a, _, r = w.shape
     out = np.zeros((a, n + 2, r * dim_forms(n)), dtype=np.int32)
     col = 0
     for g in range(n + 1):

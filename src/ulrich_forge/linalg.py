@@ -189,7 +189,8 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     trailing submatrix, which accumulates GEMM updates unreduced until the
     2^52 exactness budget would be exceeded.  The next panel applies them
     to its own columns before its first leaf, while the helper threads
-    apply them to the columns right of it: one update call per panel.
+    apply them to the columns right of it: one update call per panel.  The
+    last panel has no columns right of it and runs alone.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -224,7 +225,7 @@ def rank_dense(a: np.ndarray, p: int) -> int:
         cb = min(block, n - c)
         panel = partial(_eliminate_panel, w, p, r, c, cb, scratch[:1], lead)
         piv, linv, swaps = (_apply_pivots(w, p, *lead, c + cb, n, scratch, own=panel)
-                            if lead else panel())
+                            if lead and c + cb < n else panel())
         if c + cb < n:  # the panel swapped rows in its own columns only
             for x, y in swaps:
                 w[[x, y], c + cb :] = w[[y, x], c + cb :]
@@ -310,9 +311,9 @@ def _apply_pivots(a: np.ndarray, p: int, r: int, piv_cols: list[int], linv: np.n
                   s0: int, s1: int, scratch: np.ndarray,
                   own: Callable[[], Any] | None = None) -> Any:
     """Apply the k pivots of rows r..r+k (multipliers L21 stored at
-    piv_cols, unit lower triangle inverted in linv) to columns [s0, s1) of
-    every row below row r+k, through _in_stripes with own, and return
-    own's result; the update is left unreduced.
+    piv_cols, unit lower triangle inverted in linv) to the non-empty
+    column range [s0, s1) of every row below row r+k, through _in_stripes
+    with own, and return own's result; the update is left unreduced.
 
     The first stripe forward-substitutes the pivot rows in place, one
     column block at a time, u = L^{-1} times their values reduced mod p,
@@ -346,9 +347,7 @@ def _apply_pivots(a: np.ndarray, p: int, r: int, piv_cols: list[int], linv: np.n
             a[i:j, c0:c1] -= np.matmul(l21, a[r : r + k, c0:c1],
                                        out=_buffer(buf[1], j - i, c1 - c0))
 
-    # an empty column range has no rows to update
-    hi = a.shape[0] if s1 > s0 else r + k
-    return _in_stripes(update, r + k, hi, max(k, min(width, s1 - s0)), scratch, own)
+    return _in_stripes(update, r + k, a.shape[0], max(k, min(width, s1 - s0)), scratch, own)
 
 
 def _row_echelon(a: np.ndarray, p: int) -> list[int]:

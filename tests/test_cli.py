@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, text/json number parity."""
 
 import hashlib
+import importlib
 import json
 import threading
 
@@ -174,6 +175,23 @@ def test_search_cli_failure_exit_1(capsys):
                        "--seed", "6", "--trials", "8")
     assert code == 1
     assert "no success" in out
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 894. GiB for an array with shape (200001, 199999, 3) "
+    "and data type int64", ""])
+def test_out_of_memory_exit_2(capsys, monkeypatch, message):
+    # search --d 200000 --r 2 draws an 894 GiB coefficient array; the draw is
+    # replaced by one that fails as numpy would, without allocating anything
+    def draw(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(importlib.import_module("ulrich_forge.search"),
+                        "random_presentation", draw)
+    code, out, err = run(capsys, "search", "--d", "200000", "--r", "2", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message or 'out of memory'}\n"
 
 
 def test_sweep_cli_json(capsys, tmp_path):

@@ -11,7 +11,7 @@ from ulrich_forge.cohomology import (_PIVOT_POINTS, _mult_rank, _pivot_pencil,
                                      hom_presentations, line_h, omega_table)
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
-from ulrich_forge.poly import dim_forms
+from ulrich_forge.poly import basis, dim_forms
 from ulrich_forge.presentation import UlrichPresentation, direct_sum, random_presentation
 from ulrich_forge.ulrich import certify, ulrich_cohomology
 
@@ -112,6 +112,48 @@ def test_valid_presentations_have_the_ulrich_table(pres):
         want = ulrich_cohomology(d, pres.r, m)
         assert bundle_cohomology(pres, m) == want, m
         assert dual_cohomology(pres, 3 * d - 3 + m) == want, m
+
+
+# --- the dense model --------------------------------------------------------
+
+def _per_entry_map_matrix(pres, n, transpose):
+    """build_map_matrix one coefficient at a time, from the monomial bases:
+    block (i, j) of M (block (j, i) transposed), column of monomial u, holds
+    the coefficient of x_v at the row of x_v * u."""
+    source = basis(n)
+    target = {mono: row for row, mono in enumerate(basis(n + 1))}
+    row_blocks, col_blocks = (pres.a, pres.b) if transpose else (pres.b, pres.a)
+    out = np.zeros((row_blocks * len(target), col_blocks * len(source)), dtype=np.int64)
+    for i in range(pres.b):
+        for j in range(pres.a):
+            rb, cb = (j, i) if transpose else (i, j)
+            for col, mono in enumerate(source):
+                for v in range(3):
+                    shifted = tuple(e + (k == v) for k, e in enumerate(mono))
+                    out[rb * len(target) + target[shifted],
+                        cb * len(source) + col] = pres.coeff_array[i, j, v]
+    return out
+
+
+@st.composite
+def _map_cases(draw):
+    pres = draw(variant_cases())
+    return pres, draw(st.integers(min_value=-1, max_value=2 * pres.d)), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_map_cases())
+@example((seeded_presentation(1, 2), 2, True))     # a = 0
+@example((seeded_presentation(3, 2), -1, False))   # no source forms
+def test_map_matrix_places_every_coefficient(case):
+    # ranks cannot see a permutation of x, y, z or of the blocks; this
+    # compares every entry with the per-entry reference
+    pres, n, transpose = case
+    got = build_map_matrix(pres, n, transpose)
+    want = _per_entry_map_matrix(pres, n, transpose)
+    assert got.dtype == np.int64
+    assert got.shape == want.shape
+    assert (got == want).all()
 
 
 # --- the z-slice rank kernel against the dense oracle ------------------------
