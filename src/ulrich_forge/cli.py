@@ -49,6 +49,14 @@ def _parse_d_list(value: str) -> list[int]:
     return degrees
 
 
+def _seed(value: str) -> int:
+    """A --seed value: numpy's SeedSequence takes non-negative integers only,
+    so anything else is refused before any work."""
+    if not value.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return int(value)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``ulrich-forge`` parser, built on first use and then reused by
@@ -71,14 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     cert = sub.add_parser("certify", parents=[infile], help="certify a presentation file")
     cert.add_argument("--level", choices=("basic", "full"), default="basic")
-    cert.add_argument("--seed", type=int, default=0)
+    cert.add_argument("--seed", type=_seed, default=0)
     cert.add_argument("--out", metavar="DIR", type=Path, default=None,
                       help="directory for the certificate (default: next to input)")
 
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--r", type=int, required=True)
     shared.add_argument("--p", type=int, default=DEFAULT_PRIME)
-    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--seed", type=_seed, default=0)
     shared.add_argument("--trials", type=int, default=5)
     shared.add_argument("--workers", type=int, choices=(1,), default=1,
                         help="accepted for compatibility; trials run serially")

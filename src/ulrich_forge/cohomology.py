@@ -14,12 +14,14 @@ sigma_m is the section-level block matrix of M; mu_m is the Serre-dual
 model of the induced map H^2(A(m)) -> H^2(B(m)), realized as multiplication
 with transposed block layout so that H^2 spaces are never materialized.
 
-Map ranks never need the full matrix that build_map_matrix assembles.
-A pivot point lam with rank M(lam) = a is looked for among a fixed list of
-points of P^2(F_p), coordinate points first, and memoized on the
-presentation.  The substitution (x, y, z) -> G(x, y, z) with G invertible
-and lam as its third column is a graded automorphism of F_p[x, y, z], so it
-changes no rank, and it makes M(lam) the z-coefficient of M.  Then:
+The rank engine takes any b x a matrix M of linear forms, as its (b, a, 3)
+coefficient array, with a modulus p and a memo dict, and its ranks never
+need the full matrix that build_map_matrix assembles.  A pivot point lam
+with rank M(lam) = a is looked for among a fixed list of points of
+P^2(F_p), coordinate points first, and memoized with the ranks.  The
+substitution (x, y, z) -> G(x, y, z) with G invertible and lam as its
+third column is a graded automorphism of F_p[x, y, z], so it changes no
+rank, and it makes M(lam) the z-coefficient of M.  Then:
 
 - direct layout (sigma maps): M has full rank at lam, so it is injective
   on forms and the rank is a*dim(n), with no elimination;
@@ -38,15 +40,17 @@ shift tables, and its transposed layout is the direct layout of M^T.
 
 Most transposed ranks need no matrix at all.  The transposed map at
 degree n is M^T: S_n^b -> S_{n+1}^a, with b*dim(n) columns and
-a*dim(n+1) rows; (d+1)(n+1) < (d-1)(n+3) exactly when n < d-2, so no
-transposed map below d-2 is onto, and at n = d-2 it is square: its
-residue has r*d(d-1)/2 rows and columns, and h^1(E(-2d)) = 0 is exactly
-that residue being nonsingular.  The cokernel C = coker(M^T) is generated
-in degree 0, so C_{n+1} = S_1 C_n, and once the square map is onto every
-transposed rank past d-2 is a*dim(n+1).  A request past d-2 therefore
-first ranks the square map.  Every mu rank the certifier asks for lies at
-n < 0 or n >= d-2, so for a valid presentation that residue is the only
-transposed rank eliminated.
+a*dim(n+1) rows.  b(n+1) >= a(n+3) exactly when n(b-a) >= 3a-b, so for
+b > a no transposed map below n0 = max(0, ceil((3a-b)/(b-a))) is onto,
+and for b <= a none is.  The cokernel C = coker(M^T) is generated in
+degree 0, so C_{n+1} = S_1 C_n, and once the map at n0 is onto every
+transposed rank past n0 is a*dim(n+1).  A request past n0 therefore first
+ranks the map at n0, and n0 comes from the shape of M alone.  For a
+presentation b - a = r and 3a - b = r(d-2), so n0 = d-2: there the map
+is square, its residue has r*d(d-1)/2 rows and columns, and
+h^1(E(-2d)) = 0 is exactly that residue being nonsingular.  Every mu rank
+the certifier asks for lies at n < 0 or n >= d-2, so for a valid
+presentation that residue is the only transposed rank eliminated.
 
 The dual bundle needs no rank of its own: by Serre duality against
 K = O(-3), h^i(E^v(m)) = h^{2-i}(E(-m-3)).  Hom between two
@@ -56,8 +60,9 @@ middle column of the cotangent-twist table need no further matrix: they
 follow from Hom(E, E) and from rho, the rank of the 3b x a coefficient
 matrix of M.
 
-Map ranks are memoized on the presentation object, so they live exactly
-as long as the presentation does.
+The memo policy lives here: a presentation passes its coefficient array,
+its modulus and its own _memo dict, so its ranks live exactly as long as
+the presentation does.
 """
 
 from __future__ import annotations
@@ -85,17 +90,18 @@ def chi_line(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
-def build_map_matrix(pres: UlrichPresentation, n: int, transpose: bool = False) -> np.ndarray:
-    """Block matrix of multiplication by the presentation entries from
-    degree-n forms to degree-(n+1) forms.
+def build_map_matrix(forms: np.ndarray, n: int, transpose: bool = False) -> np.ndarray:
+    """Block matrix of multiplication by a matrix M of linear forms from
+    degree-n forms to degree-(n+1) forms; forms is M's (rows, cols, 3)
+    array of x, y, z coefficients.
 
-    Direct layout: block (i, j) = M_ij, mapping component j of a to
-    component i of b (the sigma maps).  Transposed layout: the direct
-    layout of M^T, block (j, i) = M_ij, from b components to a components
-    (the mu maps).  Column u of every block has the coefficient of x_v at
-    the row of x_v * u, one placement per variable.
+    Direct layout: block (i, j) = M_ij, mapping component j of the source
+    to component i of the target (the sigma maps).  Transposed layout: the
+    direct layout of M^T, block (j, i) = M_ij (the mu maps).  Column u of
+    every block has the coefficient of x_v at the row of x_v * u, one
+    placement per variable.
     """
-    coeffs = pres.coeff_array.transpose(1, 0, 2) if transpose else pres.coeff_array
+    coeffs = forms.transpose(1, 0, 2) if transpose else forms
     rows, cols = coeffs.shape[:2]
     sh = shift_tables(n)
     out = np.zeros((rows, dim_forms(n + 1), cols, dim_forms(n)), dtype=np.int64)
@@ -111,50 +117,54 @@ _PIVOT_POINTS = ((0, 0, 1), (1, 0, 0), (0, 1, 0)) + tuple(
     (i, j, 1) for i in range(1, 4) for j in range(1, 4))
 
 
-def _mult_rank(pres: UlrichPresentation, n: int, transpose: bool) -> int:
-    """Rank of build_map_matrix(pres, n, transpose), memoized on pres."""
-    return pres._memoized(("rank", n, transpose),
-                          lambda: _slice_rank(pres, n, transpose))
+def _mult_rank(forms: np.ndarray, p: int, n: int, transpose: bool, memo: dict) -> int:
+    """Rank over F_p of build_map_matrix(forms, n, transpose), memoized in
+    memo, which belongs to this (forms, p): it holds their ranks and pivot
+    pencil."""
+    if (n, transpose) not in memo:
+        memo[n, transpose] = _slice_rank(forms, p, n, transpose, memo)
+    return memo[n, transpose]
 
 
-def _slice_rank(pres: UlrichPresentation, n: int, transpose: bool) -> int:
-    """Rank of build_map_matrix(pres, n, transpose).
+def _slice_rank(forms: np.ndarray, p: int, n: int, transpose: bool, memo: dict) -> int:
+    """Rank of build_map_matrix(forms, n, transpose) for a b x a matrix M of
+    linear forms with entries in [0, p).
 
-    A transposed map has fewer columns than rows below d-2 and is square
-    at d-2; when that square map is onto, so is every later one, and a
-    transposed rank past d-2 is a*dim(n+1).  Every other rank comes from
-    the pivot pencil, or from the full matrix when there is none.
+    The transposed map at n has b*dim(n) columns and a*dim(n+1) rows, so
+    for b > a it can be onto only from n0 = max(0, ceil((3a-b)/(b-a))) on,
+    and for b <= a never; once it is onto at n0, so is every later one,
+    and a transposed rank past n0 is a*dim(n+1).  Every other rank comes
+    from the pivot pencil, or from the full matrix when there is none.
     """
-    if n < 0 or pres.a == 0:
+    b, a = forms.shape[:2]
+    if n < 0 or a == 0:
         return 0
-    if transpose and n > pres.d - 2 and (
-            _mult_rank(pres, pres.d - 2, True) == pres.a * dim_forms(pres.d - 1)):
-        return pres.a * dim_forms(n + 1)
-    pencil = pres._memoized(("pivot",), lambda: _pivot_pencil(pres))
-    if pencil is None:
-        return rank_dense(build_map_matrix(pres, n, transpose), pres.p)
-    rank = pres.a * dim_forms(n)
-    if transpose:
-        rank += rank_dense(_residue(pencil, n, pres.p), pres.p)
-    return rank
+    n0 = max(0, -((b - 3 * a) // (b - a))) if b > a else n   # b <= a: n > n0 never holds
+    if transpose and n > n0 and _mult_rank(forms, p, n0, True, memo) == a * dim_forms(n0 + 1):
+        return a * dim_forms(n + 1)
+    if "pivot" not in memo:
+        memo["pivot"] = _pivot_pencil(forms, p)
+    if memo["pivot"] is None:
+        return rank_dense(build_map_matrix(forms, n, transpose), p)
+    return a * dim_forms(n) + (rank_dense(_residue(memo["pivot"], n, p), p) if transpose else 0)
 
 
-def _pivot_pencil(pres: UlrichPresentation):
+def _pivot_pencil(forms: np.ndarray, p: int):
     """N = M^T as [x*X0 + y*Y0 + z*I | x*X1 + y*Y1] after a coordinate
     change and scalar row and column operations; returns the pencil in the
     form _residue reads it, (T, W_0): T = [X0; Y0] stacked (2a x a) and
     W_0 = x*X1 + y*Y1 as an (a, power of y, r) array.  None when no point
     of _PIVOT_POINTS has rank M(point) = a."""
-    p, b = pres.p, pres.b
+    b, a = forms.shape[:2]
     for point in _PIVOT_POINTS:
         lam = np.array(point, dtype=np.int64) % p
         k = int(np.flatnonzero(lam)[0])
         g = np.eye(3, dtype=np.int64)[:, [v for v in range(3) if v != k]]
-        coeffs = matmul_mod(pres.coeff_array, np.column_stack([g, lam]), p)
+        coeffs = matmul_mod(forms, np.column_stack([g, lam]), p)
         # The z block of N is now M(lam)^T; it has full row rank iff every pivot
         # of [z | x | y] lies in it, and then the reduction applies P to all three.
-        reduced, pivots = rref(coeffs.transpose(1, 2, 0)[:, [2, 0, 1]].reshape(pres.a, 3 * b), p)
-        if sum(j < b for j in pivots) == pres.a:
+        reduced, pivots = rref(coeffs.transpose(1, 2, 0)[:, [2, 0, 1]].reshape(a, 3 * b), p)
+        if sum(j < b for j in pivots) == a:
             break
     else:
         return None
@@ -192,9 +202,9 @@ def bundle_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, int, int]:
     Valid as sheaf cohomology once the presentation passed the generic-rank
     check; otherwise the numbers describe the cokernel module.
     """
-    d = pres.d
-    sigma_rank = _mult_rank(pres, d - 2 + m, False)
-    mu_rank = _mult_rank(pres, -m - d - 2, True)
+    d, forms, p, memo = pres.d, pres.coeff_array, pres.p, pres._memo
+    sigma_rank = _mult_rank(forms, p, d - 2 + m, False, memo)
+    mu_rank = _mult_rank(forms, p, -m - d - 2, True, memo)
     h0 = pres.b * line_h(0, d - 1 + m) - sigma_rank
     h1 = pres.a * line_h(2, d - 2 + m) - mu_rank
     h2 = pres.b * line_h(2, d - 1 + m) - mu_rank
@@ -227,7 +237,7 @@ def end_cohomology(pres: UlrichPresentation) -> tuple[int, int, int]:
     the coefficient matrix of M is not injective.
     """
     a, b = pres.a, pres.b
-    rho = _mult_rank(pres, 0, False)
+    rho = _mult_rank(pres.coeff_array, pres.p, 0, False, pres._memo)
     h0 = hom_presentations(pres, pres) - a * (a - rho)
     return h0, h0 + a * (3 * b - rho) - b * b, 0
 
@@ -245,7 +255,7 @@ def omega_table(pres: UlrichPresentation) -> list[list[int]]:
     """
     col_left = bundle_cohomology(pres, -pres.d)
     col_right = bundle_cohomology(pres, 1 - pres.d)
-    col_mid = (_mult_rank(pres, 0, False), 0, 0)
+    col_mid = (_mult_rank(pres.coeff_array, pres.p, 0, False, pres._memo), 0, 0)
     return [[col_left[q], col_mid[q], col_right[q]] for q in range(3)]
 
 

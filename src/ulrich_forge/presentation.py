@@ -20,7 +20,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -92,8 +92,8 @@ class UlrichPresentation(Shaped):
 
     ``coeff_array[i, j]`` holds the x, y, z coefficients of entry (i, j),
     reduced mod p and read-only.  Equality and hashing go through
-    ``content_hash``.  Ranks computed for this object are memoized on it
-    and freed with it.
+    ``content_hash``.  ``_memo`` is the dict the cohomology engine keeps
+    this presentation's ranks in, so they are freed with it.
     """
 
     field: PrimeField
@@ -118,12 +118,6 @@ class UlrichPresentation(Shaped):
 
     def __hash__(self):
         return hash(self.content_hash)
-
-    def _memoized(self, key: tuple, compute: Callable[[], object]):
-        """compute(), evaluated once per key for this presentation."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
 
     @property
     def p(self) -> int:

@@ -361,9 +361,10 @@ def certify(pres: UlrichPresentation, level: str = "basic",
     """
     if level not in ("basic", "full"):
         raise ValueError(f"level must be 'basic' or 'full', got {level!r}")
+    # SeedSequence refuses a negative seed: fail here, before any rank
+    rng_rank = np.random.default_rng(np.random.SeedSequence([master_seed, *seed_path, 101]))
     vanishings = [(t, bundle_cohomology(pres, -t * pres.d)[1])
                   for t in range(2, pres.alpha + 1)]
-    rng_rank = np.random.default_rng(np.random.SeedSequence([master_seed, *seed_path, 101]))
     gr = (GenericRankResult(trials=1, witness=_trial_point(pres.p, 0, rng_rank))
           if vanishings[0][1] == 0 else
           generic_rank_check(pres, trials=LEGACY_CERT_CONFIG["rank_trials"], rng=rng_rank))

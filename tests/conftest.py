@@ -1,7 +1,7 @@
 """Shared fixtures: seeded, certified presentations reused across modules."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -82,10 +82,25 @@ def dual_resolution_cohomology(pres: UlrichPresentation, m: int) -> tuple[int, i
     with the dense oracle ranking M^T at 1-d+m for h^0, h^1 and the
     Serre-dual H^2 map, M in direct layout at d-m-5, for h^2."""
     d, a, b = pres.d, pres.a, pres.b
-    tau = rank_dense(build_map_matrix(pres, 1 - d + m, True), pres.p)
-    h2_rank = rank_dense(build_map_matrix(pres, d - m - 5, False), pres.p)
+    tau = rank_dense(build_map_matrix(pres.coeff_array, 1 - d + m, True), pres.p)
+    h2_rank = rank_dense(build_map_matrix(pres.coeff_array, d - m - 5, False), pres.p)
     return (b * line_h(0, 1 - d + m) - tau, a * line_h(0, 2 - d + m) - tau,
             b * line_h(2, 1 - d + m) - h2_rank)
+
+
+def koszul_phi(pres: UlrichPresentation) -> np.ndarray:
+    """Phi, the ab x a(a+1)/2 matrix of linear forms of the Koszul map
+    D^2 A -> A (x) B, e_j e_k |-> e_j (x) M e_k + e_k (x) M e_j: entry
+    ((j', i), {j, k}) = [j' = j] M_ik + [j' = k] M_ij, as a coefficient
+    array with entries in [0, p).  It is not a presentation: its rows and
+    columns are not r(d+1)/2 and r(d-1)/2 for any (d, r)."""
+    a, b, m = pres.a, pres.b, pres.coeff_array
+    pairs = list(combinations_with_replacement(range(a), 2))
+    phi = np.zeros((a, b, len(pairs), 3), dtype=np.int64)
+    for col, (j, k) in enumerate(pairs):
+        phi[j, :, col] += m[:, k]
+        phi[k, :, col] += m[:, j]
+    return phi.reshape(a * b, len(pairs), 3) % pres.p
 
 
 def jordan_hoelder_types(r: int, d: int) -> list[tuple[int, ...]]:

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from ulrich_forge import cohomology
 from ulrich_forge.cli import build_parser, main
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.presentation import UlrichPresentation, canonical_json_bytes, save
@@ -334,6 +335,29 @@ def test_workers_other_than_one_exit_2(capsys, tmp_path, command):
     assert exc.value.code == 2
     assert "--workers: invalid choice" in out.err and out.out == ""
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", ["-5", "abc"])
+@pytest.mark.parametrize("command", [["certify", "--in", "FILE"], _SEARCH, _SWEEP],
+                         ids=["certify", "search", "sweep"])
+def test_bad_seed_exit_2_before_any_rank(capsys, tmp_path, monkeypatch, command, seed):
+    # numpy's SeedSequence takes non-negative integers only; the parser
+    # names --seed and exits before a file is read or a rank is computed
+    def rank(*args):
+        raise AssertionError("a rank was computed")
+
+    monkeypatch.setattr(cohomology, "_mult_rank", rank)
+    path = tmp_path / "d3r2.json"
+    save(seeded_presentation(3, 2), path)
+    argv = [str(path) if arg == "FILE" else arg for arg in command]
+    if command[0] != "certify":
+        argv += ["--r", "2", "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in out.err
+    assert out.out == "" and [p.name for p in tmp_path.iterdir()] == ["d3r2.json"]
 
 
 def test_search_d1_output_certifies(capsys, tmp_path):

@@ -15,8 +15,8 @@ from ulrich_forge.poly import basis, dim_forms
 from ulrich_forge.presentation import UlrichPresentation, direct_sum, random_presentation
 from ulrich_forge.ulrich import certify, ulrich_cohomology
 
-from conftest import (VARIANT_KINDS, dual_resolution_cohomology, seeded_presentation,
-                      variant, variant_cases)
+from conftest import (VARIANT_KINDS, dual_resolution_cohomology, koszul_phi,
+                      seeded_presentation, variant, variant_cases)
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -149,7 +149,7 @@ def test_map_matrix_places_every_coefficient(case):
     # ranks cannot see a permutation of x, y, z or of the blocks; this
     # compares every entry with the per-entry reference
     pres, n, transpose = case
-    got = build_map_matrix(pres, n, transpose)
+    got = build_map_matrix(pres.coeff_array, n, transpose)
     want = _per_entry_map_matrix(pres, n, transpose)
     assert got.dtype == np.int64
     assert got.shape == want.shape
@@ -162,7 +162,7 @@ def test_map_matrix_places_every_coefficient(case):
 @given(variant_cases())
 def test_pivot_pencil_exists_iff_a_pivot_point_has_full_rank(pres):
     full = any(rank_dense(pres.evaluate_at(pt), pres.p) == pres.a for pt in _PIVOT_POINTS)
-    assert (_pivot_pencil(pres) is not None) == full
+    assert (_pivot_pencil(pres.coeff_array, pres.p) is not None) == full
 
 
 @st.composite
@@ -183,13 +183,14 @@ def _rank_cases(draw):
 @given(_rank_cases())
 def test_mult_rank_matches_dense_oracle(case):
     pres, n, transpose = case
-    want = rank_dense(build_map_matrix(pres, n, transpose), pres.p)
-    assert _mult_rank(pres, n, transpose) == want
+    want = rank_dense(build_map_matrix(pres.coeff_array, n, transpose), pres.p)
+    assert _mult_rank(pres.coeff_array, pres.p, n, transpose, {}) == want
 
 
 def test_mult_rank_mid_size_transposed():
     pres = seeded_presentation(5, 3)
-    assert _mult_rank(pres, 20, True) == rank_dense(build_map_matrix(pres, 20, True), pres.p)
+    want = rank_dense(build_map_matrix(pres.coeff_array, 20, True), pres.p)
+    assert _mult_rank(pres.coeff_array, pres.p, 20, True, {}) == want
 
 
 def test_mult_rank_builds_matrix_only_without_pivot(monkeypatch):
@@ -202,10 +203,10 @@ def test_mult_rank_builds_matrix_only_without_pivot(monkeypatch):
     for n in range(-1, 10):
         for transpose in (False, True):
             for q in (pres, degenerate):
-                want = rank_dense(dense(q, n, transpose), q.p)
-                assert _mult_rank(q, n, transpose) == want
+                want = rank_dense(dense(q.coeff_array, n, transpose), q.p)
+                assert _mult_rank(q.coeff_array, q.p, n, transpose, q._memo) == want
     # only the degenerate presentation, for every n >= 0 in both layouts
-    assert [args[0] for args in built] == [degenerate] * 20
+    assert [args[0] is degenerate.coeff_array for args in built] == [True] * 20
 
 
 @st.composite
@@ -224,18 +225,19 @@ def _rank_sequences(draw):
 
 
 def _check_rank_orders(pres, requests):
-    """Each order of requests, on a fresh copy of pres, gives the oracle ranks,
-    and no transposed map below d - 2 is onto (it has fewer columns than rows).
+    """Each order of requests, on a fresh memo, gives the oracle ranks, and
+    no transposed map below d - 2 is onto (it has fewer columns than rows).
     Returns the oracle's first degree at which M^T is onto, or None."""
-    want = {(n, t): rank_dense(build_map_matrix(pres, n, t), pres.p) for n, t in requests}
+    forms, p = pres.coeff_array, pres.p
+    want = {(n, t): rank_dense(build_map_matrix(forms, n, t), p) for n, t in requests}
     for n, t in want:
         if t and 0 <= n < pres.d - 2:
             assert want[n, t] < pres.a * dim_forms(n + 1), n
     # table asks for the largest n first
     for order in (requests, sorted(requests, reverse=True)):
-        fresh = UlrichPresentation(pres.field, pres.d, pres.r, pres.coeff_array)
+        memo = {}
         for n, transpose in order:
-            assert _mult_rank(fresh, n, transpose) == want[n, transpose], (n, transpose)
+            assert _mult_rank(forms, p, n, transpose, memo) == want[n, transpose], (n, transpose)
     return next((n for n, t in sorted(want) if t and n >= 0
                  and want[n, t] == pres.a * dim_forms(n + 1)), None)
 
@@ -255,7 +257,9 @@ def test_mult_rank_onto_only_past_square_residue(p, d, r, seed):
     assert _check_rank_orders(pres, requests) > d - 2
 
 
-@pytest.mark.parametrize("d, r", [(7, 3), (13, 3), (5, 4)])
+# n0 = max(0, ceil((3a - b)/(b - a))) = d - 2 for every presentation shape;
+# (2, 2) is its lower edge, n0 = 0 with 3a - b = 0
+@pytest.mark.parametrize("d, r", [(7, 3), (13, 3), (5, 4), (2, 2), (3, 6)])
 def test_table_order_ranks_only_the_square_residue_past_d_minus_2(monkeypatch, d, r):
     # table asks for the largest n first; on a valid presentation the square
     # map at d - 2 is onto, so every transposed rank past it is implied
@@ -263,9 +267,9 @@ def test_table_order_ranks_only_the_square_residue_past_d_minus_2(monkeypatch, d
     residue = cohomology._residue
     monkeypatch.setattr(cohomology, "_residue",
                         lambda pencil, n, p: built.append(n) or residue(pencil, n, p))
-    pres = seeded_presentation(d, r)
+    pres, memo = seeded_presentation(d, r), {}
     for n in range(3 * d, -2, -1):
-        rank = _mult_rank(pres, n, True)
+        rank = _mult_rank(pres.coeff_array, pres.p, n, True, memo)
         if n >= d - 2:
             assert rank == pres.a * dim_forms(n + 1), n
     assert [n for n in built if n >= d - 2] == [d - 2]
@@ -289,6 +293,52 @@ def test_valid_certificate_builds_one_residue(monkeypatch, d, r, level):
     cert = certify(seeded_presentation(d, r), level=level)
     assert cert.passed
     assert built == [(d - 2, np.int32)]
+
+
+# --- matrices of linear forms that are not presentations ---------------------
+
+_ALL_REQUESTS = [(n, t) for n in range(-1, 8) for t in (False, True)]
+
+
+def _koszul_case(d, r):
+    """Phi of seeded_presentation(d, r), with every request in a seeded order."""
+    pres = seeded_presentation(d, r)
+    order = np.random.default_rng(d).permutation(len(_ALL_REQUESTS))
+    return koszul_phi(pres), pres.p, [_ALL_REQUESTS[i] for i in order]
+
+
+@st.composite
+def _forms_cases(draw):
+    """A (rows, cols, 3) array of linear forms of any shape, cols = 0 and
+    rows < cols included, and every (n, layout) for n in [-1, 7], in random
+    order."""
+    p = draw(st.sampled_from([3, 5, 7, 32003]))
+    rows, cols = (draw(st.integers(min_value=0, max_value=6)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    forms = rng.integers(0, p, size=(rows, cols, 3))
+    kind = draw(st.sampled_from(["random", "zero_column", "zero_z", "sparse"]))
+    if kind == "zero_column":
+        forms[:, :1] = 0
+    elif kind == "zero_z":
+        forms[:, :, 2] = 0
+    elif kind == "sparse":
+        forms *= rng.integers(0, 2, size=forms.shape)
+    return forms, p, draw(st.permutations(_ALL_REQUESTS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms_cases())
+@example(_koszul_case(3, 4))     # Phi is 32 x 10
+@example(_koszul_case(5, 4))     # Phi is 96 x 36
+def test_mult_rank_on_any_matrix_of_linear_forms(case):
+    # the engine reads only the array, p and the memo: every request on one
+    # memo, in any order, gives the dense oracle's rank, whether or not the
+    # array has a pivot point and whether or not M^T is ever onto
+    forms, p, requests = case
+    memo = {}
+    for n, transpose in requests:
+        want = rank_dense(build_map_matrix(forms, n, transpose), p)
+        assert _mult_rank(forms, p, n, transpose, memo) == want, (n, transpose)
 
 
 # --- duality ----------------------------------------------------------------

@@ -17,11 +17,8 @@ X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 def mult_block(f, n: int, p: int = DEFAULT_PRIME) -> np.ndarray:
     """Multiplication by the linear form f from degree n to degree n+1: the
-    (0, 0) block of the map matrix of a 3x1 presentation with top entry f."""
-    coeffs = np.zeros((3, 1, 3), dtype=np.int64)
-    coeffs[0, 0] = f
-    pres = UlrichPresentation(PrimeField(p), 2, 2, coeffs)
-    return build_map_matrix(pres, n)[: dim_forms(n + 1)]
+    map matrix of the 1x1 matrix of linear forms (f)."""
+    return build_map_matrix(np.array([[f]], dtype=np.int64) % p, n)
 
 
 def test_basis_degree_zero_and_one():

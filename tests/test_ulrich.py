@@ -262,6 +262,17 @@ def test_certify_full_records_failures():
     assert doc["valid"] is True and doc["full_ok"] is False
 
 
+def test_certify_negative_seed_raises_before_any_rank(monkeypatch):
+    # the seed stream is built first, so SeedSequence's refusal comes before
+    # the vanishings are ranked
+    def rank(*args):
+        raise AssertionError("a rank was computed")
+
+    monkeypatch.setattr(cohomology, "_mult_rank", rank)
+    with pytest.raises(ValueError, match="non-negative"):
+        certify(seeded_presentation(3, 2), master_seed=-5)
+
+
 def test_certify_full_skips_profile_after_invalid_basic(monkeypatch):
     # a zero column leaves no pivot point, so every full-profile rank would
     # need a full multiplication matrix (up to 5670 x 7140 at (7, 3));
