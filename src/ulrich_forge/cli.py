@@ -91,9 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--workers", type=int, choices=(1,), default=1,
                         help="accepted for compatibility; trials run serially")
     shared.add_argument("--out", metavar="DIR", type=Path, default=None)
-    shared.add_argument("--timings", action="store_true",
-                        help="record wall-clock times in the report "
-                             "(off by default: timed reports are not byte-reproducible)")
 
     srch = sub.add_parser("search", parents=[shared],
                           help="seeded random search for one (d, r)")
@@ -177,7 +174,7 @@ def cmd_certify(args) -> int:
 
 def cmd_search(args) -> int:
     res = search(args.d, args.r, trials=args.trials, master_seed=args.seed,
-                 p=args.p, out_dir=args.out, record_timings=args.timings)
+                 p=args.p, out_dir=args.out)
     doc = res.report.to_json_dict()
 
     def render(doc):
@@ -197,8 +194,7 @@ def cmd_search(args) -> int:
 
 def cmd_sweep(args) -> int:
     rep = sweep(args.d, args.r, trials_per_d=args.trials, master_seed=args.seed,
-                p=args.p, out_dir=args.out,
-                time_budget_s=args.time_budget, record_timings=args.timings)
+                p=args.p, out_dir=args.out, time_budget_s=args.time_budget)
     doc = rep.to_json_dict()
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)

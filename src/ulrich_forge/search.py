@@ -4,7 +4,9 @@ One trial draws a presentation with uniform coefficients and runs the
 basic certifier.  Trial i of a search uses a generator derived by hashing
 (master seed, namespace, trial index), so trials are order-independent:
 the same seed gives byte-identical reports and presentation files.
-Trials run serially and the search stops at the first success.
+Trials run serially and the search stops at the first success.  Reports
+hold only their inputs and computed numbers; the clock is read only
+against a sweep's time budget, which decides where a sweep is cut.
 """
 
 from __future__ import annotations
@@ -25,14 +27,17 @@ SWEEP_FORMAT = "ulrich-sweep/1"
 SEARCH_FORMAT = "ulrich-search/1"
 
 
-# Trials always run serially; the key stays because the seed-0 sweep
-# digests pin it.
-LEGACY_WORKERS_CONFIG = {"workers": 1}
+# Retired knobs keep their keys at fixed values, because the seed-0 sweep
+# digests and the pinned reports hold them: trials always run serially,
+# and reports carry no wall-clock time.
+LEGACY_REPORT_KEYS = {"row": {"ms": None},
+                      "config": {"workers": 1, "record_timings": False}}
 
 
 @dataclass
 class SearchReport(Shaped):
-    """Outcome of one (d, r) search; deterministic given the seed tuple.
+    """Outcome of one (d, r) search, a function of its inputs alone: the
+    same seed tuple gives the same bytes.
 
     The winner's basic certificate carries its hash, vanishings and witness.
     Trials run in index order and stop at the first success, so every counted
@@ -46,7 +51,6 @@ class SearchReport(Shaped):
     certificate: Optional[UlrichCertificate]
     presentation_file: Optional[str]
     failure_histogram: dict[str, int]
-    ms: Optional[float] = None
 
     @property
     def succeeded(self) -> bool:
@@ -76,7 +80,7 @@ class SearchReport(Shaped):
             "h1_checks": [[t, h1] for t, h1 in cert.vanishings] if cert else [],
             "generic_rank": cert.generic_rank.status if cert else None,
             "failure_histogram": dict(sorted(self.failure_histogram.items())),
-            "ms": self.ms,
+            **LEGACY_REPORT_KEYS["row"],
         }
 
 
@@ -93,7 +97,6 @@ def presentation_filename(d: int, r: int, p: int, master_seed: int) -> str:
 def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
            p: int = DEFAULT_PRIME, out_dir: Optional[Path] = None,
            namespace: tuple[int, ...] = (),
-           record_timings: bool = False,
            deadline: Optional[float] = None) -> Optional[SearchResult]:
     """Try seeded random presentations until one certifies (basic level).
 
@@ -101,12 +104,12 @@ def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
     covers exactly the trials with index <= the first success.  On success
     the winning presentation is saved under out_dir with a deterministic
     name and its certificate is written next to it.  A search that finds
-    time.perf_counter() past the deadline before a trial returns None.
+    time.perf_counter() past the deadline before a trial returns None; the
+    deadline is the only clock read, and the report holds no time.
     """
     shape(d, r)  # validate before any work
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    t_start = time.perf_counter()
 
     histogram: dict[str, int] = {}
     presentation: Optional[UlrichPresentation] = None
@@ -132,12 +135,10 @@ def search(d: int, r: int, trials: int = 5, master_seed: int = 0,
         save(presentation, out_dir / filename)
         (out_dir / certificate_filename(filename)).write_bytes(certificate.to_bytes())
 
-    elapsed_ms = 1e3 * (time.perf_counter() - t_start)
     report = SearchReport(
         d=d, r=r, p=p, master_seed=master_seed, trials_requested=trials,
         certificate=certificate, presentation_file=filename,
         failure_histogram=histogram,
-        ms=round(elapsed_ms, 3) if record_timings else None,
     )
     return SearchResult(report=report, presentation=presentation)
 
@@ -151,7 +152,6 @@ class SweepReport:
     results: list[SearchReport]
     skipped: list[int] = dc_field(default_factory=list)
     time_budget_s: Optional[float] = None
-    record_timings: bool = False
 
     @property
     def partial(self) -> bool:
@@ -168,8 +168,8 @@ class SweepReport:
             "p": self.p, "r": self.r,
             "master_seed": self.master_seed,
             "trials_per_d": self.trials_per_d,
-            "config": {"time_budget_s": self.time_budget_s, **LEGACY_WORKERS_CONFIG,
-                       **LEGACY_LF_CONFIG, "record_timings": self.record_timings},
+            "config": {"time_budget_s": self.time_budget_s,
+                       **LEGACY_REPORT_KEYS["config"], **LEGACY_LF_CONFIG},
             "partial": self.partial,
             "skipped_degrees": self.skipped,
             "results": [
@@ -181,12 +181,12 @@ class SweepReport:
 
 def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0,
           p: int = DEFAULT_PRIME, out_dir: Optional[Path] = None,
-          time_budget_s: Optional[float] = None,
-          record_timings: bool = False) -> SweepReport:
+          time_budget_s: Optional[float] = None) -> SweepReport:
     """Run one search per degree; partial results are marked when the time
     budget (finite, > 0 seconds) runs out before the list is exhausted.
     The budget is checked before every trial; the degree it cuts short is
-    skipped, with every later one."""
+    skipped, with every later one.  Which degrees ran is the report's one
+    dependence on the clock: it records no time."""
     if not d_list:
         raise ValueError("the degree list is empty")
     if time_budget_s is not None and not (math.isfinite(time_budget_s) and time_budget_s > 0):
@@ -198,12 +198,11 @@ def sweep(d_list: list[int], r: int, trials_per_d: int = 5, master_seed: int = 0
     skipped: list[int] = []
     for pos, d in enumerate(d_list):
         res = search(d, r, trials=trials_per_d, master_seed=master_seed, p=p,
-                     out_dir=out_dir, namespace=(d,),
-                     record_timings=record_timings, deadline=deadline)
+                     out_dir=out_dir, namespace=(d,), deadline=deadline)
         if res is None:
             skipped = list(d_list[pos:])
             break
         results.append(res.report)
     return SweepReport(p=p, r=r, master_seed=master_seed,
                        trials_per_d=trials_per_d, results=results, skipped=skipped,
-                       time_budget_s=time_budget_s, record_timings=record_timings)
+                       time_budget_s=time_budget_s)

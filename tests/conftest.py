@@ -8,13 +8,27 @@ import pytest
 from hypothesis import strategies as st
 
 from ulrich_forge.cohomology import build_map_matrix, line_h
+from ulrich_forge.field import PrimeField
 from ulrich_forge.linalg import rank_dense
+from ulrich_forge.poly import dim_forms, shift_tables
 from ulrich_forge.presentation import UlrichPresentation, direct_sum, random_presentation
 
 
 def seeded_presentation(d: int, r: int, seed: int = 0, p: int = 32003) -> UlrichPresentation:
     rng = np.random.default_rng(np.random.SeedSequence([seed, d, r]))
     return random_presentation(d, r, rng, p=p)
+
+
+def equivariant_presentation(d: int, p: int) -> UlrichPresentation:
+    """The seed-free rank-d presentation S^{d-2}V (x) O(d-2) -> S^{d-1}V (x) O(d-1),
+    multiplication by the tautological linear form: entry (x_v m, m) is x_v
+    for every monomial m of degree d-2, and every other entry is 0.  Its
+    cokernel is S^{d-1}Q(d-1), with Q = T_{P^2}(-1), for d >= 2."""
+    table, a = shift_tables(d - 2), dim_forms(d - 2)
+    coeffs = np.zeros((dim_forms(d - 1), a, 3), dtype=np.int64)
+    for v in range(3):
+        coeffs[table[v], np.arange(a), v] = 1
+    return UlrichPresentation(PrimeField(p), d, d, coeffs)
 
 
 def linear_span_dimension(pres: UlrichPresentation) -> int:

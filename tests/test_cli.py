@@ -337,6 +337,17 @@ def test_workers_other_than_one_exit_2(capsys, tmp_path, command):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [_SEARCH, _SWEEP], ids=["search", "sweep"])
+def test_timings_exit_2(capsys, tmp_path, command):
+    # reports hold no wall-clock time, so there is no flag to record one
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--r", "3", "--seed", "0", "--out", str(tmp_path), "--timings"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --timings" in out.err and out.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("seed", ["-5", "abc"])
 @pytest.mark.parametrize("command", [["certify", "--in", "FILE"], _SEARCH, _SWEEP],
                          ids=["certify", "search", "sweep"])

@@ -66,7 +66,9 @@ def test_search_byte_reproducible(tmp_path):
     f1 = (out1 / r1.report.presentation_file).read_bytes()
     f2 = (out2 / r2.report.presentation_file).read_bytes()
     assert f1 == f2
-    assert json.dumps(r1.report.to_json_dict()) == json.dumps(r2.report.to_json_dict())
+    doc = r1.report.to_json_dict()
+    assert json.dumps(doc) == json.dumps(r2.report.to_json_dict())
+    assert "ms" in doc and doc["ms"] is None
 
 
 def _search_drawing(monkeypatch, pres, trials):
@@ -121,6 +123,7 @@ def test_sweep_rank3_odd_degrees(tmp_path):
     assert doc["format"] == "ulrich-sweep/1"
     assert all("ms" in row for row in doc["results"])
     assert all(row["ms"] is None for row in doc["results"])
+    assert doc["config"]["record_timings"] is False
 
 
 def test_sweep_rank2_low_degrees():
@@ -182,7 +185,3 @@ def test_sweep_validates_every_degree_first():
     with pytest.raises(ParityError):
         sweep([3, 4], 3, trials_per_d=5, master_seed=0)
 
-
-def test_sweep_timings_optional():
-    rep = sweep([3], 3, trials_per_d=5, master_seed=0, record_timings=True)
-    assert rep.results[0].ms is not None and rep.results[0].ms > 0

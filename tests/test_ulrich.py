@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ulrich_forge.cli import main
 from ulrich_forge import cohomology, presentation
-from ulrich_forge.cohomology import bundle_cohomology, chi_line
+from ulrich_forge.cohomology import bundle_cohomology, chi_line, hom_presentations
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import (ParityError, UlrichPresentation,
@@ -22,8 +22,8 @@ from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check, invarian
                                  line_bundle_solutions, stability_margin, ulrich_cohomology,
                                  veronese_facts)
 
-from conftest import (closed_margin, drop_rank_at, jordan_hoelder_types, seeded_presentation,
-                      variant_cases)
+from conftest import (closed_margin, drop_rank_at, equivariant_presentation,
+                      jordan_hoelder_types, seeded_presentation, variant_cases)
 
 F = PrimeField(DEFAULT_PRIME)
 search_module = importlib.import_module("ulrich_forge.search")
@@ -149,6 +149,49 @@ def test_euler_pairing_parity_error():
         euler_pairing(4, 3, 2)
 
 
+# --- extensions -------------------------------------------------------------
+
+def _extension(e1: UlrichPresentation, e2: UlrichPresentation, n) -> UlrichPresentation:
+    """[[M1, N], [0, M2]]: an extension 0 -> E1 -> E -> E2 -> 0, with N a
+    b1 x a2 matrix of linear forms."""
+    coeffs = np.zeros((e1.b + e2.b, e1.a + e2.a, 3), dtype=np.int64)
+    coeffs[:e1.b, :e1.a], coeffs[:e1.b, e1.a:] = e1.coeff_array, n
+    coeffs[e1.b:, e1.a:] = e2.coeff_array
+    return UlrichPresentation(e1.field, e1.d, e1.r + e2.r, coeffs)
+
+
+def _coboundary_rank(e1: UlrichPresentation, e2: UlrichPresentation) -> int:
+    """Rank of (R, Q) |-> M1 R + Q M2, scalar R (a1 x a2) and Q (b1 x b2),
+    into the 3 b1 a2 coefficients of a b1 x a2 matrix of linear forms."""
+    m1, m2 = e1.coeff_array, e2.coeff_array
+    on_r = np.einsum("ikv,jl->ijvkl", m1, np.eye(e2.a, dtype=np.int64))
+    on_q = np.einsum("ik,ljv->ijvkl", np.eye(e1.b, dtype=np.int64), m2)
+    rows = 3 * e1.b * e2.a
+    return rank_dense(np.hstack([on_r.reshape(rows, -1), on_q.reshape(rows, -1)]), e1.p)
+
+
+@pytest.mark.parametrize("d, r1, r2, moduli_dim, ext1", [
+    (3, 2, 2, 17, 4), (5, 2, 2, 81, 20), (5, 3, 2, 126, 30), (7, 3, 3, 397, 99)])
+def test_extensions_are_simple_and_ext1_is_the_euler_pairing(d, r1, r2, moduli_dim, ext1):
+    # H^1(E1(1-d)) = 0 makes Ext^1(E2, E1) the cokernel of (R, Q) |->
+    # M1 R + Q M2 on the b1 x a2 matrices N, and Ext^2(E2, E1) = 0, so
+    # ext^1 = hom(E2, E1) - chi(E2^v (x) E1).  A random N is a non-split
+    # class, so E is simple; N = 0 is the direct sum, with h^0(End) = 2
+    e1, e2 = seeded_presentation(d, r1), seeded_presentation(d, r2, seed=1)
+    n = np.random.default_rng(np.random.SeedSequence([2, d, r1, r2])).integers(
+        0, e1.p, size=(e1.b, e2.a, 3))
+    cert = certify(_extension(e1, e2, n), level="full")
+    assert cert.full_ok
+    assert [c.computed for c in cert.full_checks if c.name == "end_cohomology"] == [
+        [1, moduli_dim, 0]]
+    split = certify(direct_sum(e1, e2), level="full")
+    assert split.full_ok is False
+    assert [(c["check"], c["computed"]) for c in split.discrepancies()] == [
+        ("end_cohomology", [2, moduli_dim + 1, 0])]
+    assert 3 * e1.b * e2.a - _coboundary_rank(e1, e2) == ext1
+    assert hom_presentations(e2, e1) - euler_pairing(d, r2, r1) == ext1
+
+
 # --- stability margin -------------------------------------------------------
 
 def test_stability_margin_by_hand():
@@ -260,6 +303,30 @@ def test_certify_full_records_failures():
     doc = json.loads(cert.to_bytes())
     assert [c["passed"] for c in doc["full_checks"] if c["check"] == "end_cohomology"] == [False]
     assert doc["valid"] is True and doc["full_ok"] is False
+
+
+@pytest.mark.parametrize("d, moduli_dim", [(2, 0), (3, 10), (4, 45), (5, 126), (6, 280),
+                                           (7, 540)])
+def test_equivariant_presentation_certifies_full(d, moduli_dim):
+    # S^{d-1}Q(d-1) is the homogeneous Ulrich bundle of rank d: simple,
+    # with End = (1, D, 0), D = (4 + d^2(d^2-5))/4
+    cert = certify(equivariant_presentation(d, DEFAULT_PRIME), level="full")
+    assert cert.full_ok
+    assert [c.computed for c in cert.full_checks if c.name == "end_cohomology"] == [
+        [1, moduli_dim, 0]]
+
+
+_ODD_PRIMES_BELOW_60 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+@pytest.mark.parametrize("d, bad", [(2, set()), (3, set()), (4, {3}), (5, {3}), (6, {5}),
+                                    (7, {3, 5}), (8, {3, 5, 7}), (9, {5, 7})],
+                         ids=[f"d{d}" for d in range(2, 10)])
+def test_equivariant_presentation_fails_exactly_at_bad_primes(d, bad):
+    # the 0/1 matrix is the same at every p; at a bad prime h^1(E(-2d)) != 0
+    invalid = {p for p in _ODD_PRIMES_BELOW_60
+               if not certify(equivariant_presentation(d, p)).valid}
+    assert invalid == bad
 
 
 def test_certify_negative_seed_raises_before_any_rank(monkeypatch):
