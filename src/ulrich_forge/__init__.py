@@ -12,7 +12,7 @@ from .cohomology import (bundle_cohomology, dual_cohomology, end_cohomology,
                          hom_presentations, line_h, omega_table)
 from .field import DEFAULT_PRIME, PrimeField
 from .poly import basis
-from .presentation import (UlrichPresentation, direct_sum, generic_rank_check,
+from .presentation import (UlrichPresentation, extension, generic_rank_check,
                            load, random_presentation, save, shape)
 from .search import search, sweep
 from .ulrich import (UlrichCertificate, certify, euler_pairing, hilbert_check,
@@ -21,10 +21,10 @@ from .ulrich import (UlrichCertificate, certify, euler_pairing, hilbert_check,
 
 __all__ = [
     "DEFAULT_PRIME", "PrimeField", "UlrichCertificate", "UlrichPresentation",
-    "basis", "bundle_cohomology", "certify", "direct_sum", "dual_cohomology",
-    "end_cohomology", "euler_pairing", "generic_rank_check", "hilbert_check",
-    "hom_presentations", "invariants", "line_bundle_solutions", "line_h",
-    "load", "omega_table", "random_presentation", "save", "search",
-    "shape", "stability_margin", "sweep", "ulrich_cohomology",
-    "veronese_facts", "__version__",
+    "basis", "bundle_cohomology", "certify", "dual_cohomology",
+    "end_cohomology", "euler_pairing", "extension", "generic_rank_check",
+    "hilbert_check", "hom_presentations", "invariants",
+    "line_bundle_solutions", "line_h", "load", "omega_table",
+    "random_presentation", "save", "search", "shape", "stability_margin",
+    "sweep", "ulrich_cohomology", "veronese_facts", "__version__",
 ]

@@ -43,11 +43,12 @@ degree n is M^T: S_n^b -> S_{n+1}^a, with b*dim(n) columns and
 a*dim(n+1) rows.  b(n+1) >= a(n+3) exactly when n(b-a) >= 3a-b, so for
 b > a no transposed map below n0 = max(0, ceil((3a-b)/(b-a))) is onto,
 and for b <= a none is.  The cokernel C = coker(M^T) is generated in
-degree 0, so C_{n+1} = S_1 C_n, and once the map at n0 is onto every
-transposed rank past n0 is a*dim(n+1).  A request past n0 therefore first
-ranks the map at n0, and n0 comes from the shape of M alone.  For a
-presentation b - a = r and 3a - b = r(d-2), so n0 = d-2: there the map
-is square, its residue has r*d(d-1)/2 rows and columns, and
+degree 0, so C_{n+1} = S_1 C_n, and once the map at some k is onto every
+transposed rank past k is a*dim(n+1).  A request past n0 therefore first
+ranks the map at n0, and n0 comes from the shape of M alone; when that map
+is not onto, a memoized onto degree between n0 and n still implies the
+rank.  For a presentation b - a = r and 3a - b = r(d-2), so n0 = d-2:
+there the map is square, its residue has r*d(d-1)/2 rows and columns, and
 h^1(E(-2d)) = 0 is exactly that residue being nonsingular.  Every mu rank
 the certifier asks for lies at n < 0 or n >= d-2, so for a valid
 presentation that residue is the only transposed rank eliminated.
@@ -132,15 +133,19 @@ def _slice_rank(forms: np.ndarray, p: int, n: int, transpose: bool, memo: dict) 
 
     The transposed map at n has b*dim(n) columns and a*dim(n+1) rows, so
     for b > a it can be onto only from n0 = max(0, ceil((3a-b)/(b-a))) on,
-    and for b <= a never; once it is onto at n0, so is every later one,
-    and a transposed rank past n0 is a*dim(n+1).  Every other rank comes
-    from the pivot pencil, or from the full matrix when there is none.
+    and for b <= a never; once it is onto at some k, so is every later one.
+    A transposed request past n0 ranks the map at n0 first, and it is
+    a*dim(n+1) when the map at n0, or at any memoized k in (n0, n), is
+    onto.  Every other rank comes from the pivot pencil, or from the full
+    matrix when there is none.
     """
     b, a = forms.shape[:2]
     if n < 0 or a == 0:
         return 0
     n0 = max(0, -((b - 3 * a) // (b - a))) if b > a else n   # b <= a: n > n0 never holds
-    if transpose and n > n0 and _mult_rank(forms, p, n0, True, memo) == a * dim_forms(n0 + 1):
+    if transpose and n > n0 and (
+            _mult_rank(forms, p, n0, True, memo) == a * dim_forms(n0 + 1)
+            or any(memo.get((k, True)) == a * dim_forms(k + 1) for k in range(n0 + 1, n))):
         return a * dim_forms(n + 1)
     if "pivot" not in memo:
         memo["pivot"] = _pivot_pencil(forms, p)

@@ -9,7 +9,7 @@ of x, y, z coefficients; the presentation's identity is the hash of its
 canonical bytes.
 
 The module provides seeded random generation, the generic-rank (injectivity)
-witness check, a direct-sum constructor, and a canonical byte-stable JSON
+witness check, an extension constructor, and a canonical byte-stable JSON
 format.  Local freeness needs no check of its own here: the certifier's
 h^1(E(-2d)) = 0 already proves it.
 """
@@ -167,14 +167,17 @@ def random_presentation(d: int, r: int, rng: np.random.Generator,
     return UlrichPresentation(PrimeField(p), d, r, coeffs)
 
 
-def direct_sum(p1: UlrichPresentation, p2: UlrichPresentation) -> UlrichPresentation:
-    """Block-diagonal sum, presenting the direct sum of the two cokernels."""
+def extension(p1: UlrichPresentation, p2: UlrichPresentation, n) -> UlrichPresentation:
+    """[[M1, N], [0, M2]], presenting an extension 0 -> E1 -> E -> E2 -> 0 of
+    the two cokernels.  n is the b1 x a2 block N of linear forms, any array
+    that broadcasts to (b1, a2, 3); n = 0 gives the direct sum."""
     if p1.p != p2.p:
-        raise ValueError("mixed moduli in direct sum")
+        raise ValueError("mixed moduli in extension")
     if p1.d != p2.d:
-        raise ValueError("direct sum needs equal polarization degrees")
+        raise ValueError("extension needs equal polarization degrees")
     coeffs = np.zeros((p1.b + p2.b, p1.a + p2.a, 3), dtype=np.int64)
     coeffs[: p1.b, : p1.a] = p1.coeff_array
+    coeffs[: p1.b, p1.a :] = n
     coeffs[p1.b :, p1.a :] = p2.coeff_array
     return UlrichPresentation(p1.field, p1.d, p1.r + p2.r, coeffs)
 
@@ -198,7 +201,7 @@ class GenericRankResult:
         return "injective" if self.passed else "undetermined"
 
 
-def _trial_point(p: int, i: int, rng: np.random.Generator) -> tuple[int, int, int]:
+def trial_point(p: int, i: int, rng: np.random.Generator) -> tuple[int, int, int]:
     """The point of P^2(F_p) drawn for trial i, in chart CHART_ROTATION[i % 3]."""
     coords = [int(v) for v in rng.integers(0, p, size=3)]
     coords[CHART_ROTATION[i % 3]] = 1
@@ -213,12 +216,12 @@ def generic_rank_check(pres: UlrichPresentation, trials: int,
     bounds generic rank from below); exhausting the trials proves nothing
     and reports "undetermined".  The certifier calls this only when
     h^1(E(-2d)) != 0; otherwise M has rank a at every point, and the first
-    draw, _trial_point(p, 0, rng), is the witness without a rank.
+    draw, trial_point(p, 0, rng), is the witness without a rank.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for i in range(trials):
-        point = _trial_point(pres.p, i, rng)
+        point = trial_point(pres.p, i, rng)
         if rank_dense(pres.evaluate_at(point), pres.p) == pres.a:
             return GenericRankResult(trials=i + 1, witness=point)
     return GenericRankResult(trials=trials)

@@ -46,8 +46,8 @@ import numpy as np
 
 from .cohomology import (bundle_cohomology, chi_line, dual_cohomology,
                          end_cohomology, omega_table)
-from .presentation import (GenericRankResult, Shaped, UlrichPresentation, _trial_point,
-                           canonical_json_bytes, generic_rank_check, shape)
+from .presentation import (GenericRankResult, Shaped, UlrichPresentation,
+                           canonical_json_bytes, generic_rank_check, shape, trial_point)
 
 CERTIFICATE_FORMAT = "ulrich-certificate/1"
 
@@ -365,7 +365,7 @@ def certify(pres: UlrichPresentation, level: str = "basic",
     rng_rank = np.random.default_rng(np.random.SeedSequence([master_seed, *seed_path, 101]))
     vanishings = [(t, bundle_cohomology(pres, -t * pres.d)[1])
                   for t in range(2, pres.alpha + 1)]
-    gr = (GenericRankResult(trials=1, witness=_trial_point(pres.p, 0, rng_rank))
+    gr = (GenericRankResult(trials=1, witness=trial_point(pres.p, 0, rng_rank))
           if vanishings[0][1] == 0 else
           generic_rank_check(pres, trials=LEGACY_CERT_CONFIG["rank_trials"], rng=rng_rank))
     cert = UlrichCertificate(

@@ -11,7 +11,7 @@ from ulrich_forge.cohomology import build_map_matrix, line_h
 from ulrich_forge.field import PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.poly import dim_forms, shift_tables
-from ulrich_forge.presentation import UlrichPresentation, direct_sum, random_presentation
+from ulrich_forge.presentation import UlrichPresentation, extension, random_presentation
 
 
 def seeded_presentation(d: int, r: int, seed: int = 0, p: int = 32003) -> UlrichPresentation:
@@ -55,11 +55,21 @@ def drop_rank_at(pres: UlrichPresentation, point, rng) -> UlrichPresentation:
 
 
 def variant(pres: UlrichPresentation, kind: str, rng) -> UlrichPresentation:
-    """pres rebuilt with a degenerate structure the kernel must survive."""
-    c = np.array(pres.coeff_array)
-    if kind == "direct_sum":
+    """pres rebuilt with a degenerate structure the kernel must survive:
+    a direct sum or a random extension by a second summand, or the
+    entries changed by variant_forms."""
+    if kind in ("direct_sum", "extension"):
         other = random_presentation(pres.d, 1 if pres.d % 2 else 2, rng, p=pres.p)
-        return direct_sum(pres, other)
+        n = rng.integers(0, pres.p, size=(pres.b, other.a, 3)) if kind == "extension" else 0
+        return extension(pres, other, n)
+    return UlrichPresentation(pres.field, pres.d, pres.r,
+                              variant_forms(pres.coeff_array, kind, rng))
+
+
+def variant_forms(forms: np.ndarray, kind: str, rng) -> np.ndarray:
+    """A copy of a (rows, cols, 3) array of linear forms with its entries
+    changed as the kind says; "random" leaves them as they are."""
+    c = np.array(forms)
     if kind == "non_surjective":
         c[:, :1, 2] = 0         # column 0 of M vanishes at (0, 0, 1)
     elif kind == "zero_z":
@@ -72,11 +82,11 @@ def variant(pres: UlrichPresentation, kind: str, rng) -> UlrichPresentation:
         c *= rng.integers(0, 2, size=c.shape)
     elif kind == "zero_column":
         c[:, :1] = 0            # rank M(point) < a everywhere: no pivot point
-    return UlrichPresentation(pres.field, pres.d, pres.r, c)
+    return c
 
 
-VARIANT_KINDS = ["random", "direct_sum", "non_surjective", "zero_z", "equal_xy",
-                 "equal_xz", "sparse", "zero_column"]
+VARIANT_KINDS = ["random", "direct_sum", "extension", "non_surjective", "zero_z",
+                 "equal_xy", "equal_xz", "sparse", "zero_column"]
 
 
 @st.composite

@@ -12,7 +12,7 @@ import pytest
 from ulrich_forge.cohomology import bundle_cohomology, dual_cohomology, end_cohomology
 from ulrich_forge.field import DEFAULT_PRIME
 from ulrich_forge.linalg import rank_dense
-from ulrich_forge.presentation import direct_sum
+from ulrich_forge.presentation import extension
 from ulrich_forge.search import presentation_filename, search
 from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check,
                                  invariants, line_bundle_solutions, stability_margin)
@@ -85,7 +85,7 @@ def test_criterion_3_d2_uniqueness_signature():
 def test_criterion_4_d2_splitting_signature():
     p1 = search(2, 2, trials=5, master_seed=0).presentation
     p2 = search(2, 2, trials=5, master_seed=1).presentation
-    summed = direct_sum(p1, p2)
+    summed = extension(p1, p2, 0)
     h0, h1, h2 = end_cohomology(summed)
     chi = h0 - h1 + h2
     report(4, h0 == 4 and chi == 4,

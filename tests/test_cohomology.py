@@ -12,11 +12,12 @@ from ulrich_forge.cohomology import (_PIVOT_POINTS, _mult_rank, _pivot_pencil,
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.poly import basis, dim_forms
-from ulrich_forge.presentation import UlrichPresentation, direct_sum, random_presentation
+from ulrich_forge.presentation import UlrichPresentation, extension, random_presentation
 from ulrich_forge.ulrich import certify, ulrich_cohomology
 
-from conftest import (VARIANT_KINDS, dual_resolution_cohomology, koszul_phi,
-                      seeded_presentation, variant, variant_cases)
+from conftest import (VARIANT_KINDS, dual_resolution_cohomology, equivariant_presentation,
+                      koszul_phi, seeded_presentation, variant, variant_cases,
+                      variant_forms)
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -172,8 +173,8 @@ def _rank_cases(draw):
     r = draw(st.integers(min_value=1, max_value=3))
     r += r * (d - 1) % 2
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "direct_sum", "non_surjective", "zero_z",
-                                 "equal_xy", "sparse", "zero_column"]))
+    kind = draw(st.sampled_from(["random", "direct_sum", "extension", "non_surjective",
+                                 "zero_z", "equal_xy", "sparse", "zero_column"]))
     pres = variant(random_presentation(d, r, rng, p=p), kind, rng)
     n = draw(st.integers(min_value=-1, max_value=3 * d))
     return pres, n, draw(st.booleans())
@@ -295,6 +296,19 @@ def test_valid_certificate_builds_one_residue(monkeypatch, d, r, level):
     assert built == [(d - 2, np.int32)]
 
 
+def test_failed_vanishing_ranks_up_to_the_first_onto_degree(monkeypatch):
+    # at p = 5 the rank-9 equivariant presentation has h^1(E(-18)) = 10, so
+    # M^T is not onto at n0 = 7; it is onto at 16, the t = 3 vanishing, and
+    # that memoized degree implies t = 4, 5, 6 with no rank
+    ranked = []
+    dense = cohomology.rank_dense
+    monkeypatch.setattr(cohomology, "rank_dense",
+                        lambda m, p: ranked.append(m.shape) or dense(m, p))
+    cert = certify(equivariant_presentation(9, 5))
+    assert cert.vanishings == [(2, 10), (3, 0), (4, 0), (5, 0), (6, 0)]
+    assert ranked == [(324, 324), (648, 1377)]     # the residues at n = 7 and 16
+
+
 # --- matrices of linear forms that are not presentations ---------------------
 
 _ALL_REQUESTS = [(n, t) for n in range(-1, 8) for t in (False, True)]
@@ -317,13 +331,7 @@ def _forms_cases(draw):
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     forms = rng.integers(0, p, size=(rows, cols, 3))
     kind = draw(st.sampled_from(["random", "zero_column", "zero_z", "sparse"]))
-    if kind == "zero_column":
-        forms[:, :1] = 0
-    elif kind == "zero_z":
-        forms[:, :, 2] = 0
-    elif kind == "sparse":
-        forms *= rng.integers(0, 2, size=forms.shape)
-    return forms, p, draw(st.permutations(_ALL_REQUESTS))
+    return variant_forms(forms, kind, rng), p, draw(st.permutations(_ALL_REQUESTS))
 
 
 @settings(max_examples=200, deadline=None)
@@ -402,7 +410,7 @@ def test_end_cohomology_d3r2(pres_d3r2):
 
 def test_end_cohomology_direct_sum(pres_d2r2):
     other = seeded_presentation(2, 2, seed=99)
-    summed = direct_sum(pres_d2r2, other)
+    summed = extension(pres_d2r2, other, 0)
     h0, h1, h2 = end_cohomology(summed)
     # four Hom blocks, each 1-dimensional; chi = k^2 = 4
     assert h0 == 4
@@ -496,7 +504,8 @@ def _hom_pairs(draw):
     p = draw(st.sampled_from([3, 5, 7, 32003, 2**31 - 1]))
     d = draw(st.integers(min_value=1, max_value=6))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    kinds = st.sampled_from(["random", "zero_column", "sparse", "equal_xz", "direct_sum"])
+    kinds = st.sampled_from(["random", "zero_column", "sparse", "equal_xz", "direct_sum",
+                             "extension"])
     pair = []
     for _ in range(2):
         r = draw(st.integers(min_value=1, max_value=2)) * (1 if d % 2 else 2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField, inverse_mod, is_prime
 from ulrich_forge.linalg import matmul_mod
-from ulrich_forge.presentation import direct_sum, random_presentation
+from ulrich_forge.presentation import extension, random_presentation
 from ulrich_forge.cohomology import hom_presentations
 
 F = PrimeField(DEFAULT_PRIME)
@@ -70,7 +70,7 @@ def test_mixed_moduli_rejected():
     p1 = random_presentation(2, 2, np.random.default_rng(0))
     p7 = random_presentation(2, 2, np.random.default_rng(0), p=7)
     with pytest.raises(ValueError, match="mixed moduli"):
-        direct_sum(p1, p7)
+        extension(p1, p7, 0)
     with pytest.raises(ValueError, match="mixed moduli"):
         hom_presentations(p1, p7)
 

@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name is used, and every private
-module-level name of the package is read somewhere in the package."""
+"""Source hygiene: every imported name is used, every private
+module-level name of the package is read somewhere in the package, and no
+package module imports another one's private name."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,21 @@ def test_unreferenced_privates_are_found():
 def test_no_unreferenced_private_names():
     # a helper that only tests call fails here
     assert unreferenced_privates([p.read_text() for p in PACKAGE]) == []
+
+
+def imported_privates(source: str) -> list[str]:
+    """Private names that a from-import takes from another module."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for a in node.names if a.name.startswith("_")]
+
+
+def test_imported_privates_are_found():
+    src = "from .a import b, _c\nfrom __future__ import annotations\nimport _d\n"
+    assert imported_privates(src) == ["_c"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_private_name_imported_across_modules(path):
+    # a name another module needs is public
+    assert imported_privates(path.read_text()) == []

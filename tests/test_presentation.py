@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import (ParityError, PresentationFormatError,
-                                       UlrichPresentation, direct_sum,
+                                       UlrichPresentation, extension,
                                        generic_rank_check, load,
                                        random_presentation, save, shape)
 
-from conftest import linear_span_dimension
+from conftest import linear_span_dimension, seeded_presentation
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -126,17 +126,38 @@ def test_generic_rank_witness_kernel_empty():
     assert rank_dense(pres.evaluate_at(res.witness), pres.p) == pres.a
 
 
-def test_direct_sum_shapes_and_blocks():
+def test_extension_shapes_and_blocks():
     p1 = random_presentation(2, 2, np.random.default_rng(1))
     p2 = random_presentation(2, 2, np.random.default_rng(2))
-    s = direct_sum(p1, p2)
+    s = extension(p1, p2, 0)
     assert (s.d, s.r, s.a, s.b) == (2, 4, 2, 6)
     arr = s.coeff_array
     assert (arr[:3, 0] == p1.coeff_array[:, 0]).all()
     assert (arr[3:, 1] == p2.coeff_array[:, 0]).all()
     assert not arr[:3, 1].any() and not arr[3:, 0].any()
+    # N fills the b1 x a2 block, reduced mod p; the lower-left block stays 0
+    n = np.arange(9).reshape(3, 1, 3) - 4
+    e = extension(p1, p2, n)
+    assert (e.coeff_array[:3, 1:] == n % p1.p).all()
+    assert (e.coeff_array[:3, :1] == arr[:3, :1]).all()
+    assert (e.coeff_array[3:] == arr[3:]).all()
+    assert (extension(p1, p2, [0, 0, 1]).coeff_array[:3, 1] == [0, 0, 1]).all()
+    with pytest.raises(ValueError, match="polarization degrees"):
+        extension(p1, random_presentation(3, 2, np.random.default_rng(3)), 0)
     with pytest.raises(ValueError):
-        direct_sum(p1, random_presentation(3, 2, np.random.default_rng(3)))
+        extension(p1, p2, np.zeros((3, 2, 3)))      # N must be b1 x a2
+
+
+def test_split_extension_bytes_are_pinned():
+    # extension(p1, p2, 0) keeps the bytes of the block-diagonal sum
+    digests = {
+        (3, 2, 2): "889a906789348beaae40d52e2deb2d3f8f2d46f22157cdc92abcf66e9df6ca25",
+        (7, 3, 3): "0a163836324344b2001a4c69265694d42a35d858e8d60565c55a33d67348d01b",
+        (3, 2, 3): "c7f9c62d0c34ffc064ae07e9774267c72b7a3ebeebc4875c1b49a3cfb5fd2ca0",
+    }
+    for (d, r1, r2), digest in digests.items():
+        s = extension(seeded_presentation(d, r1), seeded_presentation(d, r2, seed=1), 0)
+        assert s.content_hash == digest
 
 
 def test_linear_span_dimension():

@@ -7,15 +7,16 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ulrich_forge.cli import main
 from ulrich_forge import cohomology, presentation
-from ulrich_forge.cohomology import bundle_cohomology, chi_line, hom_presentations
+from ulrich_forge.cohomology import (bundle_cohomology, chi_line, end_cohomology,
+                                     hom_presentations)
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
 from ulrich_forge.linalg import rank_dense
 from ulrich_forge.presentation import (ParityError, UlrichPresentation,
-                                       canonical_json_bytes, direct_sum,
+                                       canonical_json_bytes, extension,
                                        generic_rank_check, random_presentation, save)
 from ulrich_forge.search import sweep
 from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check, invariants,
@@ -23,7 +24,7 @@ from ulrich_forge.ulrich import (certify, euler_pairing, hilbert_check, invarian
                                  veronese_facts)
 
 from conftest import (closed_margin, drop_rank_at, equivariant_presentation,
-                      jordan_hoelder_types, seeded_presentation, variant_cases)
+                      jordan_hoelder_types, seeded_presentation, variant, variant_cases)
 
 F = PrimeField(DEFAULT_PRIME)
 search_module = importlib.import_module("ulrich_forge.search")
@@ -151,23 +152,18 @@ def test_euler_pairing_parity_error():
 
 # --- extensions -------------------------------------------------------------
 
-def _extension(e1: UlrichPresentation, e2: UlrichPresentation, n) -> UlrichPresentation:
-    """[[M1, N], [0, M2]]: an extension 0 -> E1 -> E -> E2 -> 0, with N a
-    b1 x a2 matrix of linear forms."""
-    coeffs = np.zeros((e1.b + e2.b, e1.a + e2.a, 3), dtype=np.int64)
-    coeffs[:e1.b, :e1.a], coeffs[:e1.b, e1.a:] = e1.coeff_array, n
-    coeffs[e1.b:, e1.a:] = e2.coeff_array
-    return UlrichPresentation(e1.field, e1.d, e1.r + e2.r, coeffs)
-
-
-def _coboundary_rank(e1: UlrichPresentation, e2: UlrichPresentation) -> int:
+def _coboundary_rank(e1: UlrichPresentation, e2: UlrichPresentation, n=None) -> int:
     """Rank of (R, Q) |-> M1 R + Q M2, scalar R (a1 x a2) and Q (b1 x b2),
-    into the 3 b1 a2 coefficients of a b1 x a2 matrix of linear forms."""
+    into the 3 b1 a2 coefficients of a b1 x a2 matrix of linear forms;
+    with n, that of the same map with N's coefficients as one more column."""
     m1, m2 = e1.coeff_array, e2.coeff_array
     on_r = np.einsum("ikv,jl->ijvkl", m1, np.eye(e2.a, dtype=np.int64))
     on_q = np.einsum("ik,ljv->ijvkl", np.eye(e1.b, dtype=np.int64), m2)
     rows = 3 * e1.b * e2.a
-    return rank_dense(np.hstack([on_r.reshape(rows, -1), on_q.reshape(rows, -1)]), e1.p)
+    cols = [on_r.reshape(rows, -1), on_q.reshape(rows, -1)]
+    if n is not None:
+        cols.append(np.reshape(n, (rows, 1)))
+    return rank_dense(np.hstack(cols), e1.p)
 
 
 @pytest.mark.parametrize("d, r1, r2, moduli_dim, ext1", [
@@ -180,16 +176,60 @@ def test_extensions_are_simple_and_ext1_is_the_euler_pairing(d, r1, r2, moduli_d
     e1, e2 = seeded_presentation(d, r1), seeded_presentation(d, r2, seed=1)
     n = np.random.default_rng(np.random.SeedSequence([2, d, r1, r2])).integers(
         0, e1.p, size=(e1.b, e2.a, 3))
-    cert = certify(_extension(e1, e2, n), level="full")
+    cert = certify(extension(e1, e2, n), level="full")
     assert cert.full_ok
     assert [c.computed for c in cert.full_checks if c.name == "end_cohomology"] == [
         [1, moduli_dim, 0]]
-    split = certify(direct_sum(e1, e2), level="full")
+    split = certify(extension(e1, e2, 0), level="full")
     assert split.full_ok is False
     assert [(c["check"], c["computed"]) for c in split.discrepancies()] == [
         ("end_cohomology", [2, moduli_dim + 1, 0])]
     assert 3 * e1.b * e2.a - _coboundary_rank(e1, e2) == ext1
     assert hom_presentations(e2, e1) - euler_pairing(d, r2, r1) == ext1
+
+
+@st.composite
+def _extension_cases(draw):
+    """Two draws at one d in [3, 5] of ranks in {2, 3} (2 at even d) and a
+    b1 x a2 block N: random, a coboundary M1 R + Q M2, zero, or one random
+    entry.  At d = 2 the one rank-2 Ulrich bundle is rigid, so the two
+    draws would be isomorphic."""
+    d = draw(st.integers(min_value=3, max_value=5))
+    ranks = st.sampled_from([2, 3] if d % 2 else [2])
+    r1, r2 = draw(ranks), draw(ranks)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    e1, e2 = random_presentation(d, r1, rng), random_presentation(d, r2, rng)
+    p, kind = e1.p, draw(st.sampled_from(["random", "coboundary", "zero", "one_entry"]))
+    n = np.zeros((e1.b, e2.a, 3), dtype=np.int64)
+    if kind == "random":
+        n = rng.integers(0, p, size=n.shape)
+    elif kind == "coboundary":
+        r = rng.integers(0, p, size=(e1.a, e2.a))
+        q = rng.integers(0, p, size=(e1.b, e2.b))
+        n = (np.einsum("ikv,kj->ijv", e1.coeff_array, r)
+             + np.einsum("ik,kjv->ijv", q, e2.coeff_array)) % p
+    elif kind == "one_entry":
+        n[rng.integers(0, e1.b), rng.integers(0, e2.a)] = rng.integers(0, p, size=3)
+    return e1, e2, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_extension_cases())
+def test_extension_is_simple_exactly_when_its_class_is_nonzero(case):
+    # E1 and E2 Ulrich of rank <= 3 are stable, and not isomorphic when
+    # Hom(E1, E2) = 0; then End(E) is the scalars exactly when the extension
+    # does not split, that is when N is not a coboundary M1 R + Q M2
+    e1, e2, n = case
+    assume(certify(e1).valid and certify(e2).valid and hom_presentations(e1, e2) == 0)
+    ext = extension(e1, e2, n)
+    assert certify(ext).valid
+    coboundaries = _coboundary_rank(e1, e2)
+    nonsplit = _coboundary_rank(e1, e2, n) > coboundaries
+    h0 = end_cohomology(ext)[0]
+    assert (h0 == 1) == nonsplit
+    assert nonsplit or h0 >= 2
+    assert (3 * e1.b * e2.a - coboundaries
+            == hom_presentations(e2, e1) - euler_pairing(e1.d, e2.r, e1.r))
 
 
 # --- stability margin -------------------------------------------------------
@@ -292,7 +332,7 @@ def test_certify_full_records_failures():
     # a direct sum of two Ulrich bundles is Ulrich, so it passes the basic
     # level, but it is not simple: the full profile must record exactly
     # the End failure, h^0(End) = 2, and the JSON must say so
-    summed = direct_sum(seeded_presentation(3, 2, seed=0), seeded_presentation(3, 2, seed=1))
+    summed = extension(seeded_presentation(3, 2, seed=0), seeded_presentation(3, 2, seed=1), 0)
     t0 = time.perf_counter()
     cert = certify(summed, level="full")
     elapsed = time.perf_counter() - t0
@@ -477,14 +517,11 @@ def _lf_cases(draw):
     r += r * (d - 1) % 2
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     pres = random_presentation(d, r, rng, p=p)
-    kind = draw(st.sampled_from(["random", "zero_column", "direct_sum", "point_drop"]))
-    if kind == "direct_sum":
-        pres = direct_sum(pres, random_presentation(d, 1 if d % 2 else 2, rng, p=p))
-    elif pres.a and kind == "zero_column":
-        c = np.array(pres.coeff_array)
-        c[:, :1] = 0
-        pres = UlrichPresentation(pres.field, d, pres.r, c)
-    elif pres.a and kind == "point_drop":
+    kind = draw(st.sampled_from(["random", "zero_column", "direct_sum", "extension",
+                                 "point_drop"]))
+    if kind != "point_drop":
+        pres = variant(pres, kind, rng)
+    elif pres.a:
         point = [int(x) for x in rng.integers(0, p, size=3)]
         point[draw(st.integers(min_value=0, max_value=2))] = 1
         pres = drop_rank_at(pres, point, rng)
