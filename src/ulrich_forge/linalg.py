@@ -5,59 +5,79 @@ package reduces to the rank of an explicit matrix over F_p.  Matrices are
 plain numpy arrays; the modulus is passed alongside.
 
 The dense elimination is blocked, with delayed reduction in float64 (the
-FFLAS-FFPACK design), and left-looking by one rule: columns catch up with
-the pivots they have not yet seen, by one GEMM pair (u = L^{-1} times the
-pivot rows, then the rows below minus L21 u), before they are eliminated.
-A panel of up to 256 columns is eliminated one 16-column leaf at a time:
-the leaf catches up with the panel's earlier pivots and is reduced mod p;
+FFLAS-FFPACK design), and left-looking: columns catch up with the pivots
+they have not yet seen just before they are eliminated.  The matrix, or
+its transpose when that has fewer rows, so k rows for short side k, is
+eliminated one panel of up to 256 columns at a time.  A panel is read from
+the caller's array only when its turn comes, reduced mod p, with its rows
+in the current row order, into a column-major buffer.  It then catches up
+with every earlier panel: that panel's pivot rows by forward substitution
+through its L^{-1} (they subtract their multipliers times the u of the
+panels before, and u = L^{-1} times the result is left in their place),
+the rows below all the pivots by one GEMM, their stored multipliers times
+all of u.  The panel is then eliminated one 16-column leaf at a time: the
+leaf catches up with the panel's earlier pivots and is reduced mod p;
 each of its columns then takes one GEMV with the leaf's own earlier pivots
-and is reduced, in int64, before its pivot search.  Multipliers are stored
+and is reduced, in int64, before its pivot search.  Multipliers are kept
 in the eliminated positions; each pivot appends its row -(l L^{-1}) mod p
-to the panel's unit-lower inverse L^{-1}, which later columns catch up by.
+to the panel's unit-lower inverse L^{-1}.  A factored panel keeps only its
+L^{-1}; its multipliers below its pivots, L21, go to the store, where row
+i holds its multiplier for pivot t in column t.  No row has more pivots
+above it than rows, so the store keeps rows in bands of 256, band
+[s, s + 256) as one array of s + 255 columns: at most k(k+1)/2 + 128 k
+cells.  One array per band, not one k x k array written below its
+diagonal: numpy advises huge pages for large arrays, and the untouched
+triangle of such an array would be committed anyway, 2 MiB at a time.  A
+panel's row swaps apply to the stored rows, to the order in which later
+panels are read and to the next panel, already read.
 
-The float path is exact because no magnitude exceeds 2^52.  The block B
-satisfies 8 B (p - 1)^2 <= 2^52, and every product is taken of reduced
-factors in [0, p) with at most B terms, so it adds at most
-S = B (p - 1)^2: u, a row of L^{-1}, a GEMV (at most 15 terms) and a leaf
-GEMM.  The trailing submatrix accumulates updates unreduced and is reduced
-mod p once, before an update, when fewer than 2S + p of the 2^52 budget
-are left; after every update each entry is thus at most 2^52 - S, room
-for the leaf GEMM that precedes the leaf's reduction.  Moduli too large
-for an 8-column block (p - 1 > 2^23) go to a row-op elimination in int64,
-where a rank-1 update of reduced factors adds at most (p - 1)^2, so the
-trailing block is reduced only every (2^63 - p) // (p - 1)^2 updates
-(8.9e9 at p = 32003, 2 at 2^31 - 1).  That loop also takes every shape
-whose elimination updates at most 6144 trailing cells per pivot, on
-average k(3L - k)/6 for short side k and long side L: there the blocked
-path's per-column overhead costs more than it saves.  That covers squares
-up to 135 x 135 and every matrix of at most 12288 cells.
+The float path is exact because no magnitude exceeds 2^52.  The panel
+width B satisfies 8 B (p - 1)^2 <= 2^52, and every product is taken of
+reduced factors in [0, p), so t terms add at most t (p - 1)^2: at most
+S = B (p - 1)^2 for u, a row of L^{-1}, a GEMV (at most 15 terms), a leaf
+GEMM and the catch-up with one panel.  The catch-up with all earlier
+panels takes their pivots in chunks of (2^52 - p) // (p - 1)^2 - 2B,
+reducing its rows between chunks: one chunk of 4.4 million pivots at
+p = 32003, 47 pivots at p = 2^23 + 1.  It leaves every entry at most
+2^52 - 2S, room for the catch-up with the last panel and the leaf GEMM
+before the leaf's reduction.  Moduli too large for an 8-column block
+(p - 1 > 2^23) go to a row-op elimination in int64, where a rank-1 update
+of reduced factors adds at most (p - 1)^2, so the trailing block is
+reduced only every (2^63 - p) // (p - 1)^2 updates (8.9e9 at p = 32003,
+2 at 2^31 - 1).  That loop also takes every shape whose elimination
+updates at most 1024 (5 + k/L) trailing cells per pivot, on average
+k(3L - k)/6 for short side k and long side L: there the blocked path's
+per-column overhead costs more than it saves.
 
-The blocked path holds the caller's input, one float64 working copy and
-one pair of stripe buffers per thread, allocated once per rank; every
-other buffer is a single row, a block at most one leaf (16 columns) wide,
-or a panel's L^{-1} (at most 256 x 256), whatever the size of the matrix.
-Non-consecutive multiplier columns are gathered into one buffer of the
-pair and each stripe's products go into the other, so helper threads
-allocate no stripe of their own; u needs no buffer, as it overwrites its
-pivot rows in place.  A matrix of at most 2^20 cells is eliminated on the
-calling thread alone.  A larger one gets T threads, the CPUs of the
-process's affinity mask, which share the 2^20-cell (8 MiB) stripe budget:
-each buffer holds 2^20 // T cells.  Stripe loops (the float64 fill, the
-update of _apply_pivots, the reduction of _reduce_inplace) run through
-_in_stripes, which hands the stripes, and a panel run alongside them as
-one more task, to at most T threads taking stripes from one queue (numpy
-drops the GIL in BLAS and ufuncs); a lone stripe with no panel runs
-inline.  Panels are factored on the calling thread with a look-ahead of
-depth one: a panel first catches up with the last panel's pivots on its
-own columns, then leaf by leaf with its own, while the helper threads
-apply the last panel's pivots to the columns right of it; the caller then
-takes the stripes that are left.  A panel swaps rows only within its own
-columns, so no row moves under the concurrent update; its swaps are
-replayed on the columns right of it after the join, and the columns left
-of it, dead multipliers, are never swapped.  The stripes cover disjoint
-rows, the catch-up and the update disjoint columns, the multiplier columns
-they read lie left of the columns they update, and every product is exact,
-so every value, hence every pivot and the rank, is the same for every T.
+The blocked path holds the caller's input, two panel buffers (the panel
+being factored and the next), one pair of stripe buffers per thread and
+the store: for a 4000 x 4000 matrix 68 MB of store where the float64 copy
+of the matrix took 128 MB.  Every other buffer is a row, a block of at
+most one stripe, or a panel's L^{-1} (at most 256 x 256).
+A matrix of at most 2^17 cells is eliminated on the calling thread alone.
+A larger one gets T threads, the CPUs of the process's affinity mask,
+which share the 2^17-cell (1 MiB) stripe budget: each buffer holds
+2^17 // T cells.  Loops run through _in_stripes, which hands their
+stripes, and a panel run alongside them as one more task, to at most T
+threads taking stripes from one queue (numpy drops the GIL in BLAS and
+ufuncs).  A catch-up's stripes are the rows below the pivots (256 rows of
+a 256-column panel for two threads); they need all of u, whose pivot rows
+are solved in column blocks, one per thread, as forward substitution is
+independent per column: a stripe first solves every block that no thread
+has claimed and waits for the others.  Panels are factored on the calling
+thread with a look-ahead of depth one.  All threads first catch the panel
+up with the last panel's pivots, storing that panel's L21 as they go.
+Then, while the caller factors the panel, the helper threads read the
+next panel and catch it up with every panel before this one; the caller
+first solves its own column block of the next panel's pivot rows, and
+after the panel it takes the stripes that are left.  The panel swaps rows
+only in its own buffer meanwhile, and writes nothing the helpers read;
+after the join its swaps are applied to the store's columns left of it
+and to the next panel, whose rows the helpers read in the old order: the
+catch-up updates each row by itself, so the two orders give the same
+rows.  Tasks cover disjoint rows or disjoint columns, and every product
+is exact, so every value, hence every pivot and the rank, is the same for
+every T.
 
 ``matmul_mod`` is the one integer matrix product mod p: it splits the
 inner dimension so that no int64 partial sum overflows for any p < 2^31.
@@ -81,14 +101,18 @@ from .field import inverse_mod
 _FLOAT_EXACT = 2**52
 _DEFAULT_BLOCK = 256
 _PANEL_LEAF = 16
-# Mean trailing cells updated per pivot, k(3L - k)/6, up to which the row-op
-# loop beats the blocked path.  Measured at p = 32003 on one core: break-even
-# near 6000 for thin shapes (180 x 81, 32 x 400, 24 x 520) and near 7500-8000
-# for squares (150 x 150 to 155 x 155).
-_ROWOPS_MAX_AREA = 6144
-# Cells in the stripe buffers of the blocked path (8 MiB), shared by all the
-# threads of one rank.
-_STRIPE_CELLS = 2**20
+# The row-op loop takes a k x L shape (k the short side) whose elimination
+# updates at most _ROWOPS_MAX_AREA (5 + k/L) trailing cells per pivot, on
+# average k(3L - k)/6.  Measured at p = 32003 on one core against the
+# left-looking blocked path: break-even near 5100-5300 for thin shapes
+# (20 x 500, 32 x 300 and 81 x 150 faster by row ops, 16 x 700, 64 x 200 and
+# 48 x 256 blocked) and near 6150 for squares (132 x 132 row ops, 136 x 136
+# blocked); a single row goes blocked past 10240 entries.
+_ROWOPS_MAX_AREA = 1024
+# Cells in the stripe buffers of the blocked path (1 MiB), shared by all the
+# threads of one rank: one 256-row band of a 256-column panel for each buffer
+# of two threads.
+_STRIPE_CELLS = 2**17
 
 
 def _cpus() -> int:
@@ -152,10 +176,11 @@ def _in_stripes(body: Callable[[int, int, np.ndarray], None], lo: int, hi: int, 
 
 
 def _buffer(flat: np.ndarray, *shape: int) -> np.ndarray:
-    """The first cells of a stripe buffer as an array of this shape, or a
-    new array where they do not fit (a single row wider than the buffer)."""
+    """The first cells of a stripe buffer as a column-major array of this
+    shape, the layout of a panel, or a new one where they do not fit (a
+    single row wider than the buffer)."""
     size = math.prod(shape)
-    return flat[:size].reshape(shape) if size <= flat.size else np.empty(shape)
+    return (flat[:size] if size <= flat.size else np.empty(size)).reshape(shape[::-1]).T
 
 
 def _reduce_inplace(a: np.ndarray, p: float, scratch: np.ndarray) -> None:
@@ -180,99 +205,170 @@ def _residues(a: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     return q
 
 
-def rank_dense(a: np.ndarray, p: int) -> int:
-    """Rank over F_p by blocked Gaussian elimination with delayed reduction.
+def _block(p: int) -> int:
+    """Panel width of the blocked path: at most _DEFAULT_BLOCK, with
+    8 B (p - 1)^2 <= 2^52."""
+    return min(_DEFAULT_BLOCK, _FLOAT_EXACT // (8 * (p - 1) ** 2))
 
-    The working matrix is one float64 copy holding exact integers, filled
-    in row stripes; the input is never modified.  Each panel is eliminated
-    leaf by leaf on the calling thread, and its pivots are applied to the
-    trailing submatrix, which accumulates GEMM updates unreduced until the
-    2^52 exactness budget would be exceeded.  The next panel applies them
-    to its own columns before its first leaf, while the helper threads
-    apply them to the columns right of it: one update call per panel.  The
-    last panel has no columns right of it and runs alone.
+
+def rank_dense(a: np.ndarray, p: int) -> int:
+    """Rank over F_p by blocked, left-looking Gaussian elimination with
+    delayed reduction; the input is never modified.
+
+    The matrix, or its transpose when that has fewer rows, is eliminated
+    one panel at a time, k rows for short side k.  A panel is read from a
+    only when its turn comes, with its rows in the current order, and has
+    already caught up with every panel but the last when it is factored:
+    the helper threads did that while the caller factored the last panel.
+    All threads then catch it up with the last panel, storing that panel's
+    multipliers below its pivots, and the caller factors it while the
+    helpers read and catch up the next one.  After the join the panel's
+    row swaps are applied to the store, to the row order and to the next
+    panel.  Beyond the input the kernel holds the store, at most
+    k(k+1)/2 + 128 k cells, the L^{-1} of every panel (k x 256 cells in
+    all), two k x 256 panels and 2^17 stripe cells.
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("rank_dense expects a 2-d array")
     m, n = a.shape
-    max_block = _FLOAT_EXACT // (8 * (p - 1) ** 2)
     k, long_side = min(m, n), max(m, n)
-    if max_block < 8 or k * (3 * long_side - k) <= 6 * _ROWOPS_MAX_AREA:
+    block = _block(p)
+    if block < 8 or k * (3 * long_side - k) * long_side <= (
+            6 * _ROWOPS_MAX_AREA * (5 * long_side + k)):
         w = np.array(a, dtype=np.int64)
         w %= p
         return len(_row_echelon(w, p))
-    block = int(min(_DEFAULT_BLOCK, max_block))
-    step_growth = block * (p - 1) ** 2  # max magnitude added per block step
-    # the working copy and each thread's pair of stripe buffers, in one
-    # allocation that the allocator can reuse from one rank to the next; a
-    # pair holds no more cells than the matrix
+    t = a if m <= n else a.T  # the matrix eliminated, k rows
+    # residues in t's own integer dtype when p fits it, else in int64
+    dtype = t.dtype if t.dtype.kind in "iu" and np.iinfo(t.dtype).max >= p else np.int64
+    m, n = k, long_side
+    # two panel buffers, no wider than the matrix, and each thread's pair of
+    # stripe buffers, in one allocation; a pair holds no more cells than
+    # the matrix
     threads = 1 if m * n <= _STRIPE_CELLS else _cpus()
     cells = max(1, min(m * n // 2, _STRIPE_CELLS // threads))
-    mem = np.empty(m * n + threads * 2 * cells)
-    w = mem[: m * n].reshape(m, n)
-    scratch = mem[m * n :].reshape(threads, 2, cells)
+    panels = m * min(n, 2 * block)
+    mem = np.empty(panels + threads * 2 * cells)
+    scratch = mem[panels:].reshape(threads, 2, cells)
+    store = _Multipliers(m, _DEFAULT_BLOCK)
+    order = np.arange(m)
 
-    def fill(i: int, j: int, buf: np.ndarray) -> None:
-        np.remainder(np.asarray(a[i:j], dtype=np.int64), p, out=w[i:j])
+    def panel(c0: int) -> tuple[np.ndarray, Callable[[int, int, int, int], None]]:
+        """The column-major buffer of the panel at column c0, and its loader
+        of rows [i, j), columns [x0, x1)."""
+        w = min(block, n - c0)
+        b = mem[(c0 // block) % 2 * m * block :][: m * w].reshape(w, m).T
 
-    _in_stripes(fill, 0, m, n, scratch)
+        def load(i: int, j: int, x0: int, x1: int) -> None:
+            np.remainder(np.asarray(t[order[i:j], c0 + x0 : c0 + x1], dtype=dtype), p,
+                         out=b[i:j, x0:x1])
+
+        return b, load
+
+    b, load = panel(0)
+    _catch_up(b, p, store.rows, [], scratch, load=load)
+    done: list[tuple[int, np.ndarray]] = []  # (first pivot row, L^{-1}) per panel
+    last: tuple[np.ndarray, list[int]] | None = None  # done[-1]'s buffer and pivots
     r = c = 0
-    slack = float(_FLOAT_EXACT)  # remaining unreduced-accumulation budget
-    pf = float(p)
-    lead: tuple[int, list[int], np.ndarray] | None = None  # the last panel
     while r < m and c < n:
-        cb = min(block, n - c)
-        panel = partial(_eliminate_panel, w, p, r, c, cb, scratch[:1], lead)
-        piv, linv, swaps = (_apply_pivots(w, p, *lead, c + cb, n, scratch, own=panel)
-                            if lead and c + cb < n else panel())
-        if c + cb < n:  # the panel swapped rows in its own columns only
-            for x, y in swaps:
-                w[[x, y], c + cb :] = w[[y, x], c + cb :]
-        k = len(piv)
-        lead = None
-        if k and c + cb < n and r + k < m:
-            if slack < 2 * step_growth + p:
-                _reduce_inplace(w[r:m, c + cb : n], pf, scratch)
-                slack = float(_FLOAT_EXACT)
-            slack -= step_growth
-            lead = (r, piv, linv)
-        r += k
-        c += cb
+        w = b.shape[1]
+        if last:  # at most B pivots, one GEMM: put stores all of them at once
+            _catch_up(b, p, partial(store.put, *last), done[-1:], scratch)
+        eliminate = partial(_eliminate_panel, b, p, r, scratch[:1])
+        nxt = None
+        if c + w < n:
+            nxt, load = panel(c + w)
+            piv, linv, swaps = _catch_up(nxt, p, store.rows, done, scratch, own=eliminate,
+                                         load=load)
+        else:
+            piv, linv, swaps = eliminate()
+        for x, y in swaps:  # rows below r, swapped in b already
+            order[[x, y]] = order[[y, x]]
+            store.swap(x, y, r)
+            if nxt is not None:
+                nxt[[x, y]] = nxt[[y, x]]
+        last = (b, piv) if piv else None
+        if piv:
+            done.append((r, linv))
+            r += len(piv)
+        c += w
+        b = nxt
     return r
 
 
-def _eliminate_panel(a: np.ndarray, p: int, r: int, c: int, cb: int, scratch: np.ndarray,
-                     lead: tuple[int, list[int], np.ndarray] | None
-                     ) -> tuple[list[int], np.ndarray, list[tuple[int, int]]]:
-    """Eliminate columns c..c+cb below row r in place, left-looking, from
-    entries of magnitude at most 2^52 - S once up to date.  Returns the
-    pivot columns, the inverse mod p of the pivots' unit lower triangle L,
-    and the row swaps, in order, which it made in these columns only.
+class _Multipliers:
+    """The multipliers below the pivots of every factored panel: row i, in
+    the current row order, holds its multiplier for pivot t in column t.
+    No row has more pivots above it than rows, so the rows are kept in bands
+    of h, band [s, s + h) as one array of min(s + h, m) - 1 columns: at
+    most k(k+1)/2 + k h/2 cells for k rows."""
 
-    These columns first take lead, the last panel's (r, pivot columns,
-    L^{-1}), by _apply_pivots on scratch, the caller's stripe pair.  Then
-    each leaf of _PANEL_LEAF columns takes the panel's earlier pivots alike
-    and is reduced; each of its columns then takes a GEMV with the leaf's
-    own earlier pivots, is reduced, and is searched for a pivot.  A pivot
-    appends the row -(l L^{-1}) mod p and a unit diagonal to L^{-1}, where
-    l holds its row's stored multipliers, kept in the eliminated positions.
-    The elimination never updates a pivot row; _apply_pivots reads its
-    stale values once, through L^{-1}, and leaves u in their place.
+    def __init__(self, m: int, h: int) -> None:
+        self.h = h
+        self.bands = [np.empty((min(h, m - s), min(s + h, m) - 1)) for s in range(0, m, h)]
+
+    def rows(self, i: int, j: int, c0: int, c1: int,
+             buf: np.ndarray | None = None) -> list[tuple[int, int, np.ndarray]]:
+        """Rows [i, j), columns [c0, c1): (first row, end row, view), one
+        per band the rows cross; buf is not needed, as nothing is copied."""
+        h, out = self.h, []
+        while i < j:
+            e = min(j, i - i % h + h)
+            out.append((i, e, self.bands[i // h][i % h : i % h + e - i, c0:c1]))
+            i = e
+        return out
+
+    def put(self, b: np.ndarray, piv: list[int], i: int, j: int, c0: int, c1: int,
+            buf: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+        """Keep rows [i, j) of panel b's multipliers, its columns piv, as
+        pivots [c0, c1), and return them as rows() does."""
+        out = self.rows(i, j, c0, c1)
+        for s, e, cells in out:
+            cells[...] = _gather(b[s:e], piv, buf)
+        return out
+
+    def swap(self, x: int, y: int, cols: int) -> None:
+        """Swap rows x and y in columns [0, cols)."""
+        h = self.h
+        rx, ry = self.bands[x // h][x % h, :cols], self.bands[y // h][y % h, :cols]
+        rx[...], ry[...] = ry.copy(), rx.copy()
+
+
+def _eliminate_panel(a: np.ndarray, p: int, r: int, scratch: np.ndarray
+                     ) -> tuple[list[int], np.ndarray, list[tuple[int, int]]]:
+    """Eliminate panel a below row r in place, left-looking, from entries
+    of magnitude at most 2^52 - S.  Returns the pivot columns, the inverse
+    mod p of the pivots' unit lower triangle L, and the row swaps, in
+    order, which it made in a.
+
+    Each leaf of _PANEL_LEAF columns takes the panel's earlier pivots by
+    _catch_up on scratch, the caller's stripe pair, and is reduced; each of
+    its columns then takes a GEMV with the leaf's own earlier pivots, is
+    reduced, and is searched for a pivot.  A pivot appends the row
+    -(l L^{-1}) mod p and a unit diagonal to L^{-1}, where l holds its row's
+    stored multipliers, kept in the eliminated positions.  The elimination
+    never updates a pivot row; _catch_up reads its stale values once,
+    through L^{-1}, and leaves u in their place.
     """
-    m = a.shape[0]
+    m, w = a.shape
     pf = float(p)
     piv: list[int] = []
     swaps: list[tuple[int, int]] = []
-    linv = np.zeros((min(cb, m - r), min(cb, m - r)))
+    linv = np.zeros((min(w, m - r), min(w, m - r)))
     buf = scratch[0, 0]  # free once a leaf is up to date
-    if lead:
-        _apply_pivots(a, p, *lead, c, c + cb, scratch)
-    for j0 in range(c, c + cb, _PANEL_LEAF):
-        j1, t0 = min(c + cb, j0 + _PANEL_LEAF), len(piv)
+
+    def multipliers(i: int, j: int, c0: int, c1: int,
+                    out: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+        return [(i, j, _gather(a[i:j], piv[c0 - r : c1 - r], out))]
+
+    for j0 in range(0, w, _PANEL_LEAF):
+        j1, t0 = min(w, j0 + _PANEL_LEAF), len(piv)
         if t0:
-            _apply_pivots(a, p, r, piv, linv[:t0, :t0], j0, j1, scratch)
+            _catch_up(a[:, j0:j1], p, multipliers, [(r, linv[:t0, :t0])], scratch, gather=True)
         _reduce_inplace(a[r + t0 : m, j0:j1], pf, scratch)
+        if not a[r + t0 : m, j0:j1].any():  # a zero leaf has no pivot: skip its columns
+            continue
         for j in range(j0, j1):
             t = len(piv)
             rr = r + t
@@ -286,7 +382,7 @@ def _eliminate_panel(a: np.ndarray, p: int, r: int, c: int, cb: int, scratch: np
                 continue
             inv = inverse_mod(int(col[i]), p)
             if i:
-                a[[rr, rr + i], c : c + cb] = a[[rr + i, rr], c : c + cb]
+                a[[rr, rr + i]] = a[[rr + i, rr]]
                 swaps.append((rr, rr + i))
                 col[i] = col[0]
             a[rr + 1 : m, j] = col[1:] * inv % p
@@ -304,50 +400,89 @@ def _gather(a: np.ndarray, cols: list[int], buf: np.ndarray) -> np.ndarray:
     are consecutive, else a copy in buf."""
     if cols[-1] - cols[0] == len(cols) - 1:
         return a[..., cols[0] : cols[-1] + 1]
-    return np.take(a, cols, axis=-1, out=_buffer(buf, *a.shape[:-1], len(cols)), mode="clip")
+    return np.take(a.T, cols, axis=0, out=_buffer(buf, *a.shape[:-1], len(cols)).T, mode="clip").T
 
 
-def _apply_pivots(a: np.ndarray, p: int, r: int, piv_cols: list[int], linv: np.ndarray,
-                  s0: int, s1: int, scratch: np.ndarray,
-                  own: Callable[[], Any] | None = None) -> Any:
-    """Apply the k pivots of rows r..r+k (multipliers L21 stored at
-    piv_cols, unit lower triangle inverted in linv) to the non-empty
-    column range [s0, s1) of every row below row r+k, through _in_stripes
-    with own, and return own's result; the update is left unreduced.
+def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.ndarray]]],
+              pivots: list[tuple[int, np.ndarray]], scratch: np.ndarray,
+              own: Callable[[], Any] | None = None,
+              load: Callable[[int, int, int, int], None] | None = None,
+              gather: bool = False) -> Any:
+    """Bring the rows of b up to date with pivots, the (first row, L^{-1})
+    of panels whose pivot rows r0..r1 follow each other, in stripes of rows
+    below r1 through _in_stripes with own, and return own's result.
 
-    The first stripe forward-substitutes the pivot rows in place, one
-    column block at a time, u = L^{-1} times their values reduced mod p,
-    then reduced again, while the other threads wait for it: every stripe
-    then reads u there, and nothing reads those stored values again.  Each
-    row stripe then gathers its multiplier columns once, into its first
-    buffer when they are not consecutive, and takes one GEMM per column
-    block into its second; stripe rows and block width are sized so that
-    both fit."""
-    k = len(piv_cols)
+    l21(i, j, c0, c1, buf) gives the multipliers of rows [i, j) for pivots
+    [c0, c1) as (first row, end row, matrix) pieces, gathered into buf when
+    gather is set; load(i, j, x0, x1), if given, first fills rows [i, j),
+    columns [x0, x1) of b.  The pivot rows are solved panel by panel in
+    column blocks, one per thread, as the columns are independent: the
+    panel's rows subtract their multipliers times the u of the panels
+    before, and u = L^{-1} times the result reduced mod p is reduced and
+    left in their place.  A stripe loads its rows, solves every block that
+    no thread has claimed and waits for the others, then subtracts its
+    multipliers times u, one GEMM per band and per chunk of pivots,
+    reducing the stripe between chunks, and is left unreduced: from
+    entries in [0, p) that leaves room for 2S more.  With own and helper threads, the caller
+    solves the last block before own(), and the helpers the others.
+    """
+    m, w = b.shape
     pf = float(p)
-    width = max(1, scratch.shape[2] // k)
-    blocks = range(s0, s1, width)
-    lock = threading.Lock()
-    solved = False
+    r0 = pivots[0][0] if pivots else 0
+    r1 = pivots[-1][0] + len(pivots[-1][1]) if pivots else 0
+    cells = scratch.shape[2]
+    chunk = (_FLOAT_EXACT - p) // (p - 1) ** 2 - 2 * _block(p)  # pivots per GEMM
+    width = -(-w // len(scratch))  # of a column block
+    blocks = -(-w // width)
+    pending, claimed = [blocks], [False] * blocks
+    solved = threading.Condition()
 
-    def update(i: int, j: int, buf: np.ndarray) -> None:
-        nonlocal solved
-        with lock:
-            if not solved:
-                for c0 in blocks:
-                    u = a[r : r + k, c0 : min(s1, c0 + width)]
-                    x, y = _buffer(buf[0], *u.shape), _buffer(buf[1], *u.shape)
-                    np.copyto(x, u)
-                    np.matmul(linv, _residues(x, pf, y), out=x)
-                    u[...] = _residues(x, pf, y)
-                solved = True
-        l21 = _gather(a[i:j], piv_cols, buf[0])
-        for c0 in blocks:
-            c1 = min(s1, c0 + width)
-            a[i:j, c0:c1] -= np.matmul(l21, a[r : r + k, c0:c1],
-                                       out=_buffer(buf[1], j - i, c1 - c0))
+    def subtract(c: np.ndarray, i: int, j: int, c0: int, c1: int, buf: np.ndarray) -> None:
+        for d0 in range(c0, c1, chunk):
+            d1 = min(c1, d0 + chunk)
+            if d0 > c0:
+                c[i:j] = _residues(c[i:j], pf, _buffer(buf[1], j - i, c.shape[1]))
+            for s, e, l in l21(i, j, d0, d1, buf[0]):
+                c[s:e] -= np.matmul(l, c[d0:d1], out=_buffer(buf[1], e - s, c.shape[1]))
 
-    return _in_stripes(update, r + k, a.shape[0], max(k, min(width, s1 - s0)), scratch, own)
+    def solve(block: int, buf: np.ndarray) -> None:
+        with solved:
+            if claimed[block]:
+                return
+            claimed[block] = True
+        x0, x1 = block * width, min(w, block * width + width)
+        c = b[:, x0:x1]
+        try:
+            for r, linv in pivots:
+                k = len(linv)
+                if load:
+                    load(r, r + k, x0, x1)
+                subtract(c, r, r + k, r0, r, buf)
+                u = c[r : r + k]
+                x, y = _buffer(buf[0], *u.shape), _buffer(buf[1], *u.shape)
+                np.matmul(linv, _residues(u, pf, y), out=x)
+                u[...] = _residues(x, pf, y)
+        finally:
+            with solved:
+                pending[0] -= 1
+                solved.notify_all()
+
+    def stripe(i: int, j: int, buf: np.ndarray) -> None:
+        if load:
+            load(i, j, 0, w)
+        for block in range(blocks):
+            solve(block, buf)
+        with solved:  # the claimed blocks' threads are running
+            solved.wait_for(lambda: not pending[0])
+        subtract(b, i, j, r0, r1, buf)
+
+    def own_last() -> Any:
+        solve(blocks - 1, scratch[0])
+        return own()
+
+    # stripes whose products, and gathered multipliers, fit a buffer
+    cols = max(w, r1 - r0 if gather else 0)
+    return _in_stripes(stripe, r1, m, cols, scratch, own_last if own else None)
 
 
 def _row_echelon(a: np.ndarray, p: int) -> list[int]:

@@ -56,13 +56,14 @@ def test_rank_against_independent_oracle():
     assert rank_dense(a, P) == division_free_rank(a, P)
 
 
-# shapes on both sides of the row-op rule k(3L - k) <= 6 * 6144, k the short
-# and L the long side.  64 x 64, 1 x 4096 and 40 x 100 took the row-op loop
-# under the old 4096-cell cutoff too; 135 x 135 / 136 x 136 and 1 x 12288 /
-# 1 x 12289 sit on the boundary.
+# shapes on both sides of the row-op rule k(3L - k)/6 <= 1024 (5 + k/L), k
+# the short and L the long side.  64 x 64, 1 x 4096 and 40 x 100 took the
+# row-op loop under the old 4096-cell cutoff too; 135 x 135 / 136 x 136,
+# 32 x 300 / 48 x 256 and 1 x 10240 / 1 x 10241 sit on the boundary.
 ROWOPS_SHAPES = [(64, 64), (17, 241), (241, 17), (1, 4096), (4097, 1), (40, 100),
-                 (135, 135), (48, 256), (1, 12288)]
-BLOCKED_SHAPES = [(136, 136), (48, 384), (64, 400), (400, 64), (24, 800), (1, 12289)]
+                 (135, 135), (32, 300), (1, 10240)]
+BLOCKED_SHAPES = [(136, 136), (48, 256), (48, 384), (64, 400), (400, 64), (24, 800),
+                  (1, 10241)]
 CUTOFF_SHAPES = ROWOPS_SHAPES + BLOCKED_SHAPES
 
 
@@ -154,12 +155,20 @@ THREADS = [1, 2, 3]
 def _kernel_cases(draw, primes=PRIMES):
     p = draw(st.sampled_from(primes))
     kind = draw(st.sampled_from(["plain", "zero_columns", "duplicate_rows", "zero_run",
-                                 "deep_pivot", "rows_run_out"]))
+                                 "deep_pivot", "rows_run_out", "tall", "wide",
+                                 "carried_swap"]))
     if kind == "rows_run_out":  # m ends inside a leaf, before the last column
         m = draw(st.integers(1, 59).filter(lambda x: x % 8))
         n = draw(st.integers(m + 1, 60))
     elif kind in ("zero_run", "deep_pivot"):  # past the first panel's second leaf
         m, n = draw(st.integers(17, 60)), draw(st.integers(33, 60))
+    elif kind in ("tall", "wide"):  # the short side spans up to two panels,
+        # the long side up to four; a tall matrix is eliminated transposed
+        m, n = draw(st.integers(1, 80)), draw(st.integers(81, 160))
+        if kind == "tall":
+            m, n = n, m
+    elif kind == "carried_swap":  # a later panel reaches the carried rows
+        m, n = draw(st.integers(50, 100)), draw(st.integers(50, 130))
     else:
         m, n = draw(st.integers(1, 60)), draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -177,6 +186,14 @@ def _kernel_cases(draw, primes=PRIMES):
     if kind == "deep_pivot":  # zero leading rows: pivots found deep, rows swapped
         w = draw(st.integers(0, n - 1))
         a[: w + draw(st.integers(1, m)), w:] = 0
+    if kind == "carried_swap":
+        # rows t..t+d are combinations of rows 0..t: they carry nonzero
+        # multipliers of the panels before column t and have nothing left
+        # from there on, so the panels past t find their pivots d rows deep
+        # and swap the carried rows down, stored multipliers and all
+        t = draw(st.integers(41, min(m, n) - 1))
+        d = draw(st.integers(1, m - t))
+        a[t : t + d] = matmul_mod(rng.integers(0, p, size=(d, t)), a[:t] % p, p)
     return a, p
 
 
@@ -195,8 +212,9 @@ def test_striped_blocked_path_against_oracle(case):
 
 
 def test_striped_slack_reset_large_prime(monkeypatch):
-    # p = 4194301 allows 32-column blocks, and the trailing matrix is reset
-    # mod p before every seventh trailing update: 13 panels cross one reset
+    # p = 4194301 allows 32-column panels, and a catch-up GEMM at most 192
+    # pivots: from the ninth panel on, a panel catches up with more pivots
+    # than that, in two chunks, with its rows reduced mod p between them
     p = 4194301
     rng = np.random.default_rng(9)
     monkeypatch.setattr(linalg, "_STRIPE_CELLS", 1000)
@@ -257,10 +275,10 @@ def test_striped_swaps_against_oracle(monkeypatch, case):
 def test_failing_stripe_raises(monkeypatch, thread):
     # a stripe that fails on either thread of a split loop fails the rank,
     # and so do a helper's stripe that fails while the caller factors the
-    # next panel, a panel that fails while the helpers update, and a
-    # panel's catch-up with the last panel's pivots on its own columns that
-    # fails while a helper updates the columns right of it; the other
-    # thread is joined first
+    # panel, a panel that fails before the caller has solved its block of
+    # the next panel's pivot rows (the helpers must not wait for it), and
+    # a leaf's catch-up with the panel's own pivots that fails while a
+    # helper catches up the next panel; the other thread is joined first
     for name, value in STRIPED.items():
         monkeypatch.setattr(linalg, name, value)
     monkeypatch.setattr(linalg, "_cpus", lambda: 2)
@@ -305,29 +323,32 @@ def test_failing_stripe_raises(monkeypatch, thread):
 
         monkeypatch.setattr(linalg, "_in_stripes", lookahead)
     if thread == "catch_up":
-        apply_pivots = linalg._apply_pivots
+        catch_up = linalg._catch_up
 
-        def catch_up(*args, own=None):
-            # the look-ahead panel's first update is its catch-up, on its
-            # own columns 40..80
-            if own is None and panel_started.is_set():
-                assert args[5:7] == (40, 80)
+        def failing_leaf(*args, **kwargs):
+            # a leaf's catch-up gathers the panel's own multipliers
+            if kwargs.get("gather") and panel_started.is_set():
+                assert threading.current_thread() is threading.main_thread()
                 raise MemoryError
-            return apply_pivots(*args, own=own)
+            return catch_up(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "_apply_pivots", catch_up)
+        monkeypatch.setattr(linalg, "_catch_up", failing_leaf)
     running = threading.active_count()
     with pytest.raises(MemoryError):
         rank_dense(np.random.default_rng(11).integers(0, P, size=(120, 120)), P)
     assert threading.active_count() == running
     if thread not in ("caller", "helper"):
-        assert lookaheads == [80]  # the first look-ahead, of panel 1, failed
+        # the first look-ahead, reading panel 1 while the caller factors
+        # panel 0, failed
+        assert lookaheads == [120]
 
 
 def test_one_stripe_lookahead_runs_beside_the_panel(monkeypatch):
     # under STRIPED a look-ahead stripe is one row; the last look-ahead of
-    # this 81 x 160 matrix updates the one row left, and a helper takes it
-    # while the caller factors the panel; on one CPU no thread starts
+    # this 81 x 160 matrix, which reads panel 3 while the caller factors
+    # panel 2, has the one row left below the pivots, and a helper takes it
+    # while the caller solves its block of the pivot rows and factors the
+    # panel; on one CPU no thread starts
     for name, value in STRIPED.items():
         monkeypatch.setattr(linalg, name, value)
     in_stripes = linalg._in_stripes
@@ -350,7 +371,7 @@ def test_one_stripe_lookahead_runs_beside_the_panel(monkeypatch):
     want = division_free_rank(a, P)
     monkeypatch.setattr(linalg, "_cpus", lambda: 2)
     assert rank_dense(a, P) == want
-    assert [rows for rows, _ in lookaheads] == [41, 1]
+    assert [rows for rows, _ in lookaheads] == [81, 41, 1]
     assert lookaheads[-1][1] == [False]
     started = []
     monkeypatch.setattr(threading.Thread, "start", started.append)
@@ -379,7 +400,8 @@ def test_rowops_large_prime_against_oracle(case):
 def test_rank_leaves_input_untouched(shape):
     rng = np.random.default_rng(10)
     base = rng.integers(-3 * P, 3 * P, size=shape)
-    inputs = [base, (base % 50000).astype(np.int32), (base % 60000).astype(np.uint16)]
+    inputs = [base, (base % 50000).astype(np.int32), (base % 60000).astype(np.uint16),
+              (base % 256).astype(np.uint8), base.astype(object)]
     for a in inputs:
         before = a.tobytes()
         rank_dense(a, P)
@@ -391,37 +413,40 @@ def test_rank_leaves_input_untouched(shape):
     assert nested == kept
 
 
-@pytest.mark.parametrize("p, gather, threads", [
-    pytest.param(P, False, 1, id=str(P)),
-    pytest.param(4194301, False, 1, id="4194301"),
-    pytest.param(P, True, 1, id="gather"),
-    pytest.param(P, False, 2, id=f"{P}-split"),
-    pytest.param(P, True, 2, id="gather-split"),
+@pytest.mark.parametrize("p, gather, threads, shape", [
+    pytest.param(P, False, 1, (2000, 2000), id=str(P)),
+    pytest.param(4194301, False, 1, (2000, 2000), id="4194301"),
+    pytest.param(P, True, 1, (2000, 2000), id="gather"),
+    pytest.param(P, False, 2, (2000, 2000), id=f"{P}-split"),
+    pytest.param(P, True, 2, (2000, 2000), id="gather-split"),
+    pytest.param(P, False, 2, (3000, 800), id="tall"),
+    pytest.param(P, False, 2, (800, 3000), id="wide"),
 ])
-def test_rank_memory_one_float_copy(monkeypatch, p, gather, threads):
-    # beyond one float64 copy of the matrix, every buffer is a stripe of at
-    # most 2^20 cells (8 MiB), a few of them alive at once, a column at most
-    # one 16-column leaf wide, or the panel's 256 x 256 L^{-1}; split over
-    # two threads, each thread's stripes are half as large
+def test_rank_memory_triangle_and_panels(monkeypatch, p, gather, threads, shape):
+    # beyond the input the kernel holds the store of multipliers, at most
+    # k(k+1)/2 + 128 k cells for short side k, the L^{-1} of every panel
+    # (k x 256 cells in all), two k x 256 panels, the stripe buffers, and
+    # per thread a few blocks of one 256-row band of a panel: no copy of
+    # the matrix, so a tall matrix costs what its transpose does
     monkeypatch.setattr(linalg, "_cpus", lambda: threads)
-    a = np.random.default_rng(0).integers(0, p, size=(2000, 2000))
-    bound = 8 * a.size + 24 * 2**20
+    a = np.random.default_rng(0).integers(0, p, size=shape)
+    k = min(shape)
     if gather:
         # a zero column in every leaf, so multiplier columns are gathered;
-        # with 512 KiB stripes one unstriped 2000 x 255 gather (4 MB) would
-        # break the bound of L^{-1} plus four stripes
-        monkeypatch.setattr(linalg, "_STRIPE_CELLS", 2**16)
+        # one unstriped 2000 x 240 gather (3.8 MB) would break the bound
         a[:, 5::16] = 0
-        bound = 8 * a.size + 8 * 256**2 + 4 * 8 * 2**16
+    cells = k * (k + 1) // 2 + 128 * k + 3 * 256 * k + 2 * 2**17  # 1 MiB of stripes
+    bound = 8 * cells + threads * 4 * 8 * 256**2
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        assert rank_dense(a, p) == (1875 if gather else 2000)
+        assert rank_dense(a, p) == (k - k // 16 if gather else k)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= bound, peak
+    assert peak <= bound, (peak, bound)
+    print(f"peak {peak / 2**20:.1f} MiB of {bound / 2**20:.1f} MiB")
 
 
 def test_kernel_identity_empty():
