@@ -54,7 +54,7 @@ being factored and the next), one pair of stripe buffers per thread and
 the store: for a 4000 x 4000 matrix 68 MB of store where the float64 copy
 of the matrix took 128 MB.  Every other buffer is a row, a block of at
 most one stripe, or a panel's L^{-1} (at most 256 x 256).
-A matrix of at most 2^17 cells is eliminated on the calling thread alone.
+A matrix of at most 2^20 cells is eliminated on the calling thread alone.
 A larger one gets T threads, the CPUs of the process's affinity mask,
 which share the 2^17-cell (1 MiB) stripe budget: each buffer holds
 2^17 // T cells.  Loops run through _in_stripes, which hands their
@@ -113,6 +113,9 @@ _ROWOPS_MAX_AREA = 1024
 # threads of one rank: one 256-row band of a 256-column panel for each buffer
 # of two threads.
 _STRIPE_CELLS = 2**17
+# A matrix of at most this many cells is eliminated on the calling thread
+# alone: on two CPUs, threads made 512^2 to 1024^2 ranks 10-38% slower.
+_INLINE_CELLS = 2**20
 
 
 def _cpus() -> int:
@@ -240,13 +243,11 @@ def rank_dense(a: np.ndarray, p: int) -> int:
         w %= p
         return len(_row_echelon(w, p))
     t = a if m <= n else a.T  # the matrix eliminated, k rows
-    # residues in t's own integer dtype when p fits it, else in int64
-    dtype = t.dtype if t.dtype.kind in "iu" and np.iinfo(t.dtype).max >= p else np.int64
     m, n = k, long_side
     # two panel buffers, no wider than the matrix, and each thread's pair of
     # stripe buffers, in one allocation; a pair holds no more cells than
     # the matrix
-    threads = 1 if m * n <= _STRIPE_CELLS else _cpus()
+    threads = 1 if m * n <= _INLINE_CELLS else _cpus()
     cells = max(1, min(m * n // 2, _STRIPE_CELLS // threads))
     panels = m * min(n, 2 * block)
     mem = np.empty(panels + threads * 2 * cells)
@@ -261,7 +262,7 @@ def rank_dense(a: np.ndarray, p: int) -> int:
         b = mem[(c0 // block) % 2 * m * block :][: m * w].reshape(w, m).T
 
         def load(i: int, j: int, x0: int, x1: int) -> None:
-            np.remainder(np.asarray(t[order[i:j], c0 + x0 : c0 + x1], dtype=dtype), p,
+            np.remainder(np.asarray(t[order[i:j], c0 + x0 : c0 + x1], dtype=np.int64), p,
                          out=b[i:j, x0:x1])
 
         return b, load
@@ -283,10 +284,10 @@ def rank_dense(a: np.ndarray, p: int) -> int:
                                          load=load)
         else:
             piv, linv, swaps = eliminate()
-        for x, y in swaps:  # rows below r, swapped in b already
-            order[[x, y]] = order[[y, x]]
-            store.swap(x, y, r)
-            if nxt is not None:
+        if nxt is not None:  # after the last panel no row is read again
+            for x, y in swaps:  # rows below r, swapped in b already
+                order[[x, y]] = order[[y, x]]
+                store.swap(x, y, r)
                 nxt[[x, y]] = nxt[[y, x]]
         last = (b, piv) if piv else None
         if piv:
@@ -308,10 +309,9 @@ class _Multipliers:
         self.h = h
         self.bands = [np.empty((min(h, m - s), min(s + h, m) - 1)) for s in range(0, m, h)]
 
-    def rows(self, i: int, j: int, c0: int, c1: int,
-             buf: np.ndarray | None = None) -> list[tuple[int, int, np.ndarray]]:
+    def rows(self, i: int, j: int, c0: int, c1: int) -> list[tuple[int, int, np.ndarray]]:
         """Rows [i, j), columns [c0, c1): (first row, end row, view), one
-        per band the rows cross; buf is not needed, as nothing is copied."""
+        per band the rows cross."""
         h, out = self.h, []
         while i < j:
             e = min(j, i - i % h + h)
@@ -319,13 +319,13 @@ class _Multipliers:
             i = e
         return out
 
-    def put(self, b: np.ndarray, piv: list[int], i: int, j: int, c0: int, c1: int,
-            buf: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    def put(self, b: np.ndarray, piv: list[int], i: int, j: int, c0: int, c1: int
+            ) -> list[tuple[int, int, np.ndarray]]:
         """Keep rows [i, j) of panel b's multipliers, its columns piv, as
         pivots [c0, c1), and return them as rows() does."""
         out = self.rows(i, j, c0, c1)
         for s, e, cells in out:
-            cells[...] = _gather(b[s:e], piv, buf)
+            cells[...] = _gather(b[s:e], piv)
         return out
 
     def swap(self, x: int, y: int, cols: int) -> None:
@@ -356,16 +356,14 @@ def _eliminate_panel(a: np.ndarray, p: int, r: int, scratch: np.ndarray
     piv: list[int] = []
     swaps: list[tuple[int, int]] = []
     linv = np.zeros((min(w, m - r), min(w, m - r)))
-    buf = scratch[0, 0]  # free once a leaf is up to date
 
-    def multipliers(i: int, j: int, c0: int, c1: int,
-                    out: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
-        return [(i, j, _gather(a[i:j], piv[c0 - r : c1 - r], out))]
+    def multipliers(i: int, j: int, c0: int, c1: int) -> list[tuple[int, int, np.ndarray]]:
+        return [(i, j, _gather(a[i:j], piv[c0 - r : c1 - r]))]
 
     for j0 in range(0, w, _PANEL_LEAF):
         j1, t0 = min(w, j0 + _PANEL_LEAF), len(piv)
         if t0:
-            _catch_up(a[:, j0:j1], p, multipliers, [(r, linv[:t0, :t0])], scratch, gather=True)
+            _catch_up(a[:, j0:j1], p, multipliers, [(r, linv[:t0, :t0])], scratch)
         _reduce_inplace(a[r + t0 : m, j0:j1], pf, scratch)
         if not a[r + t0 : m, j0:j1].any():  # a zero leaf has no pivot: skip its columns
             continue
@@ -375,7 +373,7 @@ def _eliminate_panel(a: np.ndarray, p: int, r: int, scratch: np.ndarray
             col = a[rr:m, j]
             if t > t0:  # up to date with the leaf's own pivots
                 v = linv[t0:t, t0:t] @ a[r + t0 : rr, j] % pf
-                col = col - _gather(a[rr:m], piv[t0:], buf) @ v
+                col = col - _gather(a[rr:m], piv[t0:]) @ v
             col = col.astype(np.int64) % p  # exact: every |entry| <= 2^52
             i = int((col != 0).argmax())  # the first nonzero, if any
             if not col[i]:
@@ -387,7 +385,7 @@ def _eliminate_panel(a: np.ndarray, p: int, r: int, scratch: np.ndarray
                 col[i] = col[0]
             a[rr + 1 : m, j] = col[1:] * inv % p
             if t:
-                linv[t, :t] = -(_gather(a[rr], piv, buf) @ linv[:t, :t]) % pf
+                linv[t, :t] = -(_gather(a[rr], piv) @ linv[:t, :t]) % pf
             linv[t, t] = 1.0
             piv.append(j)
             if rr + 1 == m:
@@ -395,42 +393,43 @@ def _eliminate_panel(a: np.ndarray, p: int, r: int, scratch: np.ndarray
     return piv, linv[: len(piv), : len(piv)], swaps
 
 
-def _gather(a: np.ndarray, cols: list[int], buf: np.ndarray) -> np.ndarray:
+def _gather(a: np.ndarray, cols: list[int]) -> np.ndarray:
     """Columns cols (increasing, on the last axis) of a: a view when they
-    are consecutive, else a copy in buf."""
+    are consecutive, else a copy of just those columns (np.take would first
+    copy all of a, a strided slice of a panel)."""
     if cols[-1] - cols[0] == len(cols) - 1:
         return a[..., cols[0] : cols[-1] + 1]
-    return np.take(a.T, cols, axis=0, out=_buffer(buf, *a.shape[:-1], len(cols)).T, mode="clip").T
+    return a[..., cols]
 
 
 def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.ndarray]]],
               pivots: list[tuple[int, np.ndarray]], scratch: np.ndarray,
               own: Callable[[], Any] | None = None,
-              load: Callable[[int, int, int, int], None] | None = None,
-              gather: bool = False) -> Any:
+              load: Callable[[int, int, int, int], None] | None = None) -> Any:
     """Bring the rows of b up to date with pivots, the (first row, L^{-1})
     of panels whose pivot rows r0..r1 follow each other, in stripes of rows
     below r1 through _in_stripes with own, and return own's result.
 
-    l21(i, j, c0, c1, buf) gives the multipliers of rows [i, j) for pivots
-    [c0, c1) as (first row, end row, matrix) pieces, gathered into buf when
-    gather is set; load(i, j, x0, x1), if given, first fills rows [i, j),
-    columns [x0, x1) of b.  The pivot rows are solved panel by panel in
-    column blocks, one per thread, as the columns are independent: the
-    panel's rows subtract their multipliers times the u of the panels
-    before, and u = L^{-1} times the result reduced mod p is reduced and
-    left in their place.  A stripe loads its rows, solves every block that
-    no thread has claimed and waits for the others, then subtracts its
-    multipliers times u, one GEMM per band and per chunk of pivots,
-    reducing the stripe between chunks, and is left unreduced: from
-    entries in [0, p) that leaves room for 2S more.  With own and helper threads, the caller
-    solves the last block before own(), and the helpers the others.
+    l21(i, j, c0, c1) gives the multipliers of rows [i, j) for pivots
+    [c0, c1) as (first row, end row, matrix) pieces, copied where they are
+    not consecutive columns of one array (the last panel's pivots), so a
+    stripe is sized for them too; load(i, j, x0, x1), if given, first
+    fills rows [i, j), columns [x0, x1) of b.  The pivot rows are solved
+    panel by panel in column blocks, one per thread, as the columns are
+    independent: the panel's rows subtract their multipliers times the u
+    of the panels before, and u = L^{-1} times the result reduced mod p is
+    reduced and left in their place.  A stripe loads its rows, solves every
+    block that no thread has claimed and waits for the others, then
+    subtracts its multipliers times u, one GEMM per band and per chunk of
+    pivots, reducing the stripe between chunks, and is left unreduced: from
+    entries in [0, p) that leaves room for 2S more.  With own and helper
+    threads, the caller solves the last block before own(), and the helpers
+    the others.
     """
     m, w = b.shape
     pf = float(p)
     r0 = pivots[0][0] if pivots else 0
     r1 = pivots[-1][0] + len(pivots[-1][1]) if pivots else 0
-    cells = scratch.shape[2]
     chunk = (_FLOAT_EXACT - p) // (p - 1) ** 2 - 2 * _block(p)  # pivots per GEMM
     width = -(-w // len(scratch))  # of a column block
     blocks = -(-w // width)
@@ -442,7 +441,7 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
             d1 = min(c1, d0 + chunk)
             if d0 > c0:
                 c[i:j] = _residues(c[i:j], pf, _buffer(buf[1], j - i, c.shape[1]))
-            for s, e, l in l21(i, j, d0, d1, buf[0]):
+            for s, e, l in l21(i, j, d0, d1):
                 c[s:e] -= np.matmul(l, c[d0:d1], out=_buffer(buf[1], e - s, c.shape[1]))
 
     def solve(block: int, buf: np.ndarray) -> None:
@@ -480,8 +479,8 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
         solve(blocks - 1, scratch[0])
         return own()
 
-    # stripes whose products, and gathered multipliers, fit a buffer
-    cols = max(w, r1 - r0 if gather else 0)
+    # stripes whose products, and the last panel's multipliers, fit a buffer
+    cols = max(w, len(pivots[-1][1]) if pivots else 0)
     return _in_stripes(stripe, r1, m, cols, scratch, own_last if own else None)
 
 
