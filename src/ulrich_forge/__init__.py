@@ -8,6 +8,15 @@ surrounding that construction.
 
 __version__ = "0.1.0"
 
+import os
+
+# rank_dense splits a large rank over its own threads, one GEMM per thread
+# at a time, so BLAS gets one thread inside each GEMM unless the user's
+# environment says otherwise.  This must run before numpy is first
+# imported: a process that imported numpy earlier keeps its BLAS threads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .cohomology import (bundle_cohomology, dual_cohomology, end_cohomology,
                          hom_presentations, line_h, omega_table)
 from .field import DEFAULT_PRIME, PrimeField

@@ -70,9 +70,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import matmul_mod, null_space, rank_dense, rref
+from .linalg import matmul_mod, null_space, rank_dense, residue_dtype, rref
 from .poly import dim_forms, shift_tables
 from .presentation import UlrichPresentation
+
+# int64 cells of one block of the product that builds the End system of
+# hom_presentations (8 MiB; at least one row of Q)
+_PRODUCT_CELLS = 2**20
 
 
 def line_h(i: int, n: int) -> int:
@@ -278,7 +282,9 @@ def hom_presentations(p1: UlrichPresentation, p2: UlrichPresentation) -> int:
     M1, row i2 of Q solves Q[i2] C1 = (M2 R)[i2]: it exists iff the right
     side is orthogonal to the null space of C1, and it is then free up to
     a (b1 - rank C1)-dimensional space.  What is left is the system of those
-    orthogonality conditions on R alone, b2 (3a1 - rank C1) x a2 a1.
+    orthogonality conditions on R alone, b2 (3a1 - rank C1) x a2 a1.  It is
+    written once, in its final layout and in linalg.residue_dtype(p), from
+    int64 products of a block of rows of Q at a time.
     """
     if p1.p != p2.p:
         raise ValueError("mixed moduli in hom_presentations")
@@ -290,6 +296,10 @@ def hom_presentations(p1: UlrichPresentation, p2: UlrichPresentation) -> int:
     k = len(null)
     # (M2 R)[i2] . w = sum_{j2, j1} R[j2, j1] sum_v c2[i2, j2, v] w[j1, v]
     w = null.reshape(k, a1, 3).transpose(2, 0, 1).reshape(3, k * a1)
-    sys = matmul_mod(p2.coeff_array.reshape(b2 * a2, 3), w, p)
-    sys = sys.reshape(b2, a2, k, a1).transpose(0, 2, 1, 3).reshape(b2 * k, a2 * a1)
-    return b2 * (b1 - len(pivots)) + a2 * a1 - rank_dense(sys, p)
+    sys = np.empty((b2, k, a2, a1), dtype=residue_dtype(p))
+    step = max(1, _PRODUCT_CELLS // max(1, a2 * k * a1))  # rows i2 per product
+    for i in range(0, b2, step):
+        rows = p2.coeff_array[i : i + step]
+        block = matmul_mod(rows.reshape(-1, 3), w, p)
+        sys[i : i + step] = block.reshape(len(rows), a2, k, a1).transpose(0, 2, 1, 3)
+    return b2 * (b1 - len(pivots)) + a2 * a1 - rank_dense(sys.reshape(b2 * k, a2 * a1), p)

@@ -31,9 +31,25 @@ triangle of such an array would be committed anyway, 2 MiB at a time.  A
 panel's row swaps apply to the stored rows, to the order in which later
 panels are read and to the next panel, already read.
 
-The float path is exact because no magnitude exceeds 2^52.  The panel
-width B satisfies 8 B (p - 1)^2 <= 2^52, and every product is taken of
-reduced factors in [0, p), so t terms add at most t (p - 1)^2: at most
+The store and every finished panel's L^{-1} hold residues in [0, p), so
+they are kept in residue_dtype(p), the narrowest unsigned type that holds
+p - 1: uint16 at p = 32003, uint32 up to the blocked path's p - 1 <= 2^23.
+The panel being factored, the panels, the stripes and every product stay
+float64.  Before a GEMM a narrow operand is converted, exactly, into its
+thread's conversion block of four stripe buffers, one row-major run at a
+time: a catch-up's multipliers in runs of as many pivots as fit (1024 for
+a 256-row stripe), an L^{-1} in runs of rows (whole at 256 x 256).  The
+conversion block exists only in a rank with a second panel: a single panel
+reads no stored multiplier.  Multipliers and L^{-1}s taken from the panel
+itself, and the last panel's multipliers as they are stored, go to their
+GEMM in float64 directly.  Letting numpy up-cast a whole narrow operand
+instead would allocate a stripe x all-pivots temporary per thread (7.7 MB
+at 4000^2), half the saving.
+
+The float path is exact because no magnitude exceeds 2^52 (the narrow
+copies hold the same residues, so nothing here depends on them).  The
+panel width B satisfies 8 B (p - 1)^2 <= 2^52, and every product is taken
+of reduced factors in [0, p), so t terms add at most t (p - 1)^2: at most
 S = B (p - 1)^2 for u, a row of L^{-1}, a GEMV (at most 15 terms), a leaf
 GEMM and the catch-up with one panel.  The catch-up with all earlier
 panels takes their pivots in chunks of (2^52 - p) // (p - 1)^2 - 2B,
@@ -50,10 +66,12 @@ k(3L - k)/6 for short side k and long side L: there the blocked path's
 per-column overhead costs more than it saves.
 
 The blocked path holds the caller's input, two panel buffers (the panel
-being factored and the next), one pair of stripe buffers per thread and
-the store: for a 4000 x 4000 matrix 68 MB of store where the float64 copy
-of the matrix took 128 MB.  Every other buffer is a row, a block of at
-most one stripe, or a panel's L^{-1} (at most 256 x 256).
+being factored and the next), one pair of stripe buffers and one
+conversion block per thread, the store and the finished L^{-1}s: for a
+4000 x 4000 matrix 17 MB of store (68 MB in float64, where the float64
+copy of the matrix took 128 MB) and 2 MB of L^{-1}s.  Every other buffer
+is a row, a block of at most one stripe, or the L^{-1} of the panel being
+factored (at most 256 x 256, float64).
 A matrix of at most 2^20 cells is eliminated on the calling thread alone.
 A larger one gets T threads, the CPUs of the process's affinity mask,
 which share the 2^17-cell (1 MiB) stripe budget: each buffer holds
@@ -89,7 +107,7 @@ import math
 import os
 import threading
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -214,6 +232,12 @@ def _block(p: int) -> int:
     return min(_DEFAULT_BLOCK, _FLOAT_EXACT // (8 * (p - 1) ** 2))
 
 
+def residue_dtype(p: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds every residue mod p:
+    uint8 up to p = 256, uint16 up to 2^16, uint32 up to 2^32."""
+    return np.min_scalar_type(p - 1)
+
+
 def rank_dense(a: np.ndarray, p: int) -> int:
     """Rank over F_p by blocked, left-looking Gaussian elimination with
     delayed reduction; the input is never modified.
@@ -227,9 +251,13 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     multipliers below its pivots, and the caller factors it while the
     helpers read and catch up the next one.  After the join the panel's
     row swaps are applied to the store, to the row order and to the next
-    panel.  Beyond the input the kernel holds the store, at most
-    k(k+1)/2 + 128 k cells, the L^{-1} of every panel (k x 256 cells in
-    all), two k x 256 panels and 2^17 stripe cells.
+    panel.  Beyond the input the kernel holds, in residue_dtype(p), the
+    store, at most k(k+1)/2 + 128 k cells, and the L^{-1} of every panel
+    (k x 256 cells in all); in float64, two k x 256 panels, a pair of
+    stripe buffers per thread (2^18 cells in all) and, when there is a
+    second panel, a conversion block of four more per thread, into which
+    narrow multipliers and L^{-1}s are converted before each GEMM.  Every
+    product is of float64 residues, exact under the 2^52 bound.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -246,13 +274,16 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     m, n = k, long_side
     # two panel buffers, no wider than the matrix, and each thread's pair of
     # stripe buffers, in one allocation; a pair holds no more cells than
-    # the matrix
+    # the matrix.  When a second panel will read the narrow store, each
+    # thread also gets its conversion block, four more stripe buffers
     threads = 1 if m * n <= _INLINE_CELLS else _cpus()
     cells = max(1, min(m * n // 2, _STRIPE_CELLS // threads))
     panels = m * min(n, 2 * block)
-    mem = np.empty(panels + threads * 2 * cells)
-    scratch = mem[panels:].reshape(threads, 2, cells)
-    store = _Multipliers(m, _DEFAULT_BLOCK)
+    buffers = 6 if n > block else 2
+    mem = np.empty(panels + threads * buffers * cells)
+    scratch = mem[panels:].reshape(threads, buffers, cells)
+    dtype = residue_dtype(p)
+    store = _Multipliers(m, _DEFAULT_BLOCK, dtype)
     order = np.arange(m)
 
     def panel(c0: int) -> tuple[np.ndarray, Callable[[int, int, int, int], None]]:
@@ -291,7 +322,7 @@ def rank_dense(a: np.ndarray, p: int) -> int:
                 nxt[[x, y]] = nxt[[y, x]]
         last = (b, piv) if piv else None
         if piv:
-            done.append((r, linv))
+            done.append((r, linv.astype(dtype)))
             r += len(piv)
         c += w
         b = nxt
@@ -305,9 +336,10 @@ class _Multipliers:
     of h, band [s, s + h) as one array of min(s + h, m) - 1 columns: at
     most k(k+1)/2 + k h/2 cells for k rows."""
 
-    def __init__(self, m: int, h: int) -> None:
+    def __init__(self, m: int, h: int, dtype: np.dtype) -> None:
         self.h = h
-        self.bands = [np.empty((min(h, m - s), min(s + h, m) - 1)) for s in range(0, m, h)]
+        self.bands = [np.empty((min(h, m - s), min(s + h, m) - 1), dtype)
+                      for s in range(0, m, h)]
 
     def rows(self, i: int, j: int, c0: int, c1: int) -> list[tuple[int, int, np.ndarray]]:
         """Rows [i, j), columns [c0, c1): (first row, end row, view), one
@@ -322,10 +354,12 @@ class _Multipliers:
     def put(self, b: np.ndarray, piv: list[int], i: int, j: int, c0: int, c1: int
             ) -> list[tuple[int, int, np.ndarray]]:
         """Keep rows [i, j) of panel b's multipliers, its columns piv, as
-        pivots [c0, c1), and return them as rows() does."""
-        out = self.rows(i, j, c0, c1)
-        for s, e, cells in out:
-            cells[...] = _gather(b[s:e], piv)
+        pivots [c0, c1), and return them as rows() does, but as read from
+        b, in float64."""
+        out = []
+        for s, e, cells in self.rows(i, j, c0, c1):
+            cells[...] = l = _gather(b[s:e], piv)
+            out.append((s, e, l))
         return out
 
     def swap(self, x: int, y: int, cols: int) -> None:
@@ -393,6 +427,27 @@ def _eliminate_panel(a: np.ndarray, p: int, r: int, scratch: np.ndarray
     return piv, linv[: len(piv), : len(piv)], swaps
 
 
+def _float_runs(l: np.ndarray, buf: np.ndarray, axis: int
+                ) -> Iterator[tuple[int, np.ndarray]]:
+    """(offset, run) pairs of float64 runs that tile l along axis 0 (rows)
+    or 1 (columns): l itself where it is float64, else runs of as many rows
+    or columns as fit in the conversion block buf[2:] of a thread's
+    buffers, each converted into it, row-major (into a new array where not
+    even one fits)."""
+    if l.dtype == np.float64:
+        yield 0, l
+        return
+    conv = buf[2:].reshape(-1)
+    n = l.shape[axis]
+    step = max(1, conv.size * n // l.size)
+    for x0 in range(0, n, step):
+        run = l[x0 : x0 + step] if axis == 0 else l[:, x0 : x0 + step]
+        fits = run.size <= conv.size
+        out = conv[: run.size].reshape(run.shape) if fits else np.empty(run.shape)
+        out[...] = run
+        yield x0, out
+
+
 def _gather(a: np.ndarray, cols: list[int]) -> np.ndarray:
     """Columns cols (increasing, on the last axis) of a: a view when they
     are consecutive, else a copy of just those columns (np.take would first
@@ -413,18 +468,20 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
     l21(i, j, c0, c1) gives the multipliers of rows [i, j) for pivots
     [c0, c1) as (first row, end row, matrix) pieces, copied where they are
     not consecutive columns of one array (the last panel's pivots), so a
-    stripe is sized for them too; load(i, j, x0, x1), if given, first
-    fills rows [i, j), columns [x0, x1) of b.  The pivot rows are solved
-    panel by panel in column blocks, one per thread, as the columns are
-    independent: the panel's rows subtract their multipliers times the u
-    of the panels before, and u = L^{-1} times the result reduced mod p is
-    reduced and left in their place.  A stripe loads its rows, solves every
-    block that no thread has claimed and waits for the others, then
-    subtracts its multipliers times u, one GEMM per band and per chunk of
-    pivots, reducing the stripe between chunks, and is left unreduced: from
-    entries in [0, p) that leaves room for 2S more.  With own and helper
-    threads, the caller solves the last block before own(), and the helpers
-    the others.
+    stripe is sized for them too.  A piece or an L^{-1} in a narrow dtype
+    (from the store, or a finished panel) is converted into its thread's
+    conversion block a run at a time, one GEMM per run.
+    load(i, j, x0, x1), if given, first fills rows [i, j), columns
+    [x0, x1) of b.  The pivot rows are solved panel by panel in column
+    blocks, one per thread, as the columns are independent: the panel's
+    rows subtract their multipliers times the u of the panels before, and
+    u = L^{-1} times the result reduced mod p is reduced and left in their
+    place.  A stripe loads its rows, solves every block that no thread has
+    claimed and waits for the others, then subtracts its multipliers times
+    u, one GEMM per band, per chunk of pivots and per run, reducing the
+    stripe between chunks, and is left unreduced: from entries in [0, p)
+    that leaves room for 2S more.  With own and helper threads, the caller
+    solves the last block before own(), and the helpers the others.
     """
     m, w = b.shape
     pf = float(p)
@@ -442,7 +499,10 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
             if d0 > c0:
                 c[i:j] = _residues(c[i:j], pf, _buffer(buf[1], j - i, c.shape[1]))
             for s, e, l in l21(i, j, d0, d1):
-                c[s:e] -= np.matmul(l, c[d0:d1], out=_buffer(buf[1], e - s, c.shape[1]))
+                for t, f in _float_runs(l, buf, 1):
+                    t += d0
+                    c[s:e] -= np.matmul(f, c[t : t + f.shape[1]],
+                                        out=_buffer(buf[1], e - s, c.shape[1]))
 
     def solve(block: int, buf: np.ndarray) -> None:
         with solved:
@@ -459,7 +519,9 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
                 subtract(c, r, r + k, r0, r, buf)
                 u = c[r : r + k]
                 x, y = _buffer(buf[0], *u.shape), _buffer(buf[1], *u.shape)
-                np.matmul(linv, _residues(u, pf, y), out=x)
+                _residues(u, pf, y)
+                for t, f in _float_runs(linv, buf, 0):
+                    np.matmul(f, y, out=x[t : t + len(f)])
                 u[...] = _residues(x, pf, y)
         finally:
             with solved:

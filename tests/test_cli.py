@@ -3,10 +3,15 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import ulrich_forge
 from ulrich_forge import cohomology
 from ulrich_forge.cli import build_parser, main
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
@@ -20,6 +25,37 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# records each variable when numpy is first imported, then after the import
+READ_BLAS_THREADS = f"""
+import builtins, os
+names = {BLAS_THREADS!r}
+seen, real = [], builtins.__import__
+def hook(name, *args, **kwargs):
+    if name.partition(".")[0] == "numpy" and not seen:
+        seen.append([os.environ.get(v) for v in names])
+    return real(name, *args, **kwargs)
+builtins.__import__ = hook
+import ulrich_forge
+builtins.__import__ = real
+print(*seen[0], *[os.environ.get(v) for v in names])
+"""
+
+
+@pytest.mark.parametrize("preset, want", [({}, ["1", "1", "1"]),
+                                          ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"])])
+def test_import_pins_blas_threads_unless_set(preset, want):
+    # a fresh interpreter, since pytest imported numpy before the package:
+    # the package sets each variable before numpy is first imported, and
+    # a value already in the environment wins
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS} | preset
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(ulrich_forge.__file__).parent.parent),
+                                         env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", READ_BLAS_THREADS], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == want + want
 
 
 def test_numerology_text(capsys):

@@ -10,7 +10,7 @@ from ulrich_forge.cohomology import (_PIVOT_POINTS, _mult_rank, _pivot_pencil,
                                      chi_line, dual_cohomology, end_cohomology,
                                      hom_presentations, line_h, omega_table)
 from ulrich_forge.field import DEFAULT_PRIME, PrimeField
-from ulrich_forge.linalg import rank_dense
+from ulrich_forge.linalg import matmul_mod, rank_dense, residue_dtype
 from ulrich_forge.poly import basis, dim_forms
 from ulrich_forge.presentation import UlrichPresentation, extension, random_presentation
 from ulrich_forge.ulrich import certify, ulrich_cohomology
@@ -466,6 +466,28 @@ def test_hom_self_matches_end_h0(pres_d2r2, pres_d3r2):
         assert hom_presentations(pres, pres) == end_cohomology(pres)[0] == 1
 
 
+# seeded (5, 3): a = 6, b = 9, and 9 null vectors of C1, so one row of Q
+# takes a product of 6 x 9 x 6 = 324 int64 cells
+@pytest.mark.parametrize("cells, rows", [(1, [1] * 9), (1000, [3, 3, 3]), (2**20, [9])])
+def test_hom_system_is_narrow_and_built_in_blocks(monkeypatch, cells, rows):
+    # the R-only system reaches the rank in residue_dtype(p), in one array
+    # written in place from int64 products of as many rows of Q as fit in
+    # _PRODUCT_CELLS, at least one
+    pres = seeded_presentation(5, 3)
+    want = hom_presentations(pres, pres)
+    ranked, products = [], []
+    monkeypatch.setattr(cohomology, "_PRODUCT_CELLS", cells)
+    monkeypatch.setattr(cohomology, "rank_dense",
+                        lambda a, p: ranked.append(a) or rank_dense(a, p))
+    monkeypatch.setattr(cohomology, "matmul_mod",
+                        lambda a, b, p: products.append(len(a)) or matmul_mod(a, b, p))
+    assert hom_presentations(pres, pres) == want
+    [system] = ranked
+    assert system.shape == (9 * 9, 6 * 6)
+    assert system.dtype == residue_dtype(pres.p) and system.flags.c_contiguous
+    assert products == [6 * n for n in rows]
+
+
 def test_hom_independent_presentations_zero(pres_d3r2):
     other = seeded_presentation(3, 2, seed=1234)
     assert hom_presentations(pres_d3r2, other) == 0
@@ -518,6 +540,9 @@ def _hom_pairs(draw):
 def test_hom_end_omega_match_chain_map_system(pair):
     p1, p2 = pair
     assert hom_presentations(p1, p2) == _chain_map_dimension(p1, p2)
+    with pytest.MonkeyPatch.context() as mp:  # one row of Q per product
+        mp.setattr(cohomology, "_PRODUCT_CELLS", 1)
+        assert hom_presentations(p1, p2) == _chain_map_dimension(p1, p2)
     hom_self = _chain_map_dimension(p1, p1)
     assert hom_presentations(p1, p1) == hom_self
     # End and the Euler-map column from rho, the rank of M's 3b x a

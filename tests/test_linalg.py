@@ -153,12 +153,14 @@ PRIMES = [7, P, 4194301]
 THREADS = [1, 2, 3]
 
 
+KINDS = ["plain", "zero_columns", "duplicate_rows", "zero_run", "deep_pivot",
+         "rows_run_out", "tall", "wide", "carried_swap"]
+
+
 @st.composite
-def _kernel_cases(draw, primes=PRIMES):
+def _kernel_cases(draw, primes=PRIMES, kinds=KINDS):
     p = draw(st.sampled_from(primes))
-    kind = draw(st.sampled_from(["plain", "zero_columns", "duplicate_rows", "zero_run",
-                                 "deep_pivot", "rows_run_out", "tall", "wide",
-                                 "carried_swap"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "rows_run_out":  # m ends inside a leaf, before the last column
         m = draw(st.integers(1, 59).filter(lambda x: x % 8))
         n = draw(st.integers(m + 1, 60))
@@ -211,6 +213,54 @@ def test_striped_blocked_path_against_oracle(case):
                 mp.setattr(linalg, name, value)
             mp.setattr(linalg, "_cpus", lambda: threads)
             assert rank_dense(a, p) == want, threads
+
+
+def test_residue_dtype_is_the_narrowest_unsigned_type():
+    primes = [7, 251, 257, 32003, 65521, 65537, 8388593]
+    assert [linalg.residue_dtype(p) for p in primes] == [
+        np.uint8, np.uint8, np.uint16, np.uint16, np.uint16, np.uint32, np.uint32]
+
+
+# primes at the store's dtype boundaries: 65521 keeps its multipliers and
+# L^{-1}s in uint16, 65537 (p - 1 = 2^16) and 8388593, the last prime below
+# 2^23, in uint32.  8388593 allows 8-column panels and catch-up GEMMs of at
+# most 47 pivots, so its catch-ups run in several chunks
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases([65521, 65537, 8388593],
+                     ["duplicate_rows", "deep_pivot", "tall", "wide", "carried_swap"]))
+def test_narrow_store_at_dtype_boundaries_against_oracle(case):
+    a, p = case
+    want = division_free_rank(a, p)
+    for threads in THREADS:
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in STRIPED.items():
+                mp.setattr(linalg, name, value)
+            mp.setattr(linalg, "_cpus", lambda: threads)
+            assert rank_dense(a, p) == want, threads
+
+
+@pytest.mark.parametrize("p", [251, 257, 65521, 65537])
+def test_store_keeps_p_minus_one(monkeypatch, p):
+    # rank 60 in 120 x 120: row 0 has a 1 in column 0 and every other row
+    # p - 1 there, so every row below the first pivot stores p - 1, the
+    # largest residue, as its multiplier for it, and the panels after the
+    # first read it back.  A store one bit too narrow (uint8 at 257,
+    # uint16 at 65537) wraps it to 0 and the rank comes out too high
+    rng = np.random.default_rng(14)
+    g = rng.integers(0, p, size=(60, 120))
+    g[:, 0] = 0
+    g[0, 0] = 1
+    c = rng.integers(0, p, size=(120, 60))
+    c[:, 0] = p - 1
+    c[0] = 0
+    c[0, 0] = 1
+    a = matmul_mod(c, g, p)
+    assert (a[1:, 0] == p - 1).all() and division_free_rank(a, p) == 60
+    for name, value in STRIPED.items():
+        monkeypatch.setattr(linalg, name, value)
+    for threads in THREADS:
+        monkeypatch.setattr(linalg, "_cpus", lambda: threads)
+        assert rank_dense(a, p) == 60, threads
 
 
 def test_striped_slack_reset_large_prime(monkeypatch):
@@ -430,10 +480,14 @@ def test_rank_leaves_input_untouched(shape):
 ])
 def test_rank_memory_triangle_and_panels(monkeypatch, p, gather, threads, shape):
     # beyond the input the kernel holds the store of multipliers, at most
-    # k(k+1)/2 + 128 k cells for short side k, the L^{-1} of every panel
-    # (k x 256 cells in all), two k x 256 panels, the stripe buffers, and
-    # per thread a few blocks of one 256-row band of a panel: no copy of
-    # the matrix, so a tall matrix costs what its transpose does
+    # k(k+1)/2 + 128 k cells for short side k, and the L^{-1} of every
+    # panel (k x 256 cells in all), both in the store's narrow dtype; in
+    # float64 two k x 256 panels, the stripe buffers and the conversion
+    # blocks (2 x 2^17 and 4 x 2^17 cells); a stripe of the input as
+    # loaded, in int64 (2^17 cells); and per thread a few blocks of one
+    # 256-row band of a panel.  No copy of the matrix, so a tall matrix
+    # costs what its transpose does, and neither a float64 store nor
+    # float64 L^{-1}s fit
     monkeypatch.setattr(linalg, "_cpus", lambda: threads)
     a = np.random.default_rng(0).integers(0, p, size=shape)
     k = min(shape)
@@ -458,8 +512,8 @@ def test_rank_memory_triangle_and_panels(monkeypatch, p, gather, threads, shape)
             return out
 
         monkeypatch.setattr(linalg, "_eliminate_panel", panel)
-    cells = k * (k + 1) // 2 + 128 * k + 3 * 256 * k + 2 * 2**17  # 1 MiB of stripes
-    bound = 8 * cells + threads * 4 * 8 * 256**2
+    narrow = linalg.residue_dtype(p).itemsize * (k * (k + 1) // 2 + 128 * k + 256 * k)
+    bound = narrow + 8 * (2 * 256 * k + 7 * 2**17) + threads * 4 * 8 * 256**2
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -468,6 +522,7 @@ def test_rank_memory_triangle_and_panels(monkeypatch, p, gather, threads, shape)
         peak = max(peaks + [tracemalloc.get_traced_memory()[1]]) - base
     finally:
         tracemalloc.stop()
+    print("PEAK", peak, bound, bound - peak)
     assert peak <= bound, (peak, bound)
     if gather and threads == 1:
         assert max(grown) <= 8 * (256**2 + 2 * 2**17), grown
