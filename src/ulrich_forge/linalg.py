@@ -36,15 +36,19 @@ they are kept in residue_dtype(p), the narrowest unsigned type that holds
 p - 1: uint16 at p = 32003, uint32 up to the blocked path's p - 1 <= 2^23.
 The panel being factored, the panels, the stripes and every product stay
 float64.  Before a GEMM a narrow operand is converted, exactly, into its
-thread's conversion block of four stripe buffers, one row-major run at a
-time: a catch-up's multipliers in runs of as many pivots as fit (1024 for
-a 256-row stripe), an L^{-1} in runs of rows (whole at 256 x 256).  The
-conversion block exists only in a rank with a second panel: a single panel
-reads no stored multiplier.  Multipliers and L^{-1}s taken from the panel
-itself, and the last panel's multipliers as they are stored, go to their
-GEMM in float64 directly.  Letting numpy up-cast a whole narrow operand
-instead would allocate a stripe x all-pivots temporary per thread (7.7 MB
-at 4000^2), half the saving.
+thread's conversion block, one row-major run at a time: a catch-up's
+multipliers in runs of as many pivots as fit (1024 for a 256-row stripe),
+an L^{-1} in runs of rows (whole at 256 x 256).  The block is the thread's
+second stripe buffer, free while a GEMM's product goes to the first, and
+up to three more stripe buffers.  Those are allocated only in a rank with
+a second panel (a single panel reads no stored multiplier), and all
+threads' together hold no more cells than the largest piece a catch-up
+converts, one 256-row band of min(k, chunk) pivots: at most 256 k, the
+cells of every full panel's L^{-1}.  Multipliers and L^{-1}s taken from
+the panel itself, and the last panel's multipliers as they are stored, go
+to their GEMM in float64 directly.  Letting numpy up-cast a whole narrow
+operand instead would allocate a stripe x all-pivots temporary per thread
+(7.7 MB at 4000^2), half the saving.
 
 The float path is exact because no magnitude exceeds 2^52 (the narrow
 copies hold the same residues, so nothing here depends on them).  The
@@ -66,9 +70,9 @@ k(3L - k)/6 for short side k and long side L: there the blocked path's
 per-column overhead costs more than it saves.
 
 The blocked path holds the caller's input, two panel buffers (the panel
-being factored and the next), one pair of stripe buffers and one
-conversion block per thread, the store and the finished L^{-1}s: for a
-4000 x 4000 matrix 17 MB of store (68 MB in float64, where the float64
+being factored and the next), one pair of stripe buffers and the rest of
+its conversion block per thread, the store and the finished L^{-1}s: for
+a 4000 x 4000 matrix 17 MB of store (68 MB in float64, where the float64
 copy of the matrix took 128 MB) and 2 MB of L^{-1}s.  Every other buffer
 is a row, a block of at most one stripe, or the L^{-1} of the panel being
 factored (at most 256 x 256, float64).
@@ -232,6 +236,12 @@ def _block(p: int) -> int:
     return min(_DEFAULT_BLOCK, _FLOAT_EXACT // (8 * (p - 1) ** 2))
 
 
+def _chunk(p: int) -> int:
+    """Pivots per catch-up GEMM between reductions: from entries in [0, p)
+    they leave room for 2 S more under 2^52."""
+    return (_FLOAT_EXACT - p) // (p - 1) ** 2 - 2 * _block(p)
+
+
 def residue_dtype(p: int) -> np.dtype:
     """The narrowest unsigned integer type that holds every residue mod p:
     uint8 up to p = 256, uint16 up to 2^16, uint32 up to 2^32."""
@@ -255,8 +265,9 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     store, at most k(k+1)/2 + 128 k cells, and the L^{-1} of every panel
     (k x 256 cells in all); in float64, two k x 256 panels, a pair of
     stripe buffers per thread (2^18 cells in all) and, when there is a
-    second panel, a conversion block of four more per thread, into which
-    narrow multipliers and L^{-1}s are converted before each GEMM.  Every
+    second panel, up to three more per thread (at most 3 x 2^17 and
+    256 k cells in all): narrow multipliers and L^{-1}s are converted into
+    a thread's second stripe buffer and these before each GEMM.  Every
     product is of float64 residues, exact under the 2^52 bound.
     """
     a = np.asarray(a)
@@ -275,13 +286,16 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     # two panel buffers, no wider than the matrix, and each thread's pair of
     # stripe buffers, in one allocation; a pair holds no more cells than
     # the matrix.  When a second panel will read the narrow store, each
-    # thread also gets its conversion block, four more stripe buffers
+    # thread converts into its second stripe buffer and up to three more;
+    # all threads' extra buffers together hold no more cells than the
+    # largest piece a catch-up converts, _DEFAULT_BLOCK rows of a band by
+    # min(k, chunk) pivots
     threads = 1 if m * n <= _INLINE_CELLS else _cpus()
     cells = max(1, min(m * n // 2, _STRIPE_CELLS // threads))
     panels = m * min(n, 2 * block)
-    buffers = 6 if n > block else 2
-    mem = np.empty(panels + threads * buffers * cells)
-    scratch = mem[panels:].reshape(threads, buffers, cells)
+    extra = min(3, _DEFAULT_BLOCK * min(m, _chunk(p)) // (threads * cells)) if n > block else 0
+    mem = np.empty(panels + threads * (2 + extra) * cells)
+    scratch = mem[panels:].reshape(threads, 2 + extra, cells)
     dtype = residue_dtype(p)
     store = _Multipliers(m, _DEFAULT_BLOCK, dtype)
     order = np.arange(m)
@@ -427,17 +441,15 @@ def _eliminate_panel(a: np.ndarray, p: int, r: int, scratch: np.ndarray
     return piv, linv[: len(piv), : len(piv)], swaps
 
 
-def _float_runs(l: np.ndarray, buf: np.ndarray, axis: int
+def _float_runs(l: np.ndarray, conv: np.ndarray, axis: int
                 ) -> Iterator[tuple[int, np.ndarray]]:
     """(offset, run) pairs of float64 runs that tile l along axis 0 (rows)
     or 1 (columns): l itself where it is float64, else runs of as many rows
-    or columns as fit in the conversion block buf[2:] of a thread's
-    buffers, each converted into it, row-major (into a new array where not
-    even one fits)."""
+    or columns as fit in the flat conversion block conv, each converted
+    into it, row-major (into a new array where not even one fits)."""
     if l.dtype == np.float64:
         yield 0, l
         return
-    conv = buf[2:].reshape(-1)
     n = l.shape[axis]
     step = max(1, conv.size * n // l.size)
     for x0 in range(0, n, step):
@@ -469,8 +481,9 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
     [c0, c1) as (first row, end row, matrix) pieces, copied where they are
     not consecutive columns of one array (the last panel's pivots), so a
     stripe is sized for them too.  A piece or an L^{-1} in a narrow dtype
-    (from the store, or a finished panel) is converted into its thread's
-    conversion block a run at a time, one GEMM per run.
+    (from the store, or a finished panel) is converted a run at a time
+    into its thread's conversion block, every buffer but the first, which
+    takes the product: one GEMM per run.
     load(i, j, x0, x1), if given, first fills rows [i, j), columns
     [x0, x1) of b.  The pivot rows are solved panel by panel in column
     blocks, one per thread, as the columns are independent: the panel's
@@ -487,7 +500,7 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
     pf = float(p)
     r0 = pivots[0][0] if pivots else 0
     r1 = pivots[-1][0] + len(pivots[-1][1]) if pivots else 0
-    chunk = (_FLOAT_EXACT - p) // (p - 1) ** 2 - 2 * _block(p)  # pivots per GEMM
+    chunk = _chunk(p)
     width = -(-w // len(scratch))  # of a column block
     blocks = -(-w // width)
     pending, claimed = [blocks], [False] * blocks
@@ -497,12 +510,12 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
         for d0 in range(c0, c1, chunk):
             d1 = min(c1, d0 + chunk)
             if d0 > c0:
-                c[i:j] = _residues(c[i:j], pf, _buffer(buf[1], j - i, c.shape[1]))
+                c[i:j] = _residues(c[i:j], pf, _buffer(buf[0], j - i, c.shape[1]))
             for s, e, l in l21(i, j, d0, d1):
-                for t, f in _float_runs(l, buf, 1):
+                for t, f in _float_runs(l, buf[1:].reshape(-1), 1):
                     t += d0
                     c[s:e] -= np.matmul(f, c[t : t + f.shape[1]],
-                                        out=_buffer(buf[1], e - s, c.shape[1]))
+                                        out=_buffer(buf[0], e - s, c.shape[1]))
 
     def solve(block: int, buf: np.ndarray) -> None:
         with solved:
@@ -518,11 +531,10 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
                     load(r, r + k, x0, x1)
                 subtract(c, r, r + k, r0, r, buf)
                 u = c[r : r + k]
-                x, y = _buffer(buf[0], *u.shape), _buffer(buf[1], *u.shape)
-                _residues(u, pf, y)
-                for t, f in _float_runs(linv, buf, 0):
-                    np.matmul(f, y, out=x[t : t + len(f)])
-                u[...] = _residues(x, pf, y)
+                x = _residues(u, pf, _buffer(buf[0], *u.shape))
+                for t, f in _float_runs(linv, buf[1:].reshape(-1), 0):
+                    np.matmul(f, x, out=u[t : t + len(f)])
+                u[...] = _residues(u, pf, _buffer(buf[1], *u.shape))
         finally:
             with solved:
                 pending[0] -= 1

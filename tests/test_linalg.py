@@ -481,13 +481,15 @@ def test_rank_leaves_input_untouched(shape):
 def test_rank_memory_triangle_and_panels(monkeypatch, p, gather, threads, shape):
     # beyond the input the kernel holds the store of multipliers, at most
     # k(k+1)/2 + 128 k cells for short side k, and the L^{-1} of every
-    # panel (k x 256 cells in all), both in the store's narrow dtype; in
-    # float64 two k x 256 panels, the stripe buffers and the conversion
-    # blocks (2 x 2^17 and 4 x 2^17 cells); a stripe of the input as
-    # loaded, in int64 (2^17 cells); and per thread a few blocks of one
-    # 256-row band of a panel.  No copy of the matrix, so a tall matrix
-    # costs what its transpose does, and neither a float64 store nor
-    # float64 L^{-1}s fit
+    # panel (k x B cells in all for panel width B), both in the store's
+    # narrow dtype; in float64 two k x B panels, the stripe buffers (2^18
+    # cells), the conversion blocks beyond them (at most 3 x 2^17 cells,
+    # and no more than one 256-row band of min(k, chunk) pivots) and the
+    # L^{-1} of the panel being factored; and one stripe budget (2^17
+    # cells) each of the input as loaded, in int64, and of gathered
+    # multipliers and other temporaries, shared by the threads.  No copy
+    # of the matrix, so a tall matrix costs what its transpose does, and a
+    # float64 store does not fit in any case
     monkeypatch.setattr(linalg, "_cpus", lambda: threads)
     a = np.random.default_rng(0).integers(0, p, size=shape)
     k = min(shape)
@@ -512,8 +514,10 @@ def test_rank_memory_triangle_and_panels(monkeypatch, p, gather, threads, shape)
             return out
 
         monkeypatch.setattr(linalg, "_eliminate_panel", panel)
-    narrow = linalg.residue_dtype(p).itemsize * (k * (k + 1) // 2 + 128 * k + 256 * k)
-    bound = narrow + 8 * (2 * 256 * k + 7 * 2**17) + threads * 4 * 8 * 256**2
+    b = linalg._block(p)
+    narrow = np.min_scalar_type(p - 1).itemsize * (k * (k + 1) // 2 + 128 * k + b * k)
+    conv = min(3 * 2**17, 256 * min(k, linalg._chunk(p)))
+    bound = narrow + 8 * (2 * b * k + 2**18 + conv + b * b + 2 * 2**17)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -522,7 +526,6 @@ def test_rank_memory_triangle_and_panels(monkeypatch, p, gather, threads, shape)
         peak = max(peaks + [tracemalloc.get_traced_memory()[1]]) - base
     finally:
         tracemalloc.stop()
-    print("PEAK", peak, bound, bound - peak)
     assert peak <= bound, (peak, bound)
     if gather and threads == 1:
         assert max(grown) <= 8 * (256**2 + 2 * 2**17), grown
