@@ -79,20 +79,22 @@ factored (at most 256 x 256, float64).
 A matrix of at most 2^20 cells is eliminated on the calling thread alone.
 A larger one gets T threads, the CPUs of the process's affinity mask,
 which share the 2^17-cell (1 MiB) stripe budget: each buffer holds
-2^17 // T cells.  Loops run through _in_stripes, which hands their
-stripes, and a panel run alongside them as one more task, to at most T
-threads taking stripes from one queue (numpy drops the GIL in BLAS and
-ufuncs).  A catch-up's stripes are the rows below the pivots (256 rows of
-a 256-column panel for two threads); they need all of u, whose pivot rows
-are solved in column blocks, one per thread, as forward substitution is
-independent per column: a stripe first solves every block that no thread
-has claimed and waits for the others.  Panels are factored on the calling
+2^17 // T cells.  Loops run through _in_stripes, which hands the stripes
+of a range of rows or of columns, and a panel run alongside them as one
+more task, to at most T threads taking stripes from one queue, and joins
+them (numpy drops the GIL in BLAS and ufuncs).  A catch-up is two such
+joins.  First the pivot rows of the earlier panels are solved in column
+blocks, ceil(w / T) of the panel's w columns each, one per thread, as
+forward substitution is independent per column.  Then the rows below the
+pivots take their GEMMs with all of u in row stripes (256 rows of a
+256-column panel for two threads).  Panels are factored on the calling
 thread with a look-ahead of depth one.  All threads first catch the panel
 up with the last panel's pivots, storing that panel's L21 as they go.
-Then, while the caller factors the panel, the helper threads read the
-next panel and catch it up with every panel before this one; the caller
-first solves its own column block of the next panel's pivot rows, and
-after the panel it takes the stripes that are left.  The panel swaps rows
+Then the next panel is caught up with every panel before this one: every
+thread, the caller too, solves a column block of its pivot rows, and
+after that join the caller factors the panel while the helper threads
+read the next panel's rows below the pivots and catch them up; the caller
+takes the stripes that are left after the panel.  The panel swaps rows
 only in its own buffer meanwhile, and writes nothing the helpers read;
 after the join its swaps are applied to the store's columns left of it
 and to the next panel, whose rows the helpers read in the old order: the
@@ -147,21 +149,20 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_stripes(body: Callable[[int, int, np.ndarray], None], lo: int, hi: int, cols: int,
+def _in_stripes(body: Callable[[int, int, np.ndarray], None], lo: int, hi: int, rows: int,
                 scratch: np.ndarray, own: Callable[[], Any] | None = None) -> Any:
-    """Call body(i, j, buf) on row stripes [i, j) that tile rows [lo, hi),
-    cols wide; then, or meanwhile, run own() if given and return its result.
+    """Call body(i, j, buf) on the stripes [i, j), rows long (the last one
+    shorter), that tile [lo, hi): rows of a matrix, or its columns; then,
+    or meanwhile, run own() if given and return its result.
 
-    scratch holds one pair of stripe buffers per thread, the caller's
-    first, each of scratch.shape[2] cells; a stripe has as many rows as
-    fit in one buffer (at least one) and gets its thread's pair as buf.
-    T = min(stripes + 1 if own else stripes, len(scratch)) threads take
-    the stripes from one queue.  With T = 1 the caller runs them all and
-    then own().  Otherwise T - 1 helper threads start at once, and the
-    caller runs own() first and then takes the stripes that are left.
-    After an exception no stripe is started; all threads are joined before
-    the first exception any of them raised is re-raised here."""
-    rows = max(1, scratch.shape[2] // cols)
+    scratch[t] holds thread t's stripe buffers, the caller's first, and
+    each stripe gets its thread's as buf.  T = min(stripes + 1 if own else
+    stripes, len(scratch)) threads take the stripes from one queue.  With
+    T = 1 the caller runs them all and then own().  Otherwise T - 1 helper
+    threads start at once, and the caller runs own() first and then takes
+    the stripes that are left.  After an exception no stripe is started;
+    all threads are joined before the first exception any of them raised
+    is re-raised here, and before any result is returned."""
     threads = min(-(-(hi - lo) // rows) + (own is not None), len(scratch))
     if threads <= 1:
         for i in range(lo, hi, rows):
@@ -215,7 +216,7 @@ def _reduce_inplace(a: np.ndarray, p: float, scratch: np.ndarray) -> None:
     def reduce(i: int, j: int, buf: np.ndarray) -> None:
         a[i:j] = _residues(a[i:j], p, _buffer(buf[0], j - i, a.shape[1]))
 
-    _in_stripes(reduce, 0, len(a), a.shape[1], scratch)
+    _in_stripes(reduce, 0, len(a), max(1, scratch.shape[2] // a.shape[1]), scratch)
 
 
 def _residues(a: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
@@ -256,10 +257,12 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     one panel at a time, k rows for short side k.  A panel is read from a
     only when its turn comes, with its rows in the current order, and has
     already caught up with every panel but the last when it is factored:
-    the helper threads did that while the caller factored the last panel.
-    All threads then catch it up with the last panel, storing that panel's
-    multipliers below its pivots, and the caller factors it while the
-    helpers read and catch up the next one.  After the join the panel's
+    all threads solved its pivot rows for those panels, and then the
+    helper threads caught up its rows below while the caller factored the
+    last panel.  All threads then catch it up with the last panel, storing
+    that panel's multipliers below its pivots; all of them solve the next
+    panel's pivot rows, and the caller factors the panel while the helpers
+    catch up the next panel's rows below.  After that join the panel's
     row swaps are applied to the store, to the row order and to the next
     panel.  Beyond the input the kernel holds, in residue_dtype(p), the
     store, at most k(k+1)/2 + 128 k cells, and the L^{-1} of every panel
@@ -474,8 +477,8 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
               own: Callable[[], Any] | None = None,
               load: Callable[[int, int, int, int], None] | None = None) -> Any:
     """Bring the rows of b up to date with pivots, the (first row, L^{-1})
-    of panels whose pivot rows r0..r1 follow each other, in stripes of rows
-    below r1 through _in_stripes with own, and return own's result.
+    of panels whose pivot rows r0..r1 follow each other, in two joins of
+    _in_stripes, and return the result of own, run beside the second.
 
     l21(i, j, c0, c1) gives the multipliers of rows [i, j) for pivots
     [c0, c1) as (first row, end row, matrix) pieces, copied where they are
@@ -485,26 +488,23 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
     into its thread's conversion block, every buffer but the first, which
     takes the product: one GEMM per run.
     load(i, j, x0, x1), if given, first fills rows [i, j), columns
-    [x0, x1) of b.  The pivot rows are solved panel by panel in column
-    blocks, one per thread, as the columns are independent: the panel's
-    rows subtract their multipliers times the u of the panels before, and
-    u = L^{-1} times the result reduced mod p is reduced and left in their
-    place.  A stripe loads its rows, solves every block that no thread has
-    claimed and waits for the others, then subtracts its multipliers times
-    u, one GEMM per band, per chunk of pivots and per run, reducing the
-    stripe between chunks, and is left unreduced: from entries in [0, p)
-    that leaves room for 2S more.  With own and helper threads, the caller
-    solves the last block before own(), and the helpers the others.
+    [x0, x1) of b.  The first join solves the pivot rows panel by panel in
+    column blocks, ceil(w / T) wide for T = len(scratch), so one per
+    thread, as the columns are independent: the panel's rows subtract
+    their multipliers times the u of the panels before, and u = L^{-1}
+    times the result reduced mod p is reduced and left in their place.
+    The second loads the rows below r1 in stripes, each of which subtracts
+    its multipliers times all of u, one GEMM per band, per chunk of
+    pivots and per run, reducing the stripe between chunks, and is left
+    unreduced: from entries in [0, p) that leaves room for 2S more.  With
+    helper threads the caller runs own() in the second join, after it
+    has solved a column block in the first.
     """
     m, w = b.shape
     pf = float(p)
     r0 = pivots[0][0] if pivots else 0
     r1 = pivots[-1][0] + len(pivots[-1][1]) if pivots else 0
     chunk = _chunk(p)
-    width = -(-w // len(scratch))  # of a column block
-    blocks = -(-w // width)
-    pending, claimed = [blocks], [False] * blocks
-    solved = threading.Condition()
 
     def subtract(c: np.ndarray, i: int, j: int, c0: int, c1: int, buf: np.ndarray) -> None:
         for d0 in range(c0, c1, chunk):
@@ -517,45 +517,29 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
                     c[s:e] -= np.matmul(f, c[t : t + f.shape[1]],
                                         out=_buffer(buf[0], e - s, c.shape[1]))
 
-    def solve(block: int, buf: np.ndarray) -> None:
-        with solved:
-            if claimed[block]:
-                return
-            claimed[block] = True
-        x0, x1 = block * width, min(w, block * width + width)
+    def solve(x0: int, x1: int, buf: np.ndarray) -> None:
         c = b[:, x0:x1]
-        try:
-            for r, linv in pivots:
-                k = len(linv)
-                if load:
-                    load(r, r + k, x0, x1)
-                subtract(c, r, r + k, r0, r, buf)
-                u = c[r : r + k]
-                x = _residues(u, pf, _buffer(buf[0], *u.shape))
-                for t, f in _float_runs(linv, buf[1:].reshape(-1), 0):
-                    np.matmul(f, x, out=u[t : t + len(f)])
-                u[...] = _residues(u, pf, _buffer(buf[1], *u.shape))
-        finally:
-            with solved:
-                pending[0] -= 1
-                solved.notify_all()
+        for r, linv in pivots:
+            k = len(linv)
+            if load:
+                load(r, r + k, x0, x1)
+            subtract(c, r, r + k, r0, r, buf)
+            u = c[r : r + k]
+            x = _residues(u, pf, _buffer(buf[0], *u.shape))
+            for t, f in _float_runs(linv, buf[1:].reshape(-1), 0):
+                np.matmul(f, x, out=u[t : t + len(f)])
+            u[...] = _residues(u, pf, _buffer(buf[1], *u.shape))
 
     def stripe(i: int, j: int, buf: np.ndarray) -> None:
         if load:
             load(i, j, 0, w)
-        for block in range(blocks):
-            solve(block, buf)
-        with solved:  # the claimed blocks' threads are running
-            solved.wait_for(lambda: not pending[0])
         subtract(b, i, j, r0, r1, buf)
 
-    def own_last() -> Any:
-        solve(blocks - 1, scratch[0])
-        return own()
-
+    if pivots:
+        _in_stripes(solve, 0, w, -(-w // len(scratch)), scratch)
     # stripes whose products, and the last panel's multipliers, fit a buffer
     cols = max(w, len(pivots[-1][1]) if pivots else 0)
-    return _in_stripes(stripe, r1, m, cols, scratch, own_last if own else None)
+    return _in_stripes(stripe, r1, m, max(1, scratch.shape[2] // cols), scratch, own)
 
 
 def _row_echelon(a: np.ndarray, p: int) -> list[int]:

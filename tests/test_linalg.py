@@ -331,10 +331,10 @@ def test_striped_swaps_against_oracle(monkeypatch, case):
 def test_failing_stripe_raises(monkeypatch, thread):
     # a stripe that fails on either thread of a split loop fails the rank,
     # and so do a helper's stripe that fails while the caller factors the
-    # panel, a panel that fails before the caller has solved its block of
-    # the next panel's pivot rows (the helpers must not wait for it), and
-    # a leaf's catch-up with the panel's own pivots that fails while a
-    # helper catches up the next panel; the other thread is joined first
+    # panel, a panel that fails while a helper takes the next panel's
+    # stripes, and a leaf's catch-up with the panel's own pivots that fails
+    # while a helper catches up the next panel; the other thread is joined
+    # first
     for name, value in STRIPED.items():
         monkeypatch.setattr(linalg, name, value)
     monkeypatch.setattr(linalg, "_cpus", lambda: 2)
@@ -402,9 +402,9 @@ def test_failing_stripe_raises(monkeypatch, thread):
 def test_one_stripe_lookahead_runs_beside_the_panel(monkeypatch):
     # under STRIPED a look-ahead stripe is one row; the last look-ahead of
     # this 81 x 160 matrix, which reads panel 3 while the caller factors
-    # panel 2, has the one row left below the pivots, and a helper takes it
-    # while the caller solves its block of the pivot rows and factors the
-    # panel; on one CPU no thread starts
+    # panel 2, has the one row left below the pivots.  Once both threads
+    # have solved their blocks of panel 3's pivot rows, a helper takes that
+    # row while the caller factors the panel; on one CPU no thread starts
     for name, value in STRIPED.items():
         monkeypatch.setattr(linalg, name, value)
     in_stripes = linalg._in_stripes
@@ -434,6 +434,62 @@ def test_one_stripe_lookahead_runs_beside_the_panel(monkeypatch):
     monkeypatch.setattr(linalg, "_cpus", lambda: 1)
     assert rank_dense(a, P) == want
     assert started == []
+
+
+def test_catch_up_solves_pivot_rows_then_stripes(monkeypatch):
+    # under STRIPED on two CPUs, 120 x 120 is three 40-column panels.  A
+    # catch-up with pivot rows is two joins: first over the panel's
+    # columns, one 20-column block per thread, both threads in a block at
+    # once, then over the rows below the pivots, beside the look-ahead
+    # panel if there is one.  A catch-up without pivot rows only loads its
+    # rows.  Loops on the calling thread alone (a panel's leaves) are not
+    # recorded
+    for name, value in STRIPED.items():
+        monkeypatch.setattr(linalg, name, value)
+    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
+    catch_up, in_stripes = linalg._catch_up, linalg._in_stripes
+    catch_ups = []  # (shape of b, end of its pivot rows, own given, loops)
+
+    def recording_catch_up(b, p, l21, pivots, scratch, own=None, load=None):
+        if len(scratch) == 2:
+            r1 = pivots[-1][0] + len(pivots[-1][1]) if pivots else 0
+            catch_ups.append((b.shape, r1, own is not None, []))
+        return catch_up(b, p, l21, pivots, scratch, own, load)
+
+    def recording_in_stripes(body, lo, hi, rows, scratch, own=None):
+        if len(scratch) < 2:
+            return in_stripes(body, lo, hi, rows, scratch, own)
+        tasks = []  # (start, end, thread) per stripe or block
+        loops = catch_ups[-1][3]
+        # in the first loop of a catch-up with pivot rows the column blocks
+        # wait for each other, so one thread cannot take both; a serial
+        # pass breaks the barrier and fails the rank
+        first = lo == 0 and catch_ups[-1][1] and not loops
+        both = threading.Barrier(2, timeout=10) if first else None
+        loops.append((lo, hi, own is not None, tasks))
+
+        def task(i, j, buf):
+            tasks.append((i, j, threading.get_ident()))
+            if both:
+                both.wait()
+            body(i, j, buf)
+
+        return in_stripes(task, lo, hi, rows, scratch, own)
+
+    monkeypatch.setattr(linalg, "_catch_up", recording_catch_up)
+    monkeypatch.setattr(linalg, "_in_stripes", recording_in_stripes)
+    a = np.random.default_rng(15).integers(0, P, size=(120, 120))
+    assert rank_dense(a, P) == division_free_rank(a, P) == 120
+    assert [(r1, own) for _, r1, own, _ in catch_ups if r1] == [(40, False), (40, True),
+                                                                (80, False)]
+    for (m, w), r1, own, loops in catch_ups:
+        if not r1:
+            assert [loop[:3] for loop in loops] == [(0, m, own)]
+            continue
+        assert [loop[:3] for loop in loops] == [(0, w, False), (r1, m, own)]
+        blocks = loops[0][3]
+        assert sorted((i, j) for i, j, _ in blocks) == [(0, 20), (20, 40)]
+        assert len({thread for _, _, thread in blocks}) == 2
 
 
 # both primes take the row-op loop, where an entry absorbs 131071 and 2
@@ -681,6 +737,25 @@ def test_matrix_container_validation():
         rank_dense(np.arange(6), P)  # not 2-d
     assert rank_dense(np.array([[-P, 2 * P], [P, 0]]), P) == 0
     assert rank_dense(np.array([[-1, P + 3]]), P) == 1
+
+
+# matmul_mod's int64 chunk of the inner dimension is 8 at 1073741789 and 2
+# at 2^31 - 1 (131071 at 8388617 and 2047 at 67108879), so inner lengths up
+# to 9 cross it; entries drawn from the top of [0, p) make every term near
+# (p - 1)^2.  The 3-d left operand is _pivot_pencil's layout
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([7, P, 8388617, 67108879, 1073741789, 2**31 - 1]),
+       st.integers(1, 9), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_matmul_mod_against_python_ints(p, k, three_d, top, seed):
+    rng = np.random.default_rng(seed)
+    low = max(0, p - 1000) if top else 0
+    a = rng.integers(low, p, size=(2, 3, k) if three_d else (4, k))
+    b = rng.integers(low, p, size=(k, 5))
+    want = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()]
+            for row in a.reshape(-1, k).tolist()]
+    out = matmul_mod(a, b, p)
+    assert out.shape == a.shape[:-1] + (5,)
+    assert out.reshape(-1, 5).tolist() == want
 
 
 def test_matmul_mod_exact_for_largest_prime():

@@ -360,8 +360,9 @@ _ODD_PRIMES_BELOW_60 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
 
 
 @pytest.mark.parametrize("d, bad", [(2, set()), (3, set()), (4, {3}), (5, {3}), (6, {5}),
-                                    (7, {3, 5}), (8, {3, 5, 7}), (9, {5, 7})],
-                         ids=[f"d{d}" for d in range(2, 10)])
+                                    (7, {3, 5}), (8, {3, 5, 7}), (9, {5, 7}), (10, {3, 7}),
+                                    (11, {3, 5, 7})],
+                         ids=[f"d{d}" for d in range(2, 12)])
 def test_equivariant_presentation_fails_exactly_at_bad_primes(d, bad):
     # the 0/1 matrix is the same at every p; at a bad prime h^1(E(-2d)) != 0
     invalid = {p for p in _ODD_PRIMES_BELOW_60
