@@ -188,10 +188,10 @@ def _residue(pencil, n: int, p: int) -> np.ndarray:
     last r*dim(n) source columns: the shifts x^al y^be W_g (al + be = n - g)
     of W_0 = x*X1 + y*Y1, W_{g+1} = T W_g, from the pencil (T, W_0) of
     _pivot_pencil.  Rows are (component, power of y).  Entries lie in
-    [0, p) with p < 2^31, so the matrix is int32."""
+    [0, p), so the matrix is in residue_dtype(p), uint16 at p = 32003."""
     t, w = pencil
     a, _, r = w.shape
-    out = np.zeros((a, n + 2, r * dim_forms(n)), dtype=np.int32)
+    out = np.zeros((a, n + 2, r * dim_forms(n)), dtype=residue_dtype(p))
     col = 0
     for g in range(n + 1):
         for be in range(n - g + 1):

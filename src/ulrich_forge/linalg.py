@@ -19,36 +19,35 @@ all of u.  The panel is then eliminated one 16-column leaf at a time: the
 leaf catches up with the panel's earlier pivots and is reduced mod p;
 each of its columns then takes one GEMV with the leaf's own earlier pivots
 and is reduced, in int64, before its pivot search.  Multipliers are kept
-in the eliminated positions; each pivot appends its row -(l L^{-1}) mod p
-to the panel's unit-lower inverse L^{-1}.  A factored panel keeps only its
-L^{-1}; its multipliers below its pivots, L21, go to the store, where row
-i holds its multiplier for pivot t in column t.  No row has more pivots
-above it than rows, so the store keeps rows in bands of 256, band
-[s, s + 256) as one array of s + 255 columns: at most k(k+1)/2 + 128 k
-cells.  One array per band, not one k x k array written below its
-diagonal: numpy advises huge pages for large arrays, and the untouched
-triangle of such an array would be committed anyway, 2 MiB at a time.  A
-panel's row swaps apply to the stored rows, to the order in which later
-panels are read and to the next panel, already read.
+in the eliminated positions, and each pivot appends a row to the panel's
+unit-lower inverse L^{-1}, its part left of the leaf after the leaf.  A
+factored panel keeps only its L^{-1}; its multipliers below its pivots,
+L21, go to the store, where row i holds its multiplier for pivot t in
+column t.  No row has more pivots above it than rows, so the store keeps
+rows in bands of 256, band [s, s + 256) as one array of s + 255 columns:
+at most k(k+1)/2 + 128 k cells.  One array per band, not one k x k array
+written below its diagonal: numpy advises huge pages for large arrays,
+and the untouched triangle of such an array would be committed anyway,
+2 MiB at a time.  A panel's row swaps apply to the stored rows, to the
+order in which later panels are read and to the next panel, already read.
 
-The store and every finished panel's L^{-1} hold residues in [0, p), so
-they are kept in residue_dtype(p), the narrowest unsigned type that holds
-p - 1: uint16 at p = 32003, uint32 up to the blocked path's p - 1 <= 2^23.
-The panel being factored, the panels, the stripes and every product stay
-float64.  Before a GEMM a narrow operand is converted, exactly, into its
-thread's conversion block, one row-major run at a time: a catch-up's
-multipliers in runs of as many pivots as fit (1024 for a 256-row stripe),
-an L^{-1} in runs of rows (whole at 256 x 256).  The block is the thread's
-second stripe buffer, free while a GEMM's product goes to the first, and
-up to three more stripe buffers.  Those are allocated only in a rank with
-a second panel (a single panel reads no stored multiplier), and all
-threads' together hold no more cells than the largest piece a catch-up
-converts, one 256-row band of min(k, chunk) pivots: at most 256 k, the
-cells of every full panel's L^{-1}.  Multipliers and L^{-1}s taken from
-the panel itself, and the last panel's multipliers as they are stored, go
-to their GEMM in float64 directly.  Letting numpy up-cast a whole narrow
-operand instead would allocate a stripe x all-pivots temporary per thread
-(7.7 MB at 4000^2), half the saving.
+Every array the blocked path keeps from one step to the next holds
+residues in [0, p) in residue_dtype(p), the narrowest unsigned type that
+holds p - 1 (uint16 at p = 32003, uint32 up to the blocked path's
+p - 1 <= 2^23): the store, the finished L^{-1}s and both panels.  float64
+lives in per-thread scratch only: each thread's pair of stripe buffers
+and conversion block, and a k x 16 leaf for the thread that factors the
+panel.  A piece of a panel (a stripe of rows, a column block of pivot
+rows, a leaf) is widened into it, takes its GEMMs, is reduced and is
+written back narrow.  A GEMM's narrow operands, multipliers and rows of
+u, or an L^{-1}, are converted, exactly, into the conversion block one run
+of pivots at a time, side by side, each in the layout it is read in: 384
+pivots of a 256-row stripe on two threads at 4000^2.  The block is what
+the widened piece leaves of the thread's second stripe buffer and up to
+three more, allocated only in a rank with a second panel: all threads'
+together no more cells than one 256-row band of min(k, chunk) pivots, at
+most 256 k.  A single panel reads no store, so it stays float64, and
+every widening or conversion of it is the panel itself.
 
 The float path is exact because no magnitude exceeds 2^52 (the narrow
 copies hold the same residues, so nothing here depends on them).  The
@@ -58,9 +57,8 @@ S = B (p - 1)^2 for u, a row of L^{-1}, a GEMV (at most 15 terms), a leaf
 GEMM and the catch-up with one panel.  The catch-up with all earlier
 panels takes their pivots in chunks of (2^52 - p) // (p - 1)^2 - 2B,
 reducing its rows between chunks: one chunk of 4.4 million pivots at
-p = 32003, 47 pivots at p = 2^23 + 1.  It leaves every entry at most
-2^52 - 2S, room for the catch-up with the last panel and the leaf GEMM
-before the leaf's reduction.  Moduli too large for an 8-column block
+p = 32003, 47 pivots at p = 2^23 + 1.  Every catch-up reduces what it
+updated before writing it back.  Moduli too large for an 8-column block
 (p - 1 > 2^23) go to a row-op elimination in int64, where a rank-1 update
 of reduced factors adds at most (p - 1)^2, so the trailing block is
 reduced only every (2^63 - p) // (p - 1)^2 updates (8.9e9 at p = 32003,
@@ -69,13 +67,12 @@ updates at most 1024 (5 + k/L) trailing cells per pivot, on average
 k(3L - k)/6 for short side k and long side L: there the blocked path's
 per-column overhead costs more than it saves.
 
-The blocked path holds the caller's input, two panel buffers (the panel
-being factored and the next), one pair of stripe buffers and the rest of
-its conversion block per thread, the store and the finished L^{-1}s: for
-a 4000 x 4000 matrix 17 MB of store (68 MB in float64, where the float64
+The blocked path holds the caller's input and, narrow, two panels, the
+store and the finished L^{-1}s: for a 4000 x 4000 matrix 4 MB of panels
+(16 MB in float64), 17 MB of store (68 MB in float64, where the float64
 copy of the matrix took 128 MB) and 2 MB of L^{-1}s.  Every other buffer
-is a row, a block of at most one stripe, or the L^{-1} of the panel being
-factored (at most 256 x 256, float64).
+is per-thread scratch, a row, a block of at most one stripe, or the
+L^{-1} of the panel being factored (at most 256 x 256, float64).
 A matrix of at most 2^20 cells is eliminated on the calling thread alone.
 A larger one gets T threads, the CPUs of the process's affinity mask,
 which share the 2^17-cell (1 MiB) stripe budget: each buffer holds
@@ -119,9 +116,9 @@ import numpy as np
 
 from .field import inverse_mod
 
-# Unreduced magnitudes are capped at 2^52, not 2^53: the quotient estimate
-# q = floor(x * (1/p)) is then off by at most one and q*p is still exactly
-# representable, so one branchless correction restores the true residue.
+# Unreduced magnitudes are capped at 2^52: x / p then rounds to less than
+# 1/p from its exact value, nearer than any integer it is not, so q =
+# floor(x / p) is exact, as are q*p and the residue x - q*p.
 _FLOAT_EXACT = 2**52
 _DEFAULT_BLOCK = 256
 _PANEL_LEAF = 16
@@ -209,26 +206,13 @@ def _buffer(flat: np.ndarray, *shape: int) -> np.ndarray:
     return (flat[:size] if size <= flat.size else np.empty(size)).reshape(shape[::-1]).T
 
 
-def _reduce_inplace(a: np.ndarray, p: float, scratch: np.ndarray) -> None:
-    """Exact in-place reduction of an integral float64 matrix (|x| <= 2^52)
-    to [0, p), in row stripes."""
-
-    def reduce(i: int, j: int, buf: np.ndarray) -> None:
-        a[i:j] = _residues(a[i:j], p, _buffer(buf[0], j - i, a.shape[1]))
-
-    _in_stripes(reduce, 0, len(a), max(1, scratch.shape[2] // a.shape[1]), scratch)
-
-
 def _residues(a: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
-    """a mod p, exactly, computed in out (which is not a) and returned.  a
-    is only read, so a strided leaf of a few columns costs few passes."""
-    q = np.multiply(a, 1.0 / p, out=out)
+    """a mod p, exactly for |a| <= 2^52, computed in out (which is not a)
+    and returned.  a is only read, so a strided piece costs few passes."""
+    q = np.divide(a, p, out=out)
     np.floor(q, out=q)
     q *= p
-    np.subtract(a, q, out=q)
-    np.add(q, p, out=q, where=q < 0)
-    np.subtract(q, p, out=q, where=q >= p)
-    return q
+    return np.subtract(a, q, out=q)
 
 
 def _block(p: int) -> int:
@@ -265,13 +249,15 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     catch up the next panel's rows below.  After that join the panel's
     row swaps are applied to the store, to the row order and to the next
     panel.  Beyond the input the kernel holds, in residue_dtype(p), the
-    store, at most k(k+1)/2 + 128 k cells, and the L^{-1} of every panel
-    (k x 256 cells in all); in float64, two k x 256 panels, a pair of
+    store, at most k(k+1)/2 + 128 k cells, the L^{-1} of every panel
+    (k x 256 cells in all) and two k x 256 panels; in float64, a pair of
     stripe buffers per thread (2^18 cells in all) and, when there is a
     second panel, up to three more per thread (at most 3 x 2^17 and
-    256 k cells in all): narrow multipliers and L^{-1}s are converted into
-    a thread's second stripe buffer and these before each GEMM.  Every
-    product is of float64 residues, exact under the 2^52 bound.
+    256 k cells in all) and a k x 16 leaf.  Pieces of a panel are widened
+    into these, and narrow operands converted beside them, before each
+    GEMM, and every piece is written back reduced.  With a single panel
+    that panel is float64 and every widening a view.  Every product is of
+    float64 residues, exact under the 2^52 bound.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -286,32 +272,34 @@ def rank_dense(a: np.ndarray, p: int) -> int:
         return len(_row_echelon(w, p))
     t = a if m <= n else a.T  # the matrix eliminated, k rows
     m, n = k, long_side
-    # two panel buffers, no wider than the matrix, and each thread's pair of
-    # stripe buffers, in one allocation; a pair holds no more cells than
-    # the matrix.  When a second panel will read the narrow store, each
-    # thread converts into its second stripe buffer and up to three more;
-    # all threads' extra buffers together hold no more cells than the
-    # largest piece a catch-up converts, _DEFAULT_BLOCK rows of a band by
-    # min(k, chunk) pivots
+    # two panel buffers, no wider than the matrix, narrow if a second panel
+    # will read the store; in float64 each thread's pair of stripe buffers,
+    # no more cells than the matrix, and with a second panel up to three
+    # more per thread, all threads' together no more cells than the largest
+    # piece a catch-up converts (_DEFAULT_BLOCK rows by min(k, chunk)
+    # pivots), and the leaf being factored
     threads = 1 if m * n <= _INLINE_CELLS else _cpus()
     cells = max(1, min(m * n // 2, _STRIPE_CELLS // threads))
-    panels = m * min(n, 2 * block)
-    extra = min(3, _DEFAULT_BLOCK * min(m, _chunk(p)) // (threads * cells)) if n > block else 0
-    mem = np.empty(panels + threads * (2 + extra) * cells)
-    scratch = mem[panels:].reshape(threads, 2 + extra, cells)
     dtype = residue_dtype(p)
+    extra = min(3, _DEFAULT_BLOCK * min(m, _chunk(p)) // (threads * cells)) if n > block else 0
+    panels = np.empty(m * min(n, 2 * block), dtype if n > block else np.float64)
+    scratch = np.empty((threads, 2 + extra, cells))
+    leaf = np.empty(m * _PANEL_LEAF if n > block else 0)
     store = _Multipliers(m, _DEFAULT_BLOCK, dtype)
     order = np.arange(m)
 
-    def panel(c0: int) -> tuple[np.ndarray, Callable[[int, int, int, int], None]]:
+    def panel(c0: int) -> tuple[np.ndarray, Callable[..., None]]:
         """The column-major buffer of the panel at column c0, and its loader
-        of rows [i, j), columns [x0, x1)."""
+        of rows [i, j), columns [x0, x1), into out."""
         w = min(block, n - c0)
-        b = mem[(c0 // block) % 2 * m * block :][: m * w].reshape(w, m).T
+        b = panels[(c0 // block) % 2 * m * block :][: m * w].reshape(w, m).T
 
-        def load(i: int, j: int, x0: int, x1: int) -> None:
-            np.remainder(np.asarray(t[order[i:j], c0 + x0 : c0 + x1], dtype=np.int64), p,
-                         out=b[i:j, x0:x1])
+        def load(i: int, j: int, x0: int, x1: int, out: np.ndarray) -> None:
+            x = t[order[i:j], c0 + x0 : c0 + x1]
+            # int64 % p divides in hardware: skip it for integers in [0, p)
+            if x.dtype.kind not in "ui" or x.size and (x.min() < 0 or x.max() >= p):
+                x = np.asarray(x, dtype=np.int64) % p
+            out[...] = x
 
         return b, load
 
@@ -324,7 +312,7 @@ def rank_dense(a: np.ndarray, p: int) -> int:
         w = b.shape[1]
         if last:  # at most B pivots, one GEMM: put stores all of them at once
             _catch_up(b, p, partial(store.put, *last), done[-1:], scratch)
-        eliminate = partial(_eliminate_panel, b, p, r, scratch[:1])
+        eliminate = partial(_eliminate_panel, b, p, r, scratch[:1], leaf)
         nxt = None
         if c + w < n:
             nxt, load = panel(c + w)
@@ -371,8 +359,7 @@ class _Multipliers:
     def put(self, b: np.ndarray, piv: list[int], i: int, j: int, c0: int, c1: int
             ) -> list[tuple[int, int, np.ndarray]]:
         """Keep rows [i, j) of panel b's multipliers, its columns piv, as
-        pivots [c0, c1), and return them as rows() does, but as read from
-        b, in float64."""
+        pivots [c0, c1), and return them as rows() does, but read from b."""
         out = []
         for s, e, cells in self.rows(i, j, c0, c1):
             cells[...] = l = _gather(b[s:e], piv)
@@ -386,81 +373,110 @@ class _Multipliers:
         rx[...], ry[...] = ry.copy(), rx.copy()
 
 
-def _eliminate_panel(a: np.ndarray, p: int, r: int, scratch: np.ndarray
+def _eliminate_panel(a: np.ndarray, p: int, r: int, scratch: np.ndarray, leaf: np.ndarray
                      ) -> tuple[list[int], np.ndarray, list[tuple[int, int]]]:
     """Eliminate panel a below row r in place, left-looking, from entries
-    of magnitude at most 2^52 - S.  Returns the pivot columns, the inverse
-    mod p of the pivots' unit lower triangle L, and the row swaps, in
-    order, which it made in a.
+    in [0, p).  Returns the pivot columns, the inverse mod p of the pivots'
+    unit lower triangle L, and the row swaps, in order, which it made in a.
 
-    Each leaf of _PANEL_LEAF columns takes the panel's earlier pivots by
-    _catch_up on scratch, the caller's stripe pair, and is reduced; each of
-    its columns then takes a GEMV with the leaf's own earlier pivots, is
-    reduced, and is searched for a pivot.  A pivot appends the row
-    -(l L^{-1}) mod p and a unit diagonal to L^{-1}, where l holds its row's
-    stored multipliers, kept in the eliminated positions.  The elimination
-    never updates a pivot row; _catch_up reads its stale values once,
-    through L^{-1}, and leaves u in their place.
+    The panel is factored one leaf of _PANEL_LEAF columns at a time, its
+    rows below r widened into leaf by _widen (a view of a float64 panel).
+    The leaf takes the panel's earlier pivots by _catch_up on scratch, the
+    caller's stripe pair, which leaves it reduced; each of its columns
+    then takes a GEMV with the leaf's own earlier pivots, is reduced, and
+    is searched for a pivot.  Multipliers are kept in the eliminated
+    positions.  A pivot appends the row -(l L^{-1}) mod p to the leaf's
+    block of L^{-1}, l its row's multipliers, and after the leaf its rows
+    left of that block are -L^{-1}_BB L_BA L^{-1}_AA.  Row swaps apply to
+    the leaf and to a's other columns, and the leaf is written back.  The
+    elimination never updates a pivot row; _catch_up reads its stale
+    values once, through L^{-1}, and leaves u in their place.
     """
+    a = a[r:]
     m, w = a.shape
     pf = float(p)
     piv: list[int] = []
     swaps: list[tuple[int, int]] = []
-    linv = np.zeros((min(w, m - r), min(w, m - r)))
+    linv = np.zeros((min(w, m), min(w, m)))
 
     def multipliers(i: int, j: int, c0: int, c1: int) -> list[tuple[int, int, np.ndarray]]:
-        return [(i, j, _gather(a[i:j], piv[c0 - r : c1 - r]))]
+        return [(i, j, _gather(a[i:j], piv[c0:c1]))]
 
     for j0 in range(0, w, _PANEL_LEAF):
         j1, t0 = min(w, j0 + _PANEL_LEAF), len(piv)
+        f = _widen(a[:, j0:j1], leaf)[0]
+        local: list[int] = []  # the leaf's pivot columns, as columns of f
         if t0:
-            _catch_up(a[:, j0:j1], p, multipliers, [(r, linv[:t0, :t0])], scratch)
-        _reduce_inplace(a[r + t0 : m, j0:j1], pf, scratch)
-        if not a[r + t0 : m, j0:j1].any():  # a zero leaf has no pivot: skip its columns
-            continue
-        for j in range(j0, j1):
+            _catch_up(f, p, multipliers, [(0, linv[:t0, :t0])], scratch)
+        for j in range(j0, j1) if f[t0:].any() else ():  # a zero leaf has no pivot
             t = len(piv)
-            rr = r + t
-            col = a[rr:m, j]
-            if t > t0:  # up to date with the leaf's own pivots
-                v = linv[t0:t, t0:t] @ a[r + t0 : rr, j] % pf
-                col = col - _gather(a[rr:m], piv[t0:]) @ v
+            col = f[t:, j - j0]
+            if local:  # up to date with the leaf's own pivots
+                v = linv[t0:t, t0:t] @ f[t0:t, j - j0] % pf
+                col = col - _gather(f[t:], local) @ v
             col = col.astype(np.int64) % p  # exact: every |entry| <= 2^52
             i = int((col != 0).argmax())  # the first nonzero, if any
             if not col[i]:
                 continue
             inv = inverse_mod(int(col[i]), p)
             if i:
-                a[[rr, rr + i]] = a[[rr + i, rr]]
-                swaps.append((rr, rr + i))
+                for part in (a[:, :j0], f, a[:, j1:]):
+                    part[[t, t + i]] = part[[t + i, t]]
+                swaps.append((r + t, r + t + i))
                 col[i] = col[0]
-            a[rr + 1 : m, j] = col[1:] * inv % p
-            if t:
-                linv[t, :t] = -(_gather(a[rr], piv) @ linv[:t, :t]) % pf
+            f[t + 1 :, j - j0] = col[1:] * inv % p
+            if local:
+                linv[t, t0:t] = -(_gather(f[t], local) @ linv[t0:t, t0:t]) % pf
             linv[t, t] = 1.0
             piv.append(j)
-            if rr + 1 == m:
-                return piv, linv, swaps
+            local.append(j - j0)
+            if t + 1 == m:
+                break
+        a[:, j0:j1] = f
+        if t0 and local:  # the leaf's rows of L^{-1} left of its block
+            x = _gather(a[t0 : len(piv)], piv[:t0]) @ linv[:t0, :t0] % pf
+            linv[t0 : len(piv), :t0] = -(linv[t0 : len(piv), t0 : len(piv)] @ x) % pf
+        if len(piv) == m:
+            break
     return piv, linv[: len(piv), : len(piv)], swaps
 
 
-def _float_runs(l: np.ndarray, conv: np.ndarray, axis: int
-                ) -> Iterator[tuple[int, np.ndarray]]:
-    """(offset, run) pairs of float64 runs that tile l along axis 0 (rows)
-    or 1 (columns): l itself where it is float64, else runs of as many rows
-    or columns as fit in the flat conversion block conv, each converted
-    into it, row-major (into a new array where not even one fits)."""
-    if l.dtype == np.float64:
-        yield 0, l
-        return
-    n = l.shape[axis]
-    step = max(1, conv.size * n // l.size)
+def _widen(a: np.ndarray, flat: np.ndarray, fill: Callable[[np.ndarray], None] | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """a as float64, to work on and write back, and the cells of flat left
+    free: a itself where it is float64, else the first cells of flat as a
+    column-major array (a new one where they do not fit), filled by
+    fill(out) if given, else with a's entries."""
+    out, rest = (a, flat) if a.dtype == np.float64 else (_buffer(flat, *a.shape), flat[a.size :])
+    if fill:
+        fill(out)
+    elif out is not a:
+        out[...] = a
+    return out, rest
+
+
+def _float_runs(conv: np.ndarray, *parts: tuple[np.ndarray, int]) -> Iterator[tuple[Any, ...]]:
+    """(offset, run, ...) tuples of float64 runs that tile each part, an
+    (array, axis) pair, along axis 0 (rows) or 1 (columns), all parts of
+    the same length: a part itself where it is float64, else runs of as
+    many rows or columns as fit, beside the other parts' runs, in the flat
+    conversion block conv, each converted into it in the part's own layout
+    (into a new array where not even one fits)."""
+    n = parts[0][0].shape[parts[0][1]]
+    cells = sum(x.size // n for x, _ in parts if x.dtype != np.float64)
+    step = max(1, conv.size // cells) if cells else n
     for x0 in range(0, n, step):
-        run = l[x0 : x0 + step] if axis == 0 else l[:, x0 : x0 + step]
-        fits = run.size <= conv.size
-        out = conv[: run.size].reshape(run.shape) if fits else np.empty(run.shape)
-        out[...] = run
-        yield x0, out
+        runs, free = [], conv
+        for x, axis in parts:
+            run = x[x0 : x0 + step] if axis == 0 else x[:, x0 : x0 + step]
+            if run.dtype != np.float64:
+                out = free[: run.size] if run.size <= free.size else np.empty(run.size)
+                free = free[out.size :]
+                out = out.reshape(run.shape, order="F" if run.strides[0] < run.strides[1] else "C")
+                out[...] = run
+                run = out
+            runs.append(run)
+        yield x0, *runs
 
 
 def _gather(a: np.ndarray, cols: list[int]) -> np.ndarray:
@@ -475,7 +491,7 @@ def _gather(a: np.ndarray, cols: list[int]) -> np.ndarray:
 def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.ndarray]]],
               pivots: list[tuple[int, np.ndarray]], scratch: np.ndarray,
               own: Callable[[], Any] | None = None,
-              load: Callable[[int, int, int, int], None] | None = None) -> Any:
+              load: Callable[..., None] | None = None) -> Any:
     """Bring the rows of b up to date with pivots, the (first row, L^{-1})
     of panels whose pivot rows r0..r1 follow each other, in two joins of
     _in_stripes, and return the result of own, run beside the second.
@@ -483,22 +499,23 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
     l21(i, j, c0, c1) gives the multipliers of rows [i, j) for pivots
     [c0, c1) as (first row, end row, matrix) pieces, copied where they are
     not consecutive columns of one array (the last panel's pivots), so a
-    stripe is sized for them too.  A piece or an L^{-1} in a narrow dtype
-    (from the store, or a finished panel) is converted a run at a time
+    stripe is sized for them too.  Every piece of b is widened by _widen
     into its thread's conversion block, every buffer but the first, which
-    takes the product: one GEMM per run.
-    load(i, j, x0, x1), if given, first fills rows [i, j), columns
-    [x0, x1) of b.  The first join solves the pivot rows panel by panel in
-    column blocks, ceil(w / T) wide for T = len(scratch), so one per
-    thread, as the columns are independent: the panel's rows subtract
+    takes the products; there it takes its GEMMs, from runs of pivots by
+    _float_runs, each run's multipliers and rows of u converted beside the
+    rest of the block where narrow, one GEMM per band and run.  The piece
+    is then reduced and written back, so b holds residues before and after.
+    load(i, j, x0, x1, out), if given, fills out with rows [i, j), columns
+    [x0, x1) of b as read.  The first join solves the pivot rows panel by
+    panel in column blocks, ceil(w / T) wide for T = len(scratch), so one
+    per thread, as the columns are independent: the panel's rows subtract
     their multipliers times the u of the panels before, and u = L^{-1}
-    times the result reduced mod p is reduced and left in their place.
-    The second loads the rows below r1 in stripes, each of which subtracts
-    its multipliers times all of u, one GEMM per band, per chunk of
-    pivots and per run, reducing the stripe between chunks, and is left
-    unreduced: from entries in [0, p) that leaves room for 2S more.  With
-    helper threads the caller runs own() in the second join, after it
-    has solved a column block in the first.
+    times the result reduced mod p is left in their place.  The second
+    takes the rows below r1 in stripes, each of which subtracts its
+    multipliers times all of u, per chunk of pivots, reduced between
+    chunks.  Without pivots the stripes are only loaded.  With helper
+    threads the caller runs own() in the second join, after it has solved
+    a column block in the first.
     """
     m, w = b.shape
     pf = float(p)
@@ -506,34 +523,36 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
     r1 = pivots[-1][0] + len(pivots[-1][1]) if pivots else 0
     chunk = _chunk(p)
 
-    def subtract(c: np.ndarray, i: int, j: int, c0: int, c1: int, buf: np.ndarray) -> None:
+    def subtract(c: np.ndarray, u: np.ndarray, i: int, c0: int, c1: int, buf: np.ndarray,
+                 conv: np.ndarray) -> None:
+        """c, rows [i, i + len(c)) of b widened, minus their multipliers for
+        pivots [c0, c1) times rows [c0, c1) of u."""
         for d0 in range(c0, c1, chunk):
             d1 = min(c1, d0 + chunk)
             if d0 > c0:
-                c[i:j] = _residues(c[i:j], pf, _buffer(buf[0], j - i, c.shape[1]))
-            for s, e, l in l21(i, j, d0, d1):
-                for t, f in _float_runs(l, buf[1:].reshape(-1), 1):
-                    t += d0
-                    c[s:e] -= np.matmul(f, c[t : t + f.shape[1]],
-                                        out=_buffer(buf[0], e - s, c.shape[1]))
+                c[...] = _residues(c, pf, _buffer(buf[0], *c.shape))
+            pieces = l21(i, i + len(c), d0, d1)
+            for _, g, *fs in _float_runs(conv, (u[d0:d1], 0), *((l, 1) for _, _, l in pieces)):
+                for (s, e, _), f in zip(pieces, fs):
+                    c[s - i : e - i] -= np.matmul(f, g, out=_buffer(buf[0], e - s, c.shape[1]))
 
     def solve(x0: int, x1: int, buf: np.ndarray) -> None:
-        c = b[:, x0:x1]
         for r, linv in pivots:
             k = len(linv)
-            if load:
-                load(r, r + k, x0, x1)
-            subtract(c, r, r + k, r0, r, buf)
-            u = c[r : r + k]
-            x = _residues(u, pf, _buffer(buf[0], *u.shape))
-            for t, f in _float_runs(linv, buf[1:].reshape(-1), 0):
-                np.matmul(f, x, out=u[t : t + len(f)])
-            u[...] = _residues(u, pf, _buffer(buf[1], *u.shape))
+            c, conv = _widen(b[r : r + k, x0:x1], buf[1:].reshape(-1),
+                             load and partial(load, r, r + k, x0, x1))
+            subtract(c, b[:, x0:x1], r, r0, r, buf, conv)
+            x = _residues(c, pf, _buffer(buf[0], *c.shape))
+            for t, f in _float_runs(conv, (linv, 0)):
+                np.matmul(f, x, out=c[t : t + len(f)])
+            b[r : r + k, x0:x1] = _residues(c, pf, _buffer(buf[0], *c.shape))
 
     def stripe(i: int, j: int, buf: np.ndarray) -> None:
-        if load:
-            load(i, j, 0, w)
-        subtract(b, i, j, r0, r1, buf)
+        if not pivots:
+            return load(i, j, 0, w, b[i:j])
+        c, conv = _widen(b[i:j], buf[1:].reshape(-1), load and partial(load, i, j, 0, w))
+        subtract(c, b, i, r0, r1, buf, conv)
+        b[i:j] = _residues(c, pf, _buffer(buf[0], *c.shape))
 
     if pivots:
         _in_stripes(solve, 0, w, -(-w // len(scratch)), scratch)

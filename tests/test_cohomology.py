@@ -281,7 +281,7 @@ def test_table_order_ranks_only_the_square_residue_past_d_minus_2(monkeypatch, d
 def test_valid_certificate_builds_one_residue(monkeypatch, d, r, level):
     # every transposed rank the certifier asks for lies at n < 0 or
     # n >= d - 2, and the square residue at d - 2 is onto; its entries lie
-    # in [0, p), so it is built as int32
+    # in [0, p), so it is built in residue_dtype(p)
     built = []
     residue = cohomology._residue
 
@@ -291,9 +291,10 @@ def test_valid_certificate_builds_one_residue(monkeypatch, d, r, level):
         return out
 
     monkeypatch.setattr(cohomology, "_residue", record)
-    cert = certify(seeded_presentation(d, r), level=level)
+    pres = seeded_presentation(d, r)
+    cert = certify(pres, level=level)
     assert cert.passed
-    assert built == [(d - 2, np.int32)]
+    assert built == [(d - 2, residue_dtype(pres.p))]
 
 
 def test_failed_vanishing_ranks_up_to_the_first_onto_degree(monkeypatch):

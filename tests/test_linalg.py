@@ -221,12 +221,13 @@ def test_residue_dtype_is_the_narrowest_unsigned_type():
         np.uint8, np.uint8, np.uint16, np.uint16, np.uint16, np.uint32, np.uint32]
 
 
-# primes at the store's dtype boundaries: 65521 keeps its multipliers and
-# L^{-1}s in uint16, 65537 (p - 1 = 2^16) and 8388593, the last prime below
-# 2^23, in uint32.  8388593 allows 8-column panels and catch-up GEMMs of at
-# most 47 pivots, so its catch-ups run in several chunks
+# primes at the store's dtype boundaries: 251 keeps its panels, multipliers
+# and L^{-1}s in uint8, 257 (p - 1 = 2^8) and 65521 in uint16, 65537
+# (p - 1 = 2^16) and 8388593, the last prime below 2^23, in uint32.
+# 8388593 allows 8-column panels and catch-up GEMMs of at most 47 pivots,
+# so its catch-ups run in several chunks
 @settings(max_examples=150, deadline=None)
-@given(_kernel_cases([65521, 65537, 8388593],
+@given(_kernel_cases([251, 257, 65521, 65537, 8388593],
                      ["duplicate_rows", "deep_pivot", "tall", "wide", "carried_swap"]))
 def test_narrow_store_at_dtype_boundaries_against_oracle(case):
     a, p = case
@@ -239,6 +240,26 @@ def test_narrow_store_at_dtype_boundaries_against_oracle(case):
             assert rank_dense(a, p) == want, threads
 
 
+def p_minus_one_below(rng, p: int, lead: int) -> np.ndarray:
+    """120 x 120 of rank lead + (120 - lead) / 2: an identity over zero
+    rows in the first lead columns, whose pivots leave the rows below them
+    as they are, then generic rows and columns of that rank, except that
+    row lead has a 1 in column lead and every row below it p - 1 there."""
+    n = 120 - lead
+    g = rng.integers(0, p, size=(n // 2, n))
+    g[:, 0] = 0
+    g[0, 0] = 1
+    c = rng.integers(0, p, size=(n, n // 2))
+    c[:, 0] = p - 1
+    c[0] = 0
+    c[0, 0] = 1
+    a = np.zeros((120, 120), dtype=np.int64)
+    a[:lead, :lead] = np.eye(lead, dtype=np.int64)
+    a[:lead, lead:] = rng.integers(0, p, size=(lead, n))
+    a[lead:, lead:] = matmul_mod(c, g, p)
+    return a
+
+
 @pytest.mark.parametrize("p", [251, 257, 65521, 65537])
 def test_store_keeps_p_minus_one(monkeypatch, p):
     # rank 60 in 120 x 120: row 0 has a 1 in column 0 and every other row
@@ -246,21 +267,52 @@ def test_store_keeps_p_minus_one(monkeypatch, p):
     # largest residue, as its multiplier for it, and the panels after the
     # first read it back.  A store one bit too narrow (uint8 at 257,
     # uint16 at 65537) wraps it to 0 and the rank comes out too high
-    rng = np.random.default_rng(14)
-    g = rng.integers(0, p, size=(60, 120))
-    g[:, 0] = 0
-    g[0, 0] = 1
-    c = rng.integers(0, p, size=(120, 60))
-    c[:, 0] = p - 1
-    c[0] = 0
-    c[0, 0] = 1
-    a = matmul_mod(c, g, p)
+    a = p_minus_one_below(np.random.default_rng(14), p, 0)
     assert (a[1:, 0] == p - 1).all() and division_free_rank(a, p) == 60
     for name, value in STRIPED.items():
         monkeypatch.setattr(linalg, name, value)
     for threads in THREADS:
         monkeypatch.setattr(linalg, "_cpus", lambda: threads)
         assert rank_dense(a, p) == 60, threads
+
+
+@pytest.mark.parametrize("p", [251, 257, 65521, 65537])
+def test_panels_keep_p_minus_one(monkeypatch, p):
+    # rank 80 in 120 x 120, three 40-column panels: panel 0 is an identity
+    # over zero rows, and rows and columns 40.. are the case above at
+    # 80 x 80, so panel 1 holds p - 1 in every row below 40 from its
+    # look-ahead on, and its leaf reads it back.  Panels one bit too narrow
+    # (uint8 at 257, uint16 at 65537) wrap it to 0, and the rank comes out
+    # too high
+    a = p_minus_one_below(np.random.default_rng(16), p, 40)
+    assert (a[41:, 40] == p - 1).all() and division_free_rank(a, p) == 80
+    for name, value in STRIPED.items():
+        monkeypatch.setattr(linalg, name, value)
+    for threads in THREADS:
+        monkeypatch.setattr(linalg, "_cpus", lambda: threads)
+        assert rank_dense(a, p) == 80, threads
+
+
+@pytest.mark.parametrize("p", [251, P, 65537])
+def test_single_panel_stays_float64(monkeypatch, p):
+    # a rank with one panel factors it in float64, with no store to read
+    # and nothing to convert; a rank with a second panel keeps its panels
+    # narrow, in residue_dtype(p), and widens a leaf at a time
+    seen = []
+    eliminate = linalg._eliminate_panel
+
+    def panel(a, *args):
+        seen.append(a.dtype)
+        return eliminate(a, *args)
+
+    monkeypatch.setattr(linalg, "_eliminate_panel", panel)
+    rng = np.random.default_rng(17)
+    for shape, panels in (((234, 234), 1), ((180, 81), 1), ((300, 300), 2)):
+        seen.clear()
+        a = rng.integers(0, p, size=shape)
+        assert rank_dense(a, p) == min(shape)
+        want = np.float64 if panels == 1 else linalg.residue_dtype(p)
+        assert seen == [want] * panels, shape
 
 
 def test_striped_slack_reset_large_prime(monkeypatch):
@@ -536,16 +588,17 @@ def test_rank_leaves_input_untouched(shape):
 ])
 def test_rank_memory_triangle_and_panels(monkeypatch, p, gather, threads, shape):
     # beyond the input the kernel holds the store of multipliers, at most
-    # k(k+1)/2 + 128 k cells for short side k, and the L^{-1} of every
-    # panel (k x B cells in all for panel width B), both in the store's
-    # narrow dtype; in float64 two k x B panels, the stripe buffers (2^18
-    # cells), the conversion blocks beyond them (at most 3 x 2^17 cells,
-    # and no more than one 256-row band of min(k, chunk) pivots) and the
-    # L^{-1} of the panel being factored; and one stripe budget (2^17
-    # cells) each of the input as loaded, in int64, and of gathered
-    # multipliers and other temporaries, shared by the threads.  No copy
-    # of the matrix, so a tall matrix costs what its transpose does, and a
-    # float64 store does not fit in any case
+    # k(k+1)/2 + 128 k cells for short side k, the L^{-1} of every panel
+    # (k x B cells in all for panel width B) and two k x B panels, all in
+    # the store's narrow dtype; in float64 the k x 16 leaf being factored,
+    # the stripe buffers (2^18 cells), the conversion blocks beyond them
+    # (at most 3 x 2^17 cells, and no more than one 256-row band of
+    # min(k, chunk) pivots) and the L^{-1} of the panel being factored;
+    # and one stripe budget (2^17 cells) each of the input as loaded, in
+    # int64, and of gathered multipliers and other temporaries, shared by
+    # the threads.  No copy of the matrix, so a tall matrix costs what its
+    # transpose does, and neither a float64 store nor float64 panels fit,
+    # except float64 panels at p = 4194301, whose panels are 32 wide
     monkeypatch.setattr(linalg, "_cpus", lambda: threads)
     a = np.random.default_rng(0).integers(0, p, size=shape)
     k = min(shape)
@@ -571,9 +624,9 @@ def test_rank_memory_triangle_and_panels(monkeypatch, p, gather, threads, shape)
 
         monkeypatch.setattr(linalg, "_eliminate_panel", panel)
     b = linalg._block(p)
-    narrow = np.min_scalar_type(p - 1).itemsize * (k * (k + 1) // 2 + 128 * k + b * k)
+    narrow = np.min_scalar_type(p - 1).itemsize * (k * (k + 1) // 2 + 128 * k + 3 * b * k)
     conv = min(3 * 2**17, 256 * min(k, linalg._chunk(p)))
-    bound = narrow + 8 * (2 * b * k + 2**18 + conv + b * b + 2 * 2**17)
+    bound = narrow + 8 * (16 * k + 2**18 + conv + b * b + 2 * 2**17)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
