@@ -10,26 +10,29 @@ they have not yet seen just before they are eliminated.  The matrix, or
 its transpose when that has fewer rows, so k rows for short side k, is
 eliminated one panel of up to 256 columns at a time.  A panel is read from
 the caller's array only when its turn comes, reduced mod p, with its rows
-in the current row order, into a column-major buffer.  It then catches up
-with every earlier panel: that panel's pivot rows by forward substitution
-through its L^{-1} (they subtract their multipliers times the u of the
-panels before, and u = L^{-1} times the result is left in their place),
-the rows below all the pivots by one GEMM, their stored multipliers times
-all of u.  The panel is then eliminated one 16-column leaf at a time: the
-leaf catches up with the panel's earlier pivots and is reduced mod p;
-each of its columns then takes one GEMV with the leaf's own earlier pivots
-and is reduced, in int64, before its pivot search.  Multipliers are kept
-in the eliminated positions, and each pivot appends a row to the panel's
-unit-lower inverse L^{-1}, its part left of the leaf after the leaf.  A
-factored panel keeps only its L^{-1}; its multipliers below its pivots,
-L21, go to the store, where row i holds its multiplier for pivot t in
-column t.  No row has more pivots above it than rows, so the store keeps
-rows in bands of 256, band [s, s + 256) as one array of s + 255 columns:
-at most k(k+1)/2 + 128 k cells.  One array per band, not one k x k array
-written below its diagonal: numpy advises huge pages for large arrays,
-and the untouched triangle of such an array would be committed anyway,
-2 MiB at a time.  A panel's row swaps apply to the stored rows, to the
-order in which later panels are read and to the next panel, already read.
+in the current row order, into a buffer.  Every array of the blocked path
+is row-major, like the store.  The panel then catches up with every
+earlier panel: that panel's pivot rows by forward substitution through its
+L^{-1} (they subtract their multipliers times the u of the panels before,
+and u = L^{-1} times the result is left in their place), the rows below
+all the pivots by one GEMM, their stored multipliers times all of u.  The
+panel is then eliminated one 16-column leaf at a time: the leaf catches up
+with the panel's earlier pivots and is reduced mod p; each of its columns
+then takes one GEMV with the leaf's own earlier pivots and is reduced, in
+int64, before its pivot search.  Multipliers are kept in the eliminated
+positions, and each pivot appends a row to the panel's unit-lower inverse
+L^{-1}, its part left of the leaf after the leaf.  A factored panel keeps
+only its L^{-1}; its multipliers below its pivots, L21, pieces of its
+rows, are copied to the store, where row i holds its multiplier for pivot
+t in column t.  No row has more pivots above it than rows, so the store
+keeps rows in bands of 256, band [s, s + 256) as one array of s + 255
+columns: at most k(k+1)/2 + 128 k cells.  One array per band, not one k x
+k array written below its diagonal: numpy advises huge pages for large
+arrays, and the untouched triangle of such an array would be committed
+anyway, 2 MiB at a time.  A panel's row swaps apply to the stored rows, to
+the order in which later panels are read and to the next panel, already
+read; its L21 is copied after them, from its own rows, already in the new
+order.
 
 Every array the blocked path keeps from one step to the next holds
 residues in [0, p) in residue_dtype(p), the narrowest unsigned type that
@@ -41,13 +44,13 @@ panel.  A piece of a panel (a stripe of rows, a column block of pivot
 rows, a leaf) is widened into it, takes its GEMMs, is reduced and is
 written back narrow.  A GEMM's narrow operands, multipliers and rows of
 u, or an L^{-1}, are converted, exactly, into the conversion block one run
-of pivots at a time, side by side, each in the layout it is read in: 384
-pivots of a 256-row stripe on two threads at 4000^2.  The block is what
-the widened piece leaves of the thread's second stripe buffer and up to
-three more, allocated only in a rank with a second panel: all threads'
-together no more cells than one 256-row band of min(k, chunk) pivots, at
-most 256 k.  A single panel reads no store, so it stays float64, and
-every widening or conversion of it is the panel itself.
+of pivots at a time, side by side: 384 pivots of a 256-row stripe on two
+threads at 4000^2.  The block is what the widened piece leaves of the
+thread's second stripe buffer and up to three more, allocated only in a
+rank with a second panel: all threads' together no more cells than one
+256-row band of min(k, chunk) pivots, at most 256 k.  A single panel
+reads no store, so it stays float64, and every widening or conversion of
+it is the panel itself.
 
 The float path is exact because no magnitude exceeds 2^52 (the narrow
 copies hold the same residues, so nothing here depends on them).  The
@@ -71,34 +74,35 @@ The blocked path holds the caller's input and, narrow, two panels, the
 store and the finished L^{-1}s: for a 4000 x 4000 matrix 4 MB of panels
 (16 MB in float64), 17 MB of store (68 MB in float64, where the float64
 copy of the matrix took 128 MB) and 2 MB of L^{-1}s.  Every other buffer
-is per-thread scratch, a row, a block of at most one stripe, or the
-L^{-1} of the panel being factored (at most 256 x 256, float64).
-A matrix of at most 2^20 cells is eliminated on the calling thread alone.
-A larger one gets T threads, the CPUs of the process's affinity mask,
-which share the 2^17-cell (1 MiB) stripe budget: each buffer holds
-2^17 // T cells.  Loops run through _in_stripes, which hands the stripes
-of a range of rows or of columns, and a panel run alongside them as one
-more task, to at most T threads taking stripes from one queue, and joins
-them (numpy drops the GIL in BLAS and ufuncs).  A catch-up is two such
-joins.  First the pivot rows of the earlier panels are solved in column
-blocks, ceil(w / T) of the panel's w columns each, one per thread, as
-forward substitution is independent per column.  Then the rows below the
-pivots take their GEMMs with all of u in row stripes (256 rows of a
-256-column panel for two threads).  Panels are factored on the calling
-thread with a look-ahead of depth one.  All threads first catch the panel
-up with the last panel's pivots, storing that panel's L21 as they go.
-Then the next panel is caught up with every panel before this one: every
-thread, the caller too, solves a column block of its pivot rows, and
-after that join the caller factors the panel while the helper threads
-read the next panel's rows below the pivots and catch them up; the caller
-takes the stripes that are left after the panel.  The panel swaps rows
-only in its own buffer meanwhile, and writes nothing the helpers read;
-after the join its swaps are applied to the store's columns left of it
-and to the next panel, whose rows the helpers read in the old order: the
-catch-up updates each row by itself, so the two orders give the same
-rows.  Tasks cover disjoint rows or disjoint columns, and every product
-is exact, so every value, hence every pivot and the rank, is the same for
-every T.
+is per-thread scratch, a row, a block of at most one stripe, or the L^{-1}
+of the panel being factored (at most 256 x 256, float64).  A matrix of at
+most 2^20 cells is eliminated on the calling thread alone.  A larger one
+gets T threads, the CPUs of the process's affinity mask, which share the
+2^17-cell (1 MiB) stripe budget: each buffer holds 2^17 // T cells.  Loops
+run through _in_stripes, which hands the stripes of a range of rows or of
+columns, and a panel run alongside them as one more task, to at most T
+threads taking stripes from one queue, and joins them (numpy drops the GIL
+in BLAS and ufuncs); with T = 1 the calling thread runs every stripe and
+then the panel, and starts none.  A catch-up is two such joins.  First
+the pivot rows of the earlier panels are solved in column blocks,
+ceil(w / T) of the panel's w columns each, one per thread, as forward
+substitution is independent per column.  Then the rows below the pivots
+take their GEMMs with all of u in row stripes (256 rows of a 256-column
+panel for two threads).  Panels are factored on the calling thread with a
+look-ahead of depth one.  All
+threads first catch the panel up with the last panel's pivots, reading
+that panel's L21 from the store.  Then the next panel is caught up with
+every panel before this one: every thread, the caller too, solves a column
+block of its pivot rows, and after that join the caller factors the panel
+while the helper threads read the next panel's rows below the pivots and
+catch them up; the caller takes the stripes that are left after the panel.
+The panel swaps rows only in its own buffer meanwhile, and writes nothing
+the helpers read; after the join its swaps are applied to the store's
+columns left of it and to the next panel, whose rows the helpers read in
+the old order (the catch-up updates each row by itself, so the two orders
+give the same rows), and the caller copies the panel's L21 into the store.
+Tasks cover disjoint rows or disjoint columns, and every product is exact,
+so every value, hence every pivot and the rank, is the same for every T.
 
 ``matmul_mod`` is the one integer matrix product mod p: it splits the
 inner dimension so that no int64 partial sum overflows for any p < 2^31.
@@ -199,11 +203,11 @@ def _in_stripes(body: Callable[[int, int, np.ndarray], None], lo: int, hi: int, 
 
 
 def _buffer(flat: np.ndarray, *shape: int) -> np.ndarray:
-    """The first cells of a stripe buffer as a column-major array of this
-    shape, the layout of a panel, or a new one where they do not fit (a
-    single row wider than the buffer)."""
+    """The first cells of a stripe buffer as a (row-major) array of this
+    shape, or a new one where they do not fit (a single row wider than the
+    buffer)."""
     size = math.prod(shape)
-    return (flat[:size] if size <= flat.size else np.empty(size)).reshape(shape[::-1]).T
+    return (flat[:size] if size <= flat.size else np.empty(size)).reshape(shape)
 
 
 def _residues(a: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
@@ -233,9 +237,24 @@ def residue_dtype(p: int) -> np.dtype:
     return np.min_scalar_type(p - 1)
 
 
+def int_residues(a: Any, p: int) -> np.ndarray:
+    """An integer array a mod p, as a new int64 array.  uint64 and object
+    (Python int) entries may not fit int64, so they are reduced in their
+    own type first; other types are not, since x % p raises OverflowError
+    where p does not fit x's type (uint8 at p = 32003)."""
+    a = np.asarray(a)
+    if a.dtype == np.uint64 or a.dtype == object:
+        a = a % p
+    w = np.array(a, dtype=np.int64)
+    w %= p
+    return w
+
+
 def rank_dense(a: np.ndarray, p: int) -> int:
     """Rank over F_p by blocked, left-looking Gaussian elimination with
-    delayed reduction; the input is never modified.
+    delayed reduction; the input, any integer array, is never modified,
+    and each entry is reduced mod p before it is used (by int_residues
+    where it is not a residue already).
 
     The matrix, or its transpose when that has fewer rows, is eliminated
     one panel at a time, k rows for short side k.  A panel is read from a
@@ -243,12 +262,14 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     already caught up with every panel but the last when it is factored:
     all threads solved its pivot rows for those panels, and then the
     helper threads caught up its rows below while the caller factored the
-    last panel.  All threads then catch it up with the last panel, storing
-    that panel's multipliers below its pivots; all of them solve the next
-    panel's pivot rows, and the caller factors the panel while the helpers
-    catch up the next panel's rows below.  After that join the panel's
-    row swaps are applied to the store, to the row order and to the next
-    panel.  Beyond the input the kernel holds, in residue_dtype(p), the
+    last panel.  All threads then catch it up with the last panel, whose
+    multipliers below its pivots they read from the store; all of them
+    solve the next panel's pivot rows, and the caller factors the panel
+    while the helpers catch up the next panel's rows below.  After that
+    join the panel's row swaps are applied to the store, to the row order
+    and to the next panel, and the caller copies the panel's multipliers
+    below its pivots, pieces of its rows, into the store.  Every array is
+    row-major.  Beyond the input the kernel holds, in residue_dtype(p), the
     store, at most k(k+1)/2 + 128 k cells, the L^{-1} of every panel
     (k x 256 cells in all) and two k x 256 panels; in float64, a pair of
     stripe buffers per thread (2^18 cells in all) and, when there is a
@@ -267,9 +288,7 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     block = _block(p)
     if block < 8 or k * (3 * long_side - k) * long_side <= (
             6 * _ROWOPS_MAX_AREA * (5 * long_side + k)):
-        w = np.array(a, dtype=np.int64)
-        w %= p
-        return len(_row_echelon(w, p))
+        return len(_row_echelon(int_residues(a, p), p))
     t = a if m <= n else a.T  # the matrix eliminated, k rows
     m, n = k, long_side
     # two panel buffers, no wider than the matrix, narrow if a second panel
@@ -289,16 +308,16 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     order = np.arange(m)
 
     def panel(c0: int) -> tuple[np.ndarray, Callable[..., None]]:
-        """The column-major buffer of the panel at column c0, and its loader
-        of rows [i, j), columns [x0, x1), into out."""
+        """The buffer of the panel at column c0, and its loader of rows
+        [i, j), columns [x0, x1), into out."""
         w = min(block, n - c0)
-        b = panels[(c0 // block) % 2 * m * block :][: m * w].reshape(w, m).T
+        b = panels[(c0 // block) % 2 * m * block :][: m * w].reshape(m, w)
 
         def load(i: int, j: int, x0: int, x1: int, out: np.ndarray) -> None:
             x = t[order[i:j], c0 + x0 : c0 + x1]
             # int64 % p divides in hardware: skip it for integers in [0, p)
             if x.dtype.kind not in "ui" or x.size and (x.min() < 0 or x.max() >= p):
-                x = np.asarray(x, dtype=np.int64) % p
+                x = int_residues(x, p)
             out[...] = x
 
         return b, load
@@ -306,27 +325,24 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     b, load = panel(0)
     _catch_up(b, p, store.rows, [], scratch, load=load)
     done: list[tuple[int, np.ndarray]] = []  # (first pivot row, L^{-1}) per panel
-    last: tuple[np.ndarray, list[int]] | None = None  # done[-1]'s buffer and pivots
+    piv: list[int] = []  # the last panel's pivot columns
     r = c = 0
-    while r < m and c < n:
+    while r < m:  # c < n holds: the last panel returns
         w = b.shape[1]
-        if last:  # at most B pivots, one GEMM: put stores all of them at once
-            _catch_up(b, p, partial(store.put, *last), done[-1:], scratch)
+        if piv:  # at most B pivots, one GEMM; else done[-1] is older, applied already
+            _catch_up(b, p, store.rows, done[-1:], scratch)
         eliminate = partial(_eliminate_panel, b, p, r, scratch[:1], leaf)
-        nxt = None
-        if c + w < n:
-            nxt, load = panel(c + w)
-            piv, linv, swaps = _catch_up(nxt, p, store.rows, done, scratch, own=eliminate,
-                                         load=load)
-        else:
-            piv, linv, swaps = eliminate()
-        if nxt is not None:  # after the last panel no row is read again
-            for x, y in swaps:  # rows below r, swapped in b already
-                order[[x, y]] = order[[y, x]]
-                store.swap(x, y, r)
-                nxt[[x, y]] = nxt[[y, x]]
-        last = (b, piv) if piv else None
-        if piv:
+        if c + w == n:  # after the last panel no row is read again
+            return r + len(eliminate()[0])
+        nxt, load = panel(c + w)
+        piv, linv, swaps = _catch_up(nxt, p, store.rows, done, scratch, own=eliminate, load=load)
+        for x, y in swaps:  # rows below r, swapped in b already
+            order[[x, y]] = order[[y, x]]
+            store.swap(x, y, r)
+            nxt[[x, y]] = nxt[[y, x]]
+        if piv:  # its multipliers below its pivots, from rows already in the new order
+            for s, e, cells in store.rows(r + len(piv), m, r, r + len(piv)):
+                cells[...] = _gather(b[s:e], piv)
             done.append((r, linv.astype(dtype)))
             r += len(piv)
         c += w
@@ -354,16 +370,6 @@ class _Multipliers:
             e = min(j, i - i % h + h)
             out.append((i, e, self.bands[i // h][i % h : i % h + e - i, c0:c1]))
             i = e
-        return out
-
-    def put(self, b: np.ndarray, piv: list[int], i: int, j: int, c0: int, c1: int
-            ) -> list[tuple[int, int, np.ndarray]]:
-        """Keep rows [i, j) of panel b's multipliers, its columns piv, as
-        pivots [c0, c1), and return them as rows() does, but read from b."""
-        out = []
-        for s, e, cells in self.rows(i, j, c0, c1):
-            cells[...] = l = _gather(b[s:e], piv)
-            out.append((s, e, l))
         return out
 
     def swap(self, x: int, y: int, cols: int) -> None:
@@ -444,9 +450,9 @@ def _eliminate_panel(a: np.ndarray, p: int, r: int, scratch: np.ndarray, leaf: n
 def _widen(a: np.ndarray, flat: np.ndarray, fill: Callable[[np.ndarray], None] | None = None
            ) -> tuple[np.ndarray, np.ndarray]:
     """a as float64, to work on and write back, and the cells of flat left
-    free: a itself where it is float64, else the first cells of flat as a
-    column-major array (a new one where they do not fit), filled by
-    fill(out) if given, else with a's entries."""
+    free: a itself where it is float64, else the first cells of flat in
+    a's shape (a new array where they do not fit), filled by fill(out) if
+    given, else with a's entries."""
     out, rest = (a, flat) if a.dtype == np.float64 else (_buffer(flat, *a.shape), flat[a.size :])
     if fill:
         fill(out)
@@ -460,21 +466,15 @@ def _float_runs(conv: np.ndarray, *parts: tuple[np.ndarray, int]) -> Iterator[tu
     (array, axis) pair, along axis 0 (rows) or 1 (columns), all parts of
     the same length: a part itself where it is float64, else runs of as
     many rows or columns as fit, beside the other parts' runs, in the flat
-    conversion block conv, each converted into it in the part's own layout
-    (into a new array where not even one fits)."""
+    conversion block conv, each converted into it by _widen (into a new
+    array where not even one fits)."""
     n = parts[0][0].shape[parts[0][1]]
     cells = sum(x.size // n for x, _ in parts if x.dtype != np.float64)
     step = max(1, conv.size // cells) if cells else n
     for x0 in range(0, n, step):
         runs, free = [], conv
         for x, axis in parts:
-            run = x[x0 : x0 + step] if axis == 0 else x[:, x0 : x0 + step]
-            if run.dtype != np.float64:
-                out = free[: run.size] if run.size <= free.size else np.empty(run.size)
-                free = free[out.size :]
-                out = out.reshape(run.shape, order="F" if run.strides[0] < run.strides[1] else "C")
-                out[...] = run
-                run = out
+            run, free = _widen(x[x0 : x0 + step] if axis == 0 else x[:, x0 : x0 + step], free)
             runs.append(run)
         yield x0, *runs
 
@@ -497,14 +497,15 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
     _in_stripes, and return the result of own, run beside the second.
 
     l21(i, j, c0, c1) gives the multipliers of rows [i, j) for pivots
-    [c0, c1) as (first row, end row, matrix) pieces, copied where they are
-    not consecutive columns of one array (the last panel's pivots), so a
-    stripe is sized for them too.  Every piece of b is widened by _widen
-    into its thread's conversion block, every buffer but the first, which
-    takes the products; there it takes its GEMMs, from runs of pivots by
-    _float_runs, each run's multipliers and rows of u converted beside the
-    rest of the block where narrow, one GEMM per band and run.  The piece
-    is then reduced and written back, so b holds residues before and after.
+    [c0, c1) as (first row, end row, matrix) pieces: views of the store's
+    bands, or for a leaf its multipliers in its panel, copied only where the
+    panel's pivot columns are not consecutive, so a stripe is sized for them
+    too.  Every piece of b is widened by _widen into its thread's
+    conversion block, every buffer but the first, which takes the products;
+    there it takes its GEMMs, from runs of pivots by _float_runs, each run's
+    multipliers and rows of u converted beside the rest of the block where
+    narrow, one GEMM per band and run.  The piece is then reduced and
+    written back, so b holds residues before and after.
     load(i, j, x0, x1, out), if given, fills out with rows [i, j), columns
     [x0, x1) of b as read.  The first join solves the pivot rows panel by
     panel in column blocks, ceil(w / T) wide for T = len(scratch), so one
@@ -556,7 +557,7 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
 
     if pivots:
         _in_stripes(solve, 0, w, -(-w // len(scratch)), scratch)
-    # stripes whose products, and the last panel's multipliers, fit a buffer
+    # stripes whose products, and a leaf's gathered multipliers, fit a buffer
     cols = max(w, len(pivots[-1][1]) if pivots else 0)
     return _in_stripes(stripe, r1, m, max(1, scratch.shape[2] // cols), scratch, own)
 
@@ -600,8 +601,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     After the forward pass each pivot row, last first, is scaled to a
     leading 1 and cleared from the rows above it, on slices: every factor
     is reduced, so no magnitude passes (p - 1)^2 + p < 2^63."""
-    a = np.array(a, dtype=np.int64)
-    a %= p
+    a = int_residues(a, p)
     pivots = _row_echelon(a, p)
     for i in reversed(range(len(pivots))):
         j = pivots[i]

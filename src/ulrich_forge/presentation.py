@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .field import DEFAULT_PRIME, PrimeField
-from .linalg import matmul_mod, rank_dense
+from .linalg import int_residues, matmul_mod, rank_dense
 
 PRESENTATION_FORMAT = "ulrich-presentation/1"
 
@@ -104,7 +104,7 @@ class UlrichPresentation(Shaped):
 
     def __post_init__(self):
         s = self._shape
-        arr = np.array(self.coeff_array, dtype=np.int64) % self.field.p
+        arr = int_residues(self.coeff_array, self.field.p)
         if arr.shape != (s.b, s.a, 3):
             raise ValueError(f"expected a ({s.b}, {s.a}, 3) coefficient array, "
                              f"got shape {arr.shape}")

@@ -379,18 +379,34 @@ def test_striped_swaps_against_oracle(monkeypatch, case):
 
 
 @pytest.mark.parametrize("thread", ["caller", "helper", "helper_during_panel", "panel",
-                                    "catch_up"])
+                                    "catch_up", "serial"])
 def test_failing_stripe_raises(monkeypatch, thread):
     # a stripe that fails on either thread of a split loop fails the rank,
     # and so do a helper's stripe that fails while the caller factors the
     # panel, a panel that fails while a helper takes the next panel's
     # stripes, and a leaf's catch-up with the panel's own pivots that fails
     # while a helper catches up the next panel; the other thread is joined
-    # first
+    # first.  On one CPU the loop runs on the calling thread alone, starts
+    # no thread and stops at the stripe that fails
     for name, value in STRIPED.items():
         monkeypatch.setattr(linalg, name, value)
-    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
-    if thread in ("caller", "helper"):
+    monkeypatch.setattr(linalg, "_cpus", lambda: 1 if thread == "serial" else 2)
+    if thread == "serial":
+        in_stripes = linalg._in_stripes
+        ran, started = [], []
+
+        def first_fails(body, lo, hi, rows, scratch, own=None):
+            def stripe(i, j, buf):
+                ran.append(i)
+                if len(ran) == 1:  # the first stripe of panel 0's 120-stripe load
+                    raise MemoryError
+                body(i, j, buf)
+
+            return in_stripes(stripe, lo, hi, rows, scratch, own)
+
+        monkeypatch.setattr(linalg, "_in_stripes", first_fails)
+        monkeypatch.setattr(threading.Thread, "start", started.append)
+    elif thread in ("caller", "helper"):
         residues = linalg._residues
 
         def failing(a, p, out):
@@ -445,7 +461,9 @@ def test_failing_stripe_raises(monkeypatch, thread):
     with pytest.raises(MemoryError):
         rank_dense(np.random.default_rng(11).integers(0, P, size=(120, 120)), P)
     assert threading.active_count() == running
-    if thread not in ("caller", "helper"):
+    if thread == "serial":
+        assert ran == [0] and started == []
+    elif thread not in ("caller", "helper"):
         # the first look-ahead, reading panel 1 while the caller factors
         # panel 0, failed
         assert lookaheads == [120]
@@ -782,6 +800,25 @@ def test_null_space_of_rref(case):
     assert ((null >= 0) & (null < p)).all()
     assert (null[:, free] == np.eye(len(free), dtype=np.int64)).all()
     assert not matmul_mod(a, null.T, p).any()
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, object])
+def test_integers_beyond_int64(dtype):
+    # 2^63 + 5 fits uint64 and a Python int but not int64: rows 0 and 1
+    # agree mod p, so reduced first the 2 x 2 pair (row-op path) has rank 1
+    # and 300 x 300 (blocked path) rank 299; cast to int64 first, uint64
+    # wraps to a different residue and object raises OverflowError
+    big = 2**63 + 5
+    pair = np.array([[big, 1], [big % P, 1]], dtype=dtype)
+    assert rank_dense(pair, P) == 1
+    red, pivots = rref(pair, P)
+    assert pivots == [0] and red.tolist() == [[1, pow(big % P, -1, P)]]
+    a = np.random.default_rng(18).integers(0, P, size=(300, 300)).astype(dtype)
+    a[1] = a[0]
+    a[:2, 0] = big, big % P
+    assert division_free_rank((a % P).astype(np.int64), P) == 299
+    assert rank_dense(a, P) == 299
+    assert len(rref(a, P)[1]) == 299
 
 
 def test_matrix_container_validation():

@@ -94,6 +94,17 @@ def test_presentation_validation():
         pres.coeff_array[0, 0, 0] = 1
 
 
+@pytest.mark.parametrize("dtype", [np.uint64, object])
+def test_presentation_reduces_coefficients_beyond_int64(dtype):
+    # 2^63 + 5 is 26861 mod 32003: a uint64 cast to int64 wraps it (5152),
+    # and a Python int past int64 raises OverflowError there
+    coeffs = np.eye(3, dtype=np.int64)[:, None, :].astype(dtype)
+    coeffs[0, 0, 0] = 2**63 + 5
+    pres = UlrichPresentation(F, 2, 2, coeffs)
+    assert pres.coeff_array.dtype == np.int64
+    assert pres.coeff_array[0, 0, 0] == (2**63 + 5) % DEFAULT_PRIME == 26861
+
+
 def test_generic_rank_duplicated_column_undetermined():
     base = random_presentation(3, 2, np.random.default_rng(4)).coeff_array
     degenerate = UlrichPresentation(F, 3, 2, base[:, [0, 0]])
