@@ -185,7 +185,14 @@ def test_extensions_are_simple_and_ext1_is_the_euler_pairing(d, r1, r2, moduli_d
     assert [(c["check"], c["computed"]) for c in split.discrepancies()] == [
         ("end_cohomology", [2, moduli_dim + 1, 0])]
     assert 3 * e1.b * e2.a - _coboundary_rank(e1, e2) == ext1
-    assert hom_presentations(e2, e1) - euler_pairing(d, r2, r1) == ext1
+    hom = hom_presentations(e2, e1)
+    assert hom - euler_pairing(d, r2, r1) == ext1
+    # the computed ext^1 gives stability_margin's family: both factors'
+    # moduli, the projectivized Ext^1, and 1 - hom(E2, E1), which makes
+    # ext^1 up to its bound 1 - chi(E2, E1); (3, 2, 2): 5 + 5 + 4 - 1 + 1 = 17 - 3
+    family = (invariants(d, r1).h1_end_simple + invariants(d, r2).h1_end_simple
+              + ext1 - 1 + (1 - hom))
+    assert family == moduli_dim - stability_margin(d, (r1, r2))
 
 
 @st.composite
