@@ -29,60 +29,80 @@ keeps rows in bands of 256, band [s, s + 256) as one array of s + 255
 columns: at most k(k+1)/2 + 128 k cells.  One array per band, not one k x
 k array written below its diagonal: numpy advises huge pages for large
 arrays, and the untouched triangle of such an array would be committed
-anyway, 2 MiB at a time.  A panel's row swaps apply to the stored rows and
-to the order in which later panels are read; its L21 is copied after them,
-from its own rows, already in the new order.
+anyway, 2 MiB at a time.  A panel's row swaps apply to the stored rows, to
+the order in which later panels are read and to the next panel, already
+read; its L21 is copied after them, from its own rows, already in the new
+order.
 
 Every array the blocked path keeps from one step to the next holds
 residues in [0, p) in residue_dtype(p), the narrowest unsigned type that
 holds p - 1 (uint16 at p = 32003, uint32 up to the blocked path's
-p - 1 <= 2^23): the store, the finished L^{-1}s and the panel.  float64
-lives in per-thread scratch only (rank_dense gives its size): a piece of
-the panel (a stripe of rows, a column block of pivot rows, a leaf) is
-widened into it, takes its GEMMs, is reduced and is written back narrow.
-A GEMM's narrow operands, multipliers and rows of u, or an L^{-1}, are
-converted, exactly, into what the piece leaves of its thread's buffers
-one run of pivots at a time, side by side: 384 pivots of a 256-row stripe
-on two threads at 4000^2.  A single panel reads no store, so it stays
-float64, and every widening or conversion of it is the panel itself.
+p - 1 <= 2^23): the store, the finished L^{-1}s and both panels.  float64
+lives in per-thread scratch only: each thread's pair of stripe buffers
+and conversion block, and a k x 16 leaf for the thread that factors the
+panel.  A piece of a panel (a stripe of rows, a column block of pivot
+rows, a leaf) is widened into it, takes its GEMMs, is reduced and is
+written back narrow.  A GEMM's narrow operands, multipliers and rows of
+u, or an L^{-1}, are converted, exactly, into the conversion block one run
+of pivots at a time, side by side: 384 pivots of a 256-row stripe on two
+threads at 4000^2.  The block is what the widened piece leaves of the
+thread's second stripe buffer and up to three more, allocated only in a
+rank with a second panel: all threads' together no more cells than one
+256-row band of min(k, chunk) pivots, at most 256 k.  A single panel
+reads no store, so it stays float64, and every widening or conversion of
+it is the panel itself.
 
 The float path is exact because no magnitude exceeds 2^52 (the narrow
 copies hold the same residues, so nothing here depends on them).  The
 panel width B satisfies 8 B (p - 1)^2 <= 2^52, and every product is taken
 of reduced factors in [0, p), so t terms add at most t (p - 1)^2: at most
-S = B (p - 1)^2 for u, a row of L^{-1}, a GEMV (at most 15 terms) and a
-leaf's catch-up.  The catch-up with all earlier panels takes their pivots
-in chunks of (2^52 - p) // (p - 1)^2 - 2B, reducing its rows between
-chunks: one chunk of 4.4 million pivots at p = 32003, 47 pivots at
-p = 2^23 + 1.  Every catch-up reduces what it updated before writing it
-back.  Moduli too large for an 8-column block (p - 1 > 2^23) go to a
-row-op elimination in int64, where a rank-1 update of reduced factors
-adds at most (p - 1)^2, so the trailing block is reduced only every
-(2^63 - p) // (p - 1)^2 updates (8.9e9 at p = 32003, 2 at 2^31 - 1).
-That loop also takes every shape whose elimination updates at most
-1024 (5 + k/L) trailing cells per pivot, on average k(3L - k)/6 for short
-side k and long side L: there the blocked path's per-column overhead
-costs more than it saves.
+S = B (p - 1)^2 for u, a row of L^{-1}, a GEMV (at most 15 terms), a leaf
+GEMM and the catch-up with one panel.  The catch-up with all earlier
+panels takes their pivots in chunks of (2^52 - p) // (p - 1)^2 - 2B,
+reducing its rows between chunks: one chunk of 4.4 million pivots at
+p = 32003, 47 pivots at p = 2^23 + 1.  Every catch-up reduces what it
+updated before writing it back.  Moduli too large for an 8-column block
+(p - 1 > 2^23) go to a row-op elimination in int64, where a rank-1 update
+of reduced factors adds at most (p - 1)^2, so the trailing block is
+reduced only every (2^63 - p) // (p - 1)^2 updates (8.9e9 at p = 32003,
+2 at 2^31 - 1).  That loop also takes every shape whose elimination
+updates at most 1024 (5 + k/L) trailing cells per pivot, on average
+k(3L - k)/6 for short side k and long side L: there the blocked path's
+per-column overhead costs more than it saves.
 
-For a 4000 x 4000 matrix the blocked path holds 2 MB of panel (8 MB in
-float64), 17 MB of store (68 MB in float64, where the float64 copy of the
-matrix took 128 MB) and 2 MB of L^{-1}s.  A matrix of at most 2^20 cells
-is eliminated on the calling thread alone.  A larger one gets T threads,
-the CPUs of the process's affinity mask, which share the 2^17-cell (1 MiB)
-stripe budget: each buffer holds 2^17 // T cells.  Loops run through
-_in_stripes, which hands the stripes of a range of rows or of columns to
-at most T threads taking stripes from one queue, and joins them (numpy
-drops the GIL in BLAS and ufuncs); with T = 1 the calling thread runs
-every stripe and starts none.  A panel's catch-up is two such joins.
-First the pivot rows of the earlier panels are solved in column blocks,
+The blocked path holds the caller's input and, narrow, two panels, the
+store and the finished L^{-1}s: for a 4000 x 4000 matrix 4 MB of panels
+(16 MB in float64), 17 MB of store (68 MB in float64, where the float64
+copy of the matrix took 128 MB) and 2 MB of L^{-1}s.  Every other buffer
+is per-thread scratch, a row, a block of at most one stripe, or the L^{-1}
+of the panel being factored (at most 256 x 256, float64).  A matrix of at
+most 2^20 cells is eliminated on the calling thread alone.  A larger one
+gets T threads, the CPUs of the process's affinity mask, which share the
+2^17-cell (1 MiB) stripe budget: each buffer holds 2^17 // T cells.  Loops
+run through _in_stripes, which hands the stripes of a range of rows or of
+columns, and a panel run alongside them as one more task, to at most T
+threads taking stripes from one queue, and joins them (numpy drops the GIL
+in BLAS and ufuncs); with T = 1 the calling thread runs every stripe and
+then the panel, and starts none.  A catch-up is two such joins.  First
+the pivot rows of the earlier panels are solved in column blocks,
 ceil(w / T) of the panel's w columns each, one per thread, as forward
 substitution is independent per column.  Then the rows below the pivots
-are read and take their GEMMs with all of u in row stripes (256 rows of a
-256-column panel for two threads).  The caught-up panel is factored on the
-calling thread while the other threads wait, and its swaps and L21 then go
-to the store.  Tasks cover disjoint rows or disjoint columns, and every
-product is exact, so every value, hence every pivot and the rank, is the
-same for every T.
+take their GEMMs with all of u in row stripes (256 rows of a 256-column
+panel for two threads).  Panels are factored on the calling thread with a
+look-ahead of depth one.  All
+threads first catch the panel up with the last panel's pivots, reading
+that panel's L21 from the store.  Then the next panel is caught up with
+every panel before this one: every thread, the caller too, solves a column
+block of its pivot rows, and after that join the caller factors the panel
+while the helper threads read the next panel's rows below the pivots and
+catch them up; the caller takes the stripes that are left after the panel.
+The panel swaps rows only in its own buffer meanwhile, and writes nothing
+the helpers read; after the join its swaps are applied to the store's
+columns left of it and to the next panel, whose rows the helpers read in
+the old order (the catch-up updates each row by itself, so the two orders
+give the same rows), and the caller copies the panel's L21 into the store.
+Tasks cover disjoint rows or disjoint columns, and every product is exact,
+so every value, hence every pivot and the rank, is the same for every T.
 
 ``matmul_mod`` is the one integer matrix product mod p: it splits the
 inner dimension so that no int64 partial sum overflows for any p < 2^31.
@@ -131,27 +151,33 @@ def _cpus() -> int:
 
 
 def _in_stripes(body: Callable[[int, int, np.ndarray], None], lo: int, hi: int, rows: int,
-                scratch: np.ndarray) -> None:
+                scratch: np.ndarray, own: Callable[[], Any] | None = None) -> Any:
     """Call body(i, j, buf) on the stripes [i, j), rows long (the last one
-    shorter), that tile [lo, hi): rows of a matrix, or its columns.
+    shorter), that tile [lo, hi): rows of a matrix, or its columns; then,
+    or meanwhile, run own() if given and return its result.
 
     scratch[t] holds thread t's stripe buffers, the caller's first, and
-    each stripe gets its thread's as buf.  T = min(stripes, len(scratch))
-    threads take the stripes from one queue: the caller and T - 1 helper
-    threads, started at once.  After an exception no stripe is started;
+    each stripe gets its thread's as buf.  T = min(stripes + 1 if own else
+    stripes, len(scratch)) threads take the stripes from one queue.  With
+    T = 1 the caller runs them all and then own().  Otherwise T - 1 helper
+    threads start at once, and the caller runs own() first and then takes
+    the stripes that are left.  After an exception no stripe is started;
     all threads are joined before the first exception any of them raised
-    is re-raised here."""
-    threads = min(-(-(hi - lo) // rows), len(scratch))
+    is re-raised here, and before any result is returned."""
+    threads = min(-(-(hi - lo) // rows) + (own is not None), len(scratch))
     if threads <= 1:
         for i in range(lo, hi, rows):
             body(i, min(i + rows, hi), scratch[0])
-        return
+        return own() if own else None
     starts = iter(range(lo, hi, rows))
     lock = threading.Lock()
+    done: list[Any] = []
     errors: list[BaseException] = []
 
-    def work(t: int) -> None:
+    def work(t: int, first: Callable[[], Any] | None = None) -> None:
         try:
+            if first is not None:
+                done.append(first())
             while not errors:
                 with lock:
                     i = next(starts, None)
@@ -167,12 +193,13 @@ def _in_stripes(body: Callable[[int, int, np.ndarray], None], lo: int, hi: int, 
             helper = threading.Thread(target=work, args=(t,))
             helper.start()
             helpers.append(helper)
-        work(0)
+        work(0, own)
     finally:
         for helper in helpers:
             helper.join()
     if errors:
         raise errors[0]
+    return done[0] if done else None
 
 
 def _buffer(flat: np.ndarray, *shape: int) -> np.ndarray:
@@ -225,19 +252,21 @@ def int_residues(a: Any, p: int) -> np.ndarray:
 
 def rank_dense(a: np.ndarray, p: int) -> int:
     """Rank over F_p by blocked, left-looking Gaussian elimination with
-    delayed reduction, as the module docstring describes; the input, any
-    integer array, is never modified, and each entry is reduced mod p
-    before it is used (by int_residues where it is not a residue already).
+    delayed reduction; the input, any integer array, is never modified,
+    and each entry is reduced mod p before it is used (by int_residues
+    where it is not a residue already).  The module docstring describes
+    the elimination and its schedule over the threads.
 
     For short side k, beyond the input the kernel holds, in
     residue_dtype(p), the store, at most k(k+1)/2 + 128 k cells, the
-    L^{-1} of every panel (k x 256 cells in all) and one k x 256 panel; in
-    float64, a pair of stripe buffers per thread (2^18 cells in all) and,
-    when there is a second panel, up to three more per thread (at most
-    3 x 2^17 and 256 k cells in all), a k x 16 leaf and the L^{-1} of the
-    panel being factored (at most 256 x 256).  A single panel is float64
-    itself.  Every product is of float64 residues, exact under the
-    2^52 bound.
+    L^{-1} of every panel (k x 256 cells in all) and two k x 256 panels;
+    in float64, a pair of stripe buffers per thread (2^18 cells in all)
+    and, when there is a second panel, up to three more per thread (at
+    most 3 x 2^17 and 256 k cells in all) and a k x 16 leaf.  Pieces of a
+    panel are widened into these, and narrow operands converted beside
+    them, before each GEMM, and every piece is written back reduced.  With
+    a single panel that panel is float64 and every widening a view.  Every
+    product is of float64 residues, exact under the 2^52 bound.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -250,7 +279,7 @@ def rank_dense(a: np.ndarray, p: int) -> int:
         return len(_row_echelon(int_residues(a, p), p))
     t = a if m <= n else a.T  # the matrix eliminated, k rows
     m, n = k, long_side
-    # the panel buffer, no wider than the matrix, narrow if a second panel
+    # two panel buffers, no wider than the matrix, narrow if a second panel
     # will read the store; in float64 each thread's pair of stripe buffers,
     # no more cells than the matrix, and with a second panel up to three
     # more per thread, all threads' together no more cells than the largest
@@ -260,38 +289,52 @@ def rank_dense(a: np.ndarray, p: int) -> int:
     cells = max(1, min(m * n // 2, _STRIPE_CELLS // threads))
     dtype = residue_dtype(p)
     extra = min(3, _DEFAULT_BLOCK * min(m, _chunk(p)) // (threads * cells)) if n > block else 0
-    panel = np.empty(m * min(n, block), dtype if n > block else np.float64)
+    panels = np.empty(m * min(n, 2 * block), dtype if n > block else np.float64)
     scratch = np.empty((threads, 2 + extra, cells))
     leaf = np.empty(m * _PANEL_LEAF if n > block else 0)
     store = _Multipliers(m, _DEFAULT_BLOCK, dtype)
     order = np.arange(m)
+
+    def panel(c0: int) -> tuple[np.ndarray, Callable[..., None]]:
+        """The buffer of the panel at column c0, and its loader of rows
+        [i, j), columns [x0, x1), into out."""
+        w = min(block, n - c0)
+        b = panels[(c0 // block) % 2 * m * block :][: m * w].reshape(m, w)
+
+        def load(i: int, j: int, x0: int, x1: int, out: np.ndarray) -> None:
+            x = t[order[i:j], c0 + x0 : c0 + x1]
+            # int64 % p divides in hardware: skip it for integers in [0, p)
+            if x.dtype.kind not in "ui" or x.size and (x.min() < 0 or x.max() >= p):
+                x = int_residues(x, p)
+            out[...] = x
+
+        return b, load
+
+    b, load = panel(0)
+    _catch_up(b, p, store.rows, [], scratch, load=load)
     done: list[tuple[int, np.ndarray]] = []  # (first pivot row, L^{-1}) per panel
+    piv: list[int] = []  # the last panel's pivot columns
     r = c = 0
-
-    def load(i: int, j: int, x0: int, x1: int, out: np.ndarray) -> None:
-        """Rows [i, j), columns [x0, x1) of the panel at column c, into out."""
-        x = t[order[i:j], c + x0 : c + x1]
-        # int64 % p divides in hardware: skip it for integers in [0, p)
-        if x.dtype.kind not in "ui" or x.size and (x.min() < 0 or x.max() >= p):
-            x = int_residues(x, p)
-        out[...] = x
-
     while r < m:  # c < n holds: the last panel returns
-        w = min(block, n - c)
-        b = panel[: m * w].reshape(m, w)
-        _catch_up(b, p, store.rows, done, scratch, load=load)
-        piv, linv, swaps = _eliminate_panel(b, p, r, scratch[:1], leaf)
+        w = b.shape[1]
+        if piv:  # at most B pivots, one GEMM; else done[-1] is older, applied already
+            _catch_up(b, p, store.rows, done[-1:], scratch)
+        eliminate = partial(_eliminate_panel, b, p, r, scratch[:1], leaf)
         if c + w == n:  # after the last panel no row is read again
-            return r + len(piv)
+            return r + len(eliminate()[0])
+        nxt, load = panel(c + w)
+        piv, linv, swaps = _catch_up(nxt, p, store.rows, done, scratch, own=eliminate, load=load)
         for x, y in swaps:  # rows below r, swapped in b already
             order[[x, y]] = order[[y, x]]
             store.swap(x, y, r)
+            nxt[[x, y]] = nxt[[y, x]]
         if piv:  # its multipliers below its pivots, from rows already in the new order
             for s, e, cells in store.rows(r + len(piv), m, r, r + len(piv)):
                 cells[...] = _gather(b[s:e], piv)
             done.append((r, linv.astype(dtype)))
             r += len(piv)
         c += w
+        b = nxt
     return r
 
 
@@ -326,18 +369,22 @@ class _Multipliers:
 
 def _eliminate_panel(a: np.ndarray, p: int, r: int, scratch: np.ndarray, leaf: np.ndarray
                      ) -> tuple[list[int], np.ndarray, list[tuple[int, int]]]:
-    """Eliminate panel a below row r in place, from entries in [0, p), one
-    leaf of _PANEL_LEAF columns at a time as the module docstring
-    describes.  Returns the pivot columns, the inverse mod p of the pivots'
+    """Eliminate panel a below row r in place, left-looking, from entries
+    in [0, p).  Returns the pivot columns, the inverse mod p of the pivots'
     unit lower triangle L, and the row swaps, in order, which it made in a.
 
-    Each leaf is widened into leaf (a view of a float64 panel) and caught
-    up on scratch, the caller's stripe pair.  A pivot appends the row
-    -(l L^{-1}) mod p to the leaf's block of L^{-1}, l its row's
-    multipliers, and after the leaf its rows left of that block are
-    -L^{-1}_BB L_BA L^{-1}_AA.  No pivot row is updated here; _catch_up
-    reads its stale values once, through L^{-1}, and leaves u in their
-    place.
+    The panel is factored one leaf of _PANEL_LEAF columns at a time, its
+    rows below r widened into leaf by _widen (a view of a float64 panel).
+    The leaf takes the panel's earlier pivots by _catch_up on scratch, the
+    caller's stripe pair, which leaves it reduced; each of its columns
+    then takes a GEMV with the leaf's own earlier pivots, is reduced, and
+    is searched for a pivot.  Multipliers are kept in the eliminated
+    positions.  A pivot appends the row -(l L^{-1}) mod p to the leaf's
+    block of L^{-1}, l its row's multipliers, and after the leaf its rows
+    left of that block are -L^{-1}_BB L_BA L^{-1}_AA.  Row swaps apply to
+    the leaf and to a's other columns, and the leaf is written back.  The
+    elimination never updates a pivot row; _catch_up reads its stale
+    values once, through L^{-1}, and leaves u in their place.
     """
     a = a[r:]
     m, w = a.shape
@@ -431,22 +478,33 @@ def _gather(a: np.ndarray, cols: list[int]) -> np.ndarray:
 
 def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.ndarray]]],
               pivots: list[tuple[int, np.ndarray]], scratch: np.ndarray,
-              load: Callable[..., None] | None = None) -> None:
+              own: Callable[[], Any] | None = None,
+              load: Callable[..., None] | None = None) -> Any:
     """Bring the rows of b up to date with pivots, the (first row, L^{-1})
-    of panels whose pivot rows r0..r1 follow each other, as the module
-    docstring describes: the pivot rows in column blocks, one per thread of
-    scratch, then the rows below r1 in stripes.  b holds residues before
-    and after.
+    of panels whose pivot rows r0..r1 follow each other, in two joins of
+    _in_stripes, and return the result of own, run beside the second.
 
     l21(i, j, c0, c1) gives the multipliers of rows [i, j) for pivots
     [c0, c1) as (first row, end row, matrix) pieces: views of the store's
-    bands, or a leaf's multipliers in its panel, copied where its pivot
-    columns are not consecutive, so a stripe is sized for them too.
+    bands, or for a leaf its multipliers in its panel, copied only where the
+    panel's pivot columns are not consecutive, so a stripe is sized for them
+    too.  Every piece of b is widened by _widen into its thread's
+    conversion block, every buffer but the first, which takes the products;
+    there it takes its GEMMs, from runs of pivots by _float_runs, each run's
+    multipliers and rows of u converted beside the rest of the block where
+    narrow, one GEMM per band and run.  The piece is then reduced and
+    written back, so b holds residues before and after.
     load(i, j, x0, x1, out), if given, fills out with rows [i, j), columns
-    [x0, x1) of b as read; without pivots the stripes are only loaded.
-    Beyond those copies a thread allocates nothing outside scratch[t]
-    unless not even one row of a piece fits it.  Every product is of
-    float64 residues, exact under the 2^52 bound.
+    [x0, x1) of b as read.  The first join solves the pivot rows panel by
+    panel in column blocks, ceil(w / T) wide for T = len(scratch), so one
+    per thread, as the columns are independent: the panel's rows subtract
+    their multipliers times the u of the panels before, and u = L^{-1}
+    times the result reduced mod p is left in their place.  The second
+    takes the rows below r1 in stripes, each of which subtracts its
+    multipliers times all of u, per chunk of pivots, reduced between
+    chunks.  Without pivots the stripes are only loaded.  With helper
+    threads the caller runs own() in the second join, after it has solved
+    a column block in the first.
     """
     m, w = b.shape
     pf = float(p)
@@ -489,7 +547,7 @@ def _catch_up(b: np.ndarray, p: int, l21: Callable[..., list[tuple[int, int, np.
         _in_stripes(solve, 0, w, -(-w // len(scratch)), scratch)
     # stripes whose products, and a leaf's gathered multipliers, fit a buffer
     cols = max(w, len(pivots[-1][1]) if pivots else 0)
-    _in_stripes(stripe, r1, m, max(1, scratch.shape[2] // cols), scratch)
+    return _in_stripes(stripe, r1, m, max(1, scratch.shape[2] // cols), scratch, own)
 
 
 def _row_echelon(a: np.ndarray, p: int) -> list[int]:

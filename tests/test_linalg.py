@@ -281,7 +281,7 @@ def test_panels_keep_p_minus_one(monkeypatch, p):
     # rank 80 in 120 x 120, three 40-column panels: panel 0 is an identity
     # over zero rows, and rows and columns 40.. are the case above at
     # 80 x 80, so panel 1 holds p - 1 in every row below 40 from its
-    # catch-up on, and its leaf reads it back.  Panels one bit too narrow
+    # look-ahead on, and its leaf reads it back.  Panels one bit too narrow
     # (uint8 at 257, uint16 at 65537) wrap it to 0, and the rank comes out
     # too high
     a = p_minus_one_below(np.random.default_rng(16), p, 40)
@@ -339,23 +339,30 @@ def test_striped_slack_reset_large_prime(monkeypatch):
 
 
 def deep_pivots_from(rng, panel: int, p: int) -> np.ndarray:
-    """150 x 130, rank 110 (under STRIPED: 40-column panels 0 to 3): 110
+    """150 x 170, rank 110 (under STRIPED: 40-column panels 0 to 4): 110
     generic rows, the first 40 * panel of them on top, then 20 zero rows,
-    then the rest, then 20 random combinations of all 110.  Every pivot from
-    panel `panel` on is found 20 rows deep, and a row that misses an update
-    or takes one twice leaves a combination nonzero, raising the rank."""
-    rows = rng.integers(0, p, size=(110, 130))
+    then the rest, then 20 random combinations of all 110.  It is wider
+    than tall, so rank_dense eliminates its rows, not its transpose, and
+    every pivot from panel `panel` on is found 20 rows deep; a row that
+    misses an update or takes one twice leaves a combination nonzero,
+    raising the rank."""
+    rows = rng.integers(0, p, size=(110, 170))
     top = 40 * panel
-    return np.vstack([rows[:top], np.zeros((20, 130), dtype=np.int64), rows[top:],
+    return np.vstack([rows[:top], np.zeros((20, 170), dtype=np.int64), rows[top:],
                       matmul_mod(rng.integers(0, p, size=(20, 110)), rows, p)])
 
 
+# from panel 0, 1 or 2 on, each panel with pivots swaps rows while the
+# helpers catch up the next panel
 @pytest.mark.parametrize("case", ["last_row_pivots", "deep_pivot_0", "deep_pivot_1",
                                   "deep_pivot_2"])
 def test_striped_swaps_against_oracle(monkeypatch, case):
-    # a panel swaps rows in its own buffer; after it is factored its swaps
-    # move the stored multipliers and the row order in which later panels
-    # are read
+    # a panel swaps rows in its own buffer while the helpers read the next
+    # panel in the old row order and catch it up; after the join its swaps
+    # move the stored multipliers, the row order in which later panels are
+    # read and the rows of the next panel.  A swap missed in any of the
+    # three, or made in the next panel before the join, shows up as a
+    # wrong rank
     rng = np.random.default_rng(12)
     if case == "last_row_pivots":
         a, want = last_row_pivots(rng, 130, P), 130
@@ -374,12 +381,16 @@ def test_striped_swaps_against_oracle(monkeypatch, case):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("thread", ["caller", "helper", "serial"])
+@pytest.mark.parametrize("thread", ["caller", "helper", "helper_during_panel", "panel",
+                                    "catch_up", "serial"])
 def test_failing_stripe_raises(monkeypatch, thread):
-    # a stripe that fails on either thread of a split loop fails the rank;
-    # the other thread is joined first.  On one CPU the loop runs on the
-    # calling thread alone, starts no thread and stops at the stripe that
-    # fails
+    # a stripe that fails on either thread of a split loop fails the rank,
+    # and so do a helper's stripe that fails while the caller factors the
+    # panel, a panel that fails while a helper takes the next panel's
+    # stripes, and a leaf's catch-up with the panel's own pivots that fails
+    # while a helper catches up the next panel; the other thread is joined
+    # first.  On one CPU the loop runs on the calling thread alone, starts
+    # no thread and stops at the stripe that fails
     for name, value in STRIPED.items():
         monkeypatch.setattr(linalg, name, value)
     monkeypatch.setattr(linalg, "_cpus", lambda: 1 if thread == "serial" else 2)
@@ -387,18 +398,18 @@ def test_failing_stripe_raises(monkeypatch, thread):
         in_stripes = linalg._in_stripes
         ran, started = [], []
 
-        def first_fails(body, lo, hi, rows, scratch):
+        def first_fails(body, lo, hi, rows, scratch, own=None):
             def stripe(i, j, buf):
                 ran.append(i)
                 if len(ran) == 1:  # the first stripe of panel 0's 120-stripe load
                     raise MemoryError
                 body(i, j, buf)
 
-            return in_stripes(stripe, lo, hi, rows, scratch)
+            return in_stripes(stripe, lo, hi, rows, scratch, own)
 
         monkeypatch.setattr(linalg, "_in_stripes", first_fails)
         monkeypatch.setattr(threading.Thread, "start", started.append)
-    else:
+    elif thread in ("caller", "helper"):
         residues = linalg._residues
 
         def failing(a, p, out):
@@ -407,45 +418,128 @@ def test_failing_stripe_raises(monkeypatch, thread):
             return residues(a, p, out)
 
         monkeypatch.setattr(linalg, "_residues", failing)
+    else:
+        in_stripes = linalg._in_stripes
+        lookaheads = []
+        panel_started, helper_started, failed = (threading.Event() for _ in range(3))
+
+        def lookahead(body, lo, hi, cols, scratch, own=None):
+            if own is None:
+                return in_stripes(body, lo, hi, cols, scratch)
+            lookaheads.append(hi - lo)
+
+            def stripe(i, j, buf):
+                if threading.current_thread() is not threading.main_thread():
+                    helper_started.set()
+                    if thread == "helper_during_panel":
+                        assert panel_started.wait(10)
+                        failed.set()
+                        raise MemoryError
+                body(i, j, buf)
+
+            def panel():
+                panel_started.set()
+                assert helper_started.wait(10)
+                if thread == "panel":
+                    raise MemoryError
+                if thread == "helper_during_panel":
+                    assert failed.wait(10)
+                return own()
+
+            return in_stripes(stripe, lo, hi, cols, scratch, panel)
+
+        monkeypatch.setattr(linalg, "_in_stripes", lookahead)
+    if thread == "catch_up":
+        catch_up = linalg._catch_up
+
+        def failing_leaf(*args, **kwargs):
+            # a leaf's catch-up, one leaf wide, with the panel's own pivots
+            if args[0].shape[1] <= linalg._PANEL_LEAF and panel_started.is_set():
+                assert threading.current_thread() is threading.main_thread()
+                raise MemoryError
+            return catch_up(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_catch_up", failing_leaf)
     running = threading.active_count()
     with pytest.raises(MemoryError):
         rank_dense(np.random.default_rng(11).integers(0, P, size=(120, 120)), P)
     assert threading.active_count() == running
     if thread == "serial":
         assert ran == [0] and started == []
+    elif thread not in ("caller", "helper"):
+        # the first look-ahead, reading panel 1 while the caller factors
+        # panel 0, failed
+        assert lookaheads == [120]
+
+
+def test_one_stripe_lookahead_runs_beside_the_panel(monkeypatch):
+    # under STRIPED a look-ahead stripe is one row; the last look-ahead of
+    # this 81 x 160 matrix, which reads panel 3 while the caller factors
+    # panel 2, has the one row left below the pivots.  Once both threads
+    # have solved their blocks of panel 3's pivot rows, a helper takes that
+    # row while the caller factors the panel; on one CPU no thread starts
+    for name, value in STRIPED.items():
+        monkeypatch.setattr(linalg, name, value)
+    in_stripes = linalg._in_stripes
+    lookaheads = []
+
+    def lookahead(body, lo, hi, cols, scratch, own=None):
+        if own is None:
+            return in_stripes(body, lo, hi, cols, scratch)
+        on_main = []
+        lookaheads.append((hi - lo, on_main))
+
+        def stripe(i, j, buf):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            body(i, j, buf)
+
+        return in_stripes(stripe, lo, hi, cols, scratch, own)
+
+    monkeypatch.setattr(linalg, "_in_stripes", lookahead)
+    a = np.random.default_rng(13).integers(0, P, size=(81, 160))
+    want = division_free_rank(a, P)
+    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
+    assert rank_dense(a, P) == want
+    assert [rows for rows, _ in lookaheads] == [81, 41, 1]
+    assert lookaheads[-1][1] == [False]
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", started.append)
+    monkeypatch.setattr(linalg, "_cpus", lambda: 1)
+    assert rank_dense(a, P) == want
+    assert started == []
 
 
 def test_catch_up_solves_pivot_rows_then_stripes(monkeypatch):
-    # under STRIPED on two CPUs, 120 x 120 is three 40-column panels, each
-    # caught up once with every panel before it.  A catch-up with pivot
-    # rows is two joins: first over the panel's columns, one 20-column
-    # block per thread, both threads in a block at once, then over the
-    # rows below the pivots.  A catch-up without pivot rows only loads its
+    # under STRIPED on two CPUs, 120 x 120 is three 40-column panels.  A
+    # catch-up with pivot rows is two joins: first over the panel's
+    # columns, one 20-column block per thread, both threads in a block at
+    # once, then over the rows below the pivots, beside the look-ahead
+    # panel if there is one.  A catch-up without pivot rows only loads its
     # rows.  Loops on the calling thread alone (a panel's leaves) are not
     # recorded
     for name, value in STRIPED.items():
         monkeypatch.setattr(linalg, name, value)
     monkeypatch.setattr(linalg, "_cpus", lambda: 2)
     catch_up, in_stripes = linalg._catch_up, linalg._in_stripes
-    catch_ups = []  # (shape of b, end of its pivot rows, loops)
+    catch_ups = []  # (shape of b, end of its pivot rows, own given, loops)
 
-    def recording_catch_up(b, p, l21, pivots, scratch, load=None):
+    def recording_catch_up(b, p, l21, pivots, scratch, own=None, load=None):
         if len(scratch) == 2:
             r1 = pivots[-1][0] + len(pivots[-1][1]) if pivots else 0
-            catch_ups.append((b.shape, r1, []))
-        return catch_up(b, p, l21, pivots, scratch, load)
+            catch_ups.append((b.shape, r1, own is not None, []))
+        return catch_up(b, p, l21, pivots, scratch, own, load)
 
-    def recording_in_stripes(body, lo, hi, rows, scratch):
+    def recording_in_stripes(body, lo, hi, rows, scratch, own=None):
         if len(scratch) < 2:
-            return in_stripes(body, lo, hi, rows, scratch)
+            return in_stripes(body, lo, hi, rows, scratch, own)
         tasks = []  # (start, end, thread) per stripe or block
-        loops = catch_ups[-1][2]
+        loops = catch_ups[-1][3]
         # in the first loop of a catch-up with pivot rows the column blocks
         # wait for each other, so one thread cannot take both; a serial
         # pass breaks the barrier and fails the rank
         first = lo == 0 and catch_ups[-1][1] and not loops
         both = threading.Barrier(2, timeout=10) if first else None
-        loops.append((lo, hi, tasks))
+        loops.append((lo, hi, own is not None, tasks))
 
         def task(i, j, buf):
             tasks.append((i, j, threading.get_ident()))
@@ -453,19 +547,20 @@ def test_catch_up_solves_pivot_rows_then_stripes(monkeypatch):
                 both.wait()
             body(i, j, buf)
 
-        return in_stripes(task, lo, hi, rows, scratch)
+        return in_stripes(task, lo, hi, rows, scratch, own)
 
     monkeypatch.setattr(linalg, "_catch_up", recording_catch_up)
     monkeypatch.setattr(linalg, "_in_stripes", recording_in_stripes)
     a = np.random.default_rng(15).integers(0, P, size=(120, 120))
     assert rank_dense(a, P) == division_free_rank(a, P) == 120
-    assert [r1 for _, r1, _ in catch_ups] == [0, 40, 80]
-    for (m, w), r1, loops in catch_ups:
+    assert [(r1, own) for _, r1, own, _ in catch_ups if r1] == [(40, False), (40, True),
+                                                                (80, False)]
+    for (m, w), r1, own, loops in catch_ups:
         if not r1:
-            assert [loop[:2] for loop in loops] == [(0, m)]
+            assert [loop[:3] for loop in loops] == [(0, m, own)]
             continue
-        assert [loop[:2] for loop in loops] == [(0, w), (r1, m)]
-        blocks = loops[0][2]
+        assert [loop[:3] for loop in loops] == [(0, w, False), (r1, m, own)]
+        blocks = loops[0][3]
         assert sorted((i, j) for i, j, _ in blocks) == [(0, 20), (20, 40)]
         assert len({thread for _, _, thread in blocks}) == 2
 
@@ -515,7 +610,7 @@ def test_rank_leaves_input_untouched(shape):
 def test_rank_memory_triangle_and_panels(monkeypatch, p, gather, threads, shape):
     # beyond the input the kernel holds the store of multipliers, at most
     # k(k+1)/2 + 128 k cells for short side k, the L^{-1} of every panel
-    # (k x B cells in all for panel width B) and one k x B panel, all in
+    # (k x B cells in all for panel width B) and two k x B panels, all in
     # the store's narrow dtype; in float64 the k x 16 leaf being factored,
     # the stripe buffers (2^18 cells), the conversion blocks beyond them
     # (at most 3 x 2^17 cells, and no more than one 256-row band of
@@ -523,8 +618,8 @@ def test_rank_memory_triangle_and_panels(monkeypatch, p, gather, threads, shape)
     # and one stripe budget (2^17 cells) each of the input as loaded, in
     # int64, and of gathered multipliers and other temporaries, shared by
     # the threads.  No copy of the matrix, so a tall matrix costs what its
-    # transpose does, and no float64 store fits, nor at 2000 x 2000 a
-    # float64 panel, except at p = 4194301, whose panels are 32 wide
+    # transpose does, and neither a float64 store nor float64 panels fit,
+    # except float64 panels at p = 4194301, whose panels are 32 wide
     monkeypatch.setattr(linalg, "_cpus", lambda: threads)
     a = np.random.default_rng(0).integers(0, p, size=shape)
     k = min(shape)
@@ -550,7 +645,7 @@ def test_rank_memory_triangle_and_panels(monkeypatch, p, gather, threads, shape)
 
         monkeypatch.setattr(linalg, "_eliminate_panel", panel)
     b = linalg._block(p)
-    narrow = np.min_scalar_type(p - 1).itemsize * (k * (k + 1) // 2 + 128 * k + 2 * b * k)
+    narrow = np.min_scalar_type(p - 1).itemsize * (k * (k + 1) // 2 + 128 * k + 3 * b * k)
     conv = min(3 * 2**17, 256 * min(k, linalg._chunk(p)))
     bound = narrow + 8 * (16 * k + 2**18 + conv + b * b + 2 * 2**17)
     tracemalloc.start()
